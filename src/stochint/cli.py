@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import montecarlo, suites
@@ -25,6 +26,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
     return value
 
 
@@ -58,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="Monte Carlo checks against closed-form references")
     mc.add_argument("--model", choices=MODELS, default="brownian")
     mc.add_argument("--cells", type=_positive_int, default=64)
-    mc.add_argument("--paths", type=_positive_int, default=100_000)
+    mc.add_argument("--paths", type=_positive_int, default=100_000, help="at least 2")
     mc.add_argument("--seed", type=int, required=True)
-    mc.add_argument("--intensity", type=float, default=1.0, help="poisson rate")
+    mc.add_argument("--intensity", type=_positive_float, default=1.0, help="poisson rate")
     mc.add_argument("--csv", help="also export the path ensemble as CSV (path, cell, increment)")
     mc.add_argument("--out", help="write the JSON report here instead of stdout")
 
@@ -146,6 +154,8 @@ def main(argv=None) -> int:
         return _emit(report, args.out)
 
     if args.command == "mc":
+        if args.paths < 2:
+            parser.error("--paths must be at least 2: a standard error needs two samples")
         report = suites.mc_suite(
             model=args.model,
             cells=args.cells,

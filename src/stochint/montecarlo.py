@@ -21,6 +21,10 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+#: path blocks in iterated_samples keep each temporary near this many doubles
+#: (1 MiB), so a block's working set stays in a core's L2 cache
+_BLOCK_DOUBLES = 1 << 17
+
 
 def _splitmix(x: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer, elementwise on uint64 (wrapping arithmetic)."""
@@ -82,8 +86,8 @@ def poisson_ensemble(grid: TimeGrid, paths: int, seed: int, intensity: float = 1
     """Compensated Poisson increments (N_k - rate*len_k) / sqrt(rate)."""
     if paths < 1:
         raise ValueError("need at least one path")
-    if intensity <= 0:
-        raise ValueError("intensity must be positive")
+    if not 0.0 < intensity < np.inf:
+        raise ValueError("intensity must be positive and finite")
     n = grid.n
     means = intensity * np.asarray(grid.lengths)
     u = _uniform(_stream(path_seeds(seed, paths), n))
@@ -106,9 +110,21 @@ def iterated_samples(coeffs: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
     """Per-path discrete iterated integral:
     d! * sum over strict multisets {c_1<...<c_d} of v * prod_i dB_{c_i}.
 
-    Diagonal entries of `coeffs` (repeated cells) do not enter the sum.
-    Entries are processed in blocks of columns so dense coefficient sets
-    (tens of thousands of multisets) stay vectorized.
+    Diagonal entries of `coeffs` (repeated cells) do not enter the sum.  The
+    sum is evaluated as the Ito recursion I_d(f) = d * sum_k I_{d-1}(f(., k)
+    1_{<k}) dB_k: each strict multiset splits into a prefix (c_1..c_{d-1})
+    and a last cell c_d, the coefficients are scattered once into a
+    (prefixes x last cells) matrix C, and per path
+
+        out_p = sum_prefix prefprod[prefix, p] * (C @ dB[lasts, p])[prefix]
+
+    with prefprod the product of the prefix's increments (1 for the empty
+    prefix of degree 1).  Prefix products are built level by level over the
+    prefix tree, one gather per node, so a shared prefix is multiplied once
+    rather than once per term.  Paths go in blocks that keep every temporary
+    near _BLOCK_DOUBLES doubles, so memory does not grow with the ensemble;
+    each output depends only on its own path's increments, whatever the
+    block it falls in.
     """
     from math import factorial
 
@@ -123,21 +139,39 @@ def iterated_samples(coeffs: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
     if not strict:
         return np.zeros(ensemble.paths, dtype=complex)
 
-    cols = np.array([ms for ms, _ in strict], dtype=np.intp) - 1
+    cells = np.array([ms for ms, _ in strict], dtype=np.intp) - 1
     vals = fac * np.array([v for _, v in strict], dtype=complex)
     inc = ensemble.increments
-    out_re = np.zeros(ensemble.paths)
-    out_im = np.zeros(ensemble.paths)
-    block = max(1, (1 << 22) // max(1, ensemble.paths))
-    for start in range(0, len(strict), block):
-        sel = cols[start : start + block]
-        prod = inc[:, sel[:, 0]].copy()
-        for j in range(1, d):
-            prod *= inc[:, sel[:, j]]
-        v = vals[start : start + block]
-        out_re += prod @ v.real
-        out_im += prod @ v.imag
-    return out_re + 1j * out_im
+    prefixes, prefix_of = np.unique(cells[:, :-1], axis=0, return_inverse=True)
+    lasts, last_of = np.unique(cells[:, -1], return_inverse=True)
+    npre = len(prefixes)
+    coef = np.zeros((2 * npre, len(lasts)))  # Re C stacked over Im C
+    coef[prefix_of, last_of] = vals.real
+    coef[npre + prefix_of, last_of] = vals.imag
+
+    # prefix tree below the empty prefix (product 1), one level per step:
+    # each node's parent on the level above and the cell it adds
+    steps = []
+    nodes = prefixes
+    while nodes.shape[1] > 0:
+        parents, parent_of = np.unique(nodes[:, :-1], axis=0, return_inverse=True)
+        steps.append((parent_of, nodes[:, -1]))
+        nodes = parents
+    steps.reverse()
+
+    # cells x paths layout: every gather below copies contiguous rows
+    out = np.empty(ensemble.paths, dtype=complex)
+    block = max(1, _BLOCK_DOUBLES // max(inc.shape[1], *coef.shape))
+    for start in range(0, ensemble.paths, block):
+        cols = inc[start : start + block].T.copy()
+        prefprod = np.ones((1, cols.shape[1]))
+        for parent_of, cell in steps:
+            prefprod = prefprod[parent_of] * cols[cell]
+        tail = (coef @ cols[lasts]).reshape(2, npre, -1)
+        tail *= prefprod
+        part = tail.sum(axis=1)
+        out[start : start + block] = part[0] + 1j * part[1]
+    return out
 
 
 def hermite_polynomial(order: int, x: np.ndarray) -> np.ndarray:
@@ -167,9 +201,7 @@ def hermite_reference(g: SymCoeffs, order: int, ensemble: PathEnsemble) -> np.nd
     gnorm = float(np.sqrt(sym_norm2(g)))
     if gnorm == 0.0:
         return np.zeros(ensemble.paths)
-    w = np.zeros(ensemble.paths)
-    for (c,), v in g.values.items():
-        w = w + v.real * ensemble.increments[:, c - 1]
+    w = _wiener(g, ensemble).real
     return gnorm ** order * hermite_polynomial(order, w / gnorm)
 
 
@@ -177,10 +209,16 @@ def linear_samples(g: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
     """Per-path value of W(g) = sum_c g_c dB_c for a degree-1 integrand."""
     if g.degree != 1:
         raise ValueError("need a degree-1 integrand")
-    w = np.zeros(ensemble.paths, dtype=complex)
-    for (c,), v in g.values.items():
-        w = w + v * ensemble.increments[:, c - 1]
-    return w
+    return _wiener(g, ensemble)
+
+
+def _wiener(g: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
+    """W(g) = sum_c g_c dB_c per path, from one gather of the cells g touches
+    and one matrix product with the real and imaginary parts of g."""
+    cells = np.array([c for (c,) in g.values], dtype=np.intp) - 1
+    vals = np.array(list(g.values.values()), dtype=complex)
+    w = ensemble.increments[:, cells] @ np.column_stack([vals.real, vals.imag])
+    return w[:, 0] + 1j * w[:, 1]
 
 
 def export_csv(ensemble: PathEnsemble, path) -> None:
@@ -198,6 +236,6 @@ def mean_and_stderr(samples: np.ndarray) -> tuple[float, float]:
     x = np.asarray(samples)
     if np.iscomplexobj(x):
         x = x.real
-    m = float(x.mean())
-    se = float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
-    return m, se
+    if len(x) < 2:
+        raise ValueError("a standard error needs at least two samples")
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x)))

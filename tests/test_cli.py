@@ -57,6 +57,24 @@ def test_mc_usage_errors_exit_2():
     assert err.value.code == 2
 
 
+def test_mc_single_path_is_usage_error(capsys):
+    # one path has no standard error, so the statistical checks cannot run
+    with pytest.raises(SystemExit) as err:
+        run(["mc", "--paths", "1", "--seed", "1"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "--paths must be at least 2" in message
+
+
+@pytest.mark.parametrize("intensity", ["0", "-1", "nan", "inf"])
+def test_mc_intensity_must_be_finite_positive(intensity, capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["mc", "--model", "poisson", "--paths", "10", "--seed", "1", "--intensity", intensity])
+    assert err.value.code == 2
+    message = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "expected a finite positive number" in message
+
+
 def test_refine_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["refine", "--levels", "1"])

@@ -1,8 +1,11 @@
 import csv
+from itertools import combinations
+from math import factorial, prod
 
 import numpy as np
 import pytest
 
+from stochint import montecarlo
 from stochint.grid import uniform_grid
 from stochint.montecarlo import (
     brownian_ensemble,
@@ -67,8 +70,11 @@ def test_poisson_moments():
 def test_invalid_arguments():
     with pytest.raises(ValueError):
         brownian_ensemble(G8, 0, 1)
+    for intensity in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            poisson_ensemble(G8, 10, 1, intensity=intensity)
     with pytest.raises(ValueError):
-        poisson_ensemble(G8, 10, 1, intensity=0.0)
+        mean_and_stderr(np.ones(1))
 
 
 def test_hermite_values():
@@ -95,6 +101,42 @@ def test_second_order_difference_is_the_quadratic_variation_defect():
     qv = (ens.increments**2).sum(axis=1)
     np.testing.assert_allclose(disc, total**2 - qv, atol=1e-10)
     np.testing.assert_allclose(oracle, total**2 - 1.0, atol=1e-10)
+
+
+def _brute_force_iterated(coeffs, ensemble):
+    """d! * sum over c_1<...<c_d of v * prod dB, one ordered tuple at a time."""
+    d = coeffs.degree
+    out = np.zeros(ensemble.paths, dtype=complex)
+    for cells in combinations(range(1, ensemble.grid.n + 1), d):
+        v = coeffs[cells]
+        if v:
+            out += factorial(d) * v * prod((ensemble.increments[:, c - 1] for c in cells), start=1.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 5, 13, 17])
+def test_iterated_matches_brute_force_across_path_blocks(n, monkeypatch):
+    # tiny blocks make every ensemble below span many path blocks
+    monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 256)
+    rng = generator(2024, n)
+    grid = uniform_grid(1.0, n)
+    big = brownian_ensemble(grid, 900, 41)
+    small = brownian_ensemble(grid, 317, 41)
+    for degree in range(5):
+        for strict in (True, False):
+            # sparse coefficients on a non-contiguous subset of the cells
+            cells = sorted(rng.choice(np.arange(1, n + 1), size=max(1, (2 * n) // 3), replace=False))
+            keys = [tuple(sorted(rng.choice(cells, size=degree))) for _ in range(16)]
+            if strict:
+                keys = [k for k in keys if len(set(k)) == degree]
+            values = {k: complex(*rng.standard_normal(2)) for k in keys}
+            coeffs = symtensor.SymCoeffs(grid, degree, values)
+            got = iterated_samples(coeffs, big)
+            want = _brute_force_iterated(coeffs, big)
+            scale = max(1.0, float(np.abs(want).max()))
+            assert float(np.abs(got - want).max()) <= 1e-12 * scale
+            # path p depends only on (seed, p), never on the ensemble size
+            assert np.array_equal(iterated_samples(coeffs, small), got[: small.paths])
 
 
 def test_iterated_skips_diagonal_entries():
