@@ -18,7 +18,7 @@ from . import montecarlo, suites
 from .grid import uniform_grid
 from .reports import SuiteReport, render_json
 
-SUITES = ("hstoch", "fock-ito", "bernoulli", "all")
+SUITES = suites.VERIFY_SUITES
 MODELS = ("brownian", "poisson")
 
 
@@ -43,7 +43,10 @@ def _tolerance(text: str) -> tuple[str, float]:
     if name not in suites.DEFAULT_TOLERANCES:
         known = ", ".join(sorted(suites.DEFAULT_TOLERANCES))
         raise argparse.ArgumentTypeError(f"unknown tolerance {name!r}; known: {known}")
-    return name, float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"tolerance {name} must be finite, got {raw}")
+    return name, value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,54 +106,17 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         tolerances = dict(args.tol)
-        input_data = None
+        input_checks = []
         if args.input:
             if args.suite not in ("hstoch", "all"):
                 parser.error("--input only applies to the hstoch suite")
-            with open(args.input) as handle:
-                input_data = json.load(handle)
-        if args.suite == "hstoch":
-            report = suites.verify_operator_suite(
-                cells=args.cells,
-                trials=args.trials,
-                transport_trials=min(200, args.trials),
-                seed=args.seed,
-                tolerances=tolerances,
-                input_data=input_data,
-            )
-        elif args.suite == "fock-ito":
-            report = suites.verify_fock_ito_suite(
-                cells=args.cells,
-                degree=args.degree,
-                trials=args.trials,
-                bridge_trials=min(100, args.trials),
-                seed=args.seed,
-                tolerances=tolerances,
-            )
-        elif args.suite == "bernoulli":
-            report = suites.verify_bernoulli_suite(
-                cells=min(args.cells, 5), trials=args.trials, seed=args.seed, tolerances=tolerances
-            )
-        else:
-            report = suites.verify_all(
-                cells=args.cells,
-                degree=args.degree,
-                trials=args.trials,
-                seed=args.seed,
-                tolerances=tolerances,
-            )
-            if input_data is not None:
-                extra = suites.verify_operator_suite(
-                    cells=args.cells,
-                    trials=1,
-                    transport_trials=0,
-                    seed=args.seed,
-                    tolerances=tolerances,
-                    input_data=input_data,
-                )
-                for check in extra.checks:
-                    if check.name.startswith("file_"):
-                        report.add(check)
+            try:
+                with open(args.input) as handle:
+                    input_checks = suites.verify_input_file(json.load(handle), tolerances)
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                parser.error(f"--input {args.input}: {type(exc).__name__}: {exc}")
+        report = suites.verify(args.suite, args.cells, args.degree, args.trials, args.seed, tolerances)
+        report.checks += input_checks
         return _emit(report, args.out)
 
     if args.command == "mc":

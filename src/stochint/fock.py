@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Sequence
 
 from .errors import ShapeMismatchError, TruncationOverflowError
 from .grid import TimeGrid
@@ -80,10 +79,6 @@ class FockVector:
         return cls(grid, comps)
 
 
-def from_components(components: Sequence[SymCoeffs]) -> FockVector:
-    return FockVector(components[0].grid, tuple(components))
-
-
 def vacuum(grid: TimeGrid, truncation: int = 0) -> FockVector:
     comps = [symtensor.scalar(grid, 1.0)]
     comps += [symtensor.zero(grid, d) for d in range(1, truncation + 1)]
@@ -92,6 +87,13 @@ def vacuum(grid: TimeGrid, truncation: int = 0) -> FockVector:
 
 def zero_vector(grid: TimeGrid, truncation: int = 0) -> FockVector:
     comps = tuple(symtensor.zero(grid, d) for d in range(truncation + 1))
+    return FockVector(grid, comps)
+
+
+def basis_vector(grid: TimeGrid, multiset: tuple[int, ...]) -> FockVector:
+    """Coefficient 1 at `multiset` and 0 elsewhere, truncated at the multiset's size."""
+    d = len(multiset)
+    comps = tuple(SymCoeffs(grid, k, {multiset: 1.0} if k == d else {}) for k in range(d + 1))
     return FockVector(grid, comps)
 
 

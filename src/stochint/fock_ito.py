@@ -152,6 +152,16 @@ def fock_basis(grid: TimeGrid, truncation: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _coords(f: FockVector, index: dict, scales: np.ndarray, truncation: int) -> np.ndarray:
+    """Coordinates of the degrees 0..truncation of f in the orthonormalized basis."""
+    coords = np.zeros(len(scales), dtype=complex)
+    for d in range(min(f.truncation, truncation) + 1):
+        for ms, v in f.components[d].values.items():
+            i = index[ms]
+            coords[i] = v * scales[i]
+    return coords
+
+
 @dataclass(frozen=True, eq=False)
 class FockOperatorRealization:
     """Dense-matrix model of Wick multiplication acting on the truncated basis.
@@ -180,12 +190,7 @@ class FockOperatorRealization:
     def vector_to_coords(self, f: FockVector) -> np.ndarray:
         if f.max_degree() > self.truncation:
             raise TruncationOverflowError(f.max_degree())
-        coords = np.zeros(self.dim, dtype=complex)
-        for d in range(min(f.truncation, self.truncation) + 1):
-            for ms, v in f.components[d].values.items():
-                i = self._index[ms]
-                coords[i] = v * self.scales[i]
-        return coords
+        return _coords(f, self._index, self.scales, self.truncation)
 
     def coords_to_vector(self, coords: np.ndarray) -> FockVector:
         comps = {d: {} for d in range(self.truncation + 1)}
@@ -219,14 +224,6 @@ def wick_operator_process(proc: FockStepProcess, truncation: int | None = None) 
         [np.sqrt(factorial(len(ms)) * symtensor.block_weight(grid, ms)) for ms in basis]
     )
 
-    def coords(f: FockVector) -> np.ndarray:
-        c = np.zeros(dim, dtype=complex)
-        for d in range(min(f.truncation, n_trunc) + 1):
-            for ms, v in f.components[d].values.items():
-                i = index[ms]
-                c[i] = v * scales[i]
-        return c
-
     # diagonal time projections: a multiset belongs to the increment of the
     # last cell it touches; the empty multiset is the atom at t = 0
     masks = {j: np.zeros(dim) for j in range(grid.n + 1)}
@@ -235,22 +232,15 @@ def wick_operator_process(proc: FockStepProcess, truncation: int | None = None) 
     atom = np.diag(masks[0]).astype(complex)
     cells = tuple(np.diag(masks[k]).astype(complex) for k in range(1, grid.n + 1))
     measure = ProjectorMeasure(grid, atom, cells, validate=False)
-    martingale = VectorMartingale(measure, coords(fock.indicator_vector(grid)))
+    martingale = VectorMartingale(measure, _coords(fock.indicator_vector(grid), index, scales, n_trunc))
 
     operators = []
     for k in range(1, grid.n + 1):
         f_k = proc.value(k)
         mat = np.zeros((dim, dim), dtype=complex)
         for col, ms in enumerate(basis):
-            unit = FockVector(
-                grid,
-                tuple(
-                    SymCoeffs(grid, d, {ms: 1.0} if d == len(ms) else {})
-                    for d in range(n_trunc + 1)
-                ),
-            )
-            image = fock.wick(f_k, unit, "drop", n_trunc)
-            mat[:, col] = coords(image) / scales[col]
+            image = fock.wick(f_k, fock.basis_vector(grid, ms), "drop", n_trunc)
+            mat[:, col] = _coords(image, index, scales, n_trunc) / scales[col]
         operators.append(mat)
     process = OperatorStepProcess(grid, tuple(operators))
 

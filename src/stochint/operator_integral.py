@@ -32,7 +32,8 @@ import numpy as np
 from .errors import MeasurabilityError, ShapeMismatchError
 from .grid import TimeGrid
 
-#: absolute tolerance for idempotency / commutation checks
+#: tolerance for idempotency checks, and for commutation relative to
+#: max(1, restricted operator norm)
 COMMUTE_TOL = 1e-10
 #: relative tolerance for norm constancy across boundaries
 NORM_RTOL = 1e-9
@@ -272,7 +273,9 @@ def check_measurable(
     Condition (i): the restricted norm over the future-increment span is the
     same at every later boundary (relative tolerance `norm_rtol`; boundaries
     whose span is empty are skipped).  Condition (ii): for every basis vector
-    g of the span at j and every boundary l >= j, ||A E_l g - E_l A g|| <= tol.
+    g of the span at j and every boundary l >= j,
+    ||A E_l g - E_l A g|| <= tol * max(1, ref), where ref is the largest of
+    those restricted norms, so the verdict does not change when A is scaled.
     Boundary j = n is vacuously measurable.
     """
     a = _as_matrix(a, mart.dim)
@@ -288,13 +291,9 @@ def check_measurable(
         if basis_l.shape[1] == 0:
             continue
         norms.append(restricted_norm(a, basis_l))
-    if norms:
-        ref = max(norms)
-        norm_dev = ref - min(norms)
-        norm_ok = norm_dev <= norm_rtol * max(1.0, ref)
-    else:
-        norm_dev = 0.0
-        norm_ok = True
+    ref = max(norms, default=0.0)
+    norm_dev = ref - min(norms, default=0.0)
+    norm_ok = norm_dev <= norm_rtol * max(1.0, ref)
 
     basis = future_increment_span(mart, j)
     comm_dev = 0.0
@@ -302,7 +301,7 @@ def check_measurable(
         e = mart.measure.boundary_projection(l)
         for g in basis.T:
             comm_dev = max(comm_dev, float(np.linalg.norm(a @ (e @ g) - e @ (a @ g))))
-    comm_ok = comm_dev <= tol
+    comm_ok = comm_dev <= tol * max(1.0, ref)
 
     return MeasurabilityReport(norm_ok and comm_ok, j, norm_dev, comm_dev, tuple(norms))
 

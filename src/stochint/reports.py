@@ -48,6 +48,54 @@ def count_zero(name: str, count: int) -> CheckResult:
 
 
 @dataclass
+class Running:
+    """A check filled in while the trials run: a maximum from 0, or a count."""
+
+    name: str
+    kind: str
+    tolerance: float
+    value: float = 0.0
+
+    def observe(self, value: float) -> None:
+        """Keep the larger of the two values, as ``max`` does."""
+        if value > self.value:
+            self.value = value
+
+    def count(self, violated) -> None:
+        if violated:
+            self.value += 1
+
+
+class Tracker:
+    """A suite's running checks, declared once in report order; `tolerances`
+    maps the keys that :meth:`eq` and :meth:`bound` name to values."""
+
+    def __init__(self, tolerances: dict):
+        self.tolerances = tolerances
+        self.running: list[Running] = []
+
+    def _declare(self, name: str, kind: str, tolerance: float) -> Running:
+        self.running.append(Running(name, kind, tolerance))
+        return self.running[-1]
+
+    def eq(self, name: str, key: str) -> Running:
+        """A maximum deviation that must stay within tolerance `key` of 0."""
+        return self._declare(name, "eq", self.tolerances[key])
+
+    def bound(self, name: str, key: str) -> Running:
+        """A maximum excess that must stay below tolerance `key`."""
+        return self._declare(name, "bound", self.tolerances[key])
+
+    def count(self, name: str) -> Running:
+        """A violation counter that must stay 0."""
+        return self._declare(name, "eq", 0.0)
+
+    def emit(self, report: "SuiteReport") -> None:
+        for r in self.running:
+            report.add(CheckResult(r.name, r.kind, float(r.value), 0.0, float(r.tolerance)))
+
+
+@dataclass
 class SuiteReport:
     suite: str
     seed: int
@@ -60,9 +108,6 @@ class SuiteReport:
     def add(self, check: CheckResult) -> CheckResult:
         self.checks.append(check)
         return check
-
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
 
     @property
     def passed(self) -> bool:

@@ -11,7 +11,7 @@ depend on execution order.
 from __future__ import annotations
 
 import time
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .randomgen import (
     random_sym_coeffs,
     random_unitary,
 )
-from .reports import SuiteReport, bound, count_zero, equality, merge_reports
+from .reports import CheckResult, SuiteReport, Tracker, bound, count_zero, equality, merge_reports
 
 DEFAULT_TOLERANCES = {
     "bound": 1e-10,
@@ -64,10 +64,8 @@ DEFAULT_TOLERANCES = {
 _OPERATOR, _FOCK_ITO, _BERNOULLI, _MC, _BRIDGE, _WICK, _TRANSPORT = range(7)
 
 
-def _tol(tolerances: dict | None, key: str) -> float:
-    if tolerances and key in tolerances:
-        return float(tolerances[key])
-    return DEFAULT_TOLERANCES[key]
+def _tolerances(overrides: dict | None) -> dict:
+    return {**DEFAULT_TOLERANCES, **(overrides or {})}
 
 
 def _finish(report: SuiteReport, started: float) -> SuiteReport:
@@ -87,21 +85,21 @@ def verify_operator_suite(
     transport_trials: int = 200,
     seed: int = 0,
     tolerances: dict | None = None,
-    input_data: dict | None = None,
 ) -> SuiteReport:
     """Norm bound, linearity, measurability and transport on random data."""
     started = time.perf_counter()
     report = SuiteReport(
         "hstoch", seed, f"random grids, cells<={cells}, dim<={dim}, trials={trials}"
     )
-
-    self_check_failures = 0
-    max_bound_violation = 0.0
-    max_scalar_dev = 0.0
-    max_linearity_dev = 0.0
-    monotone_violations = 0
-    negative_misses = 0
-    max_telescoping_dev = 0.0
+    tracker = Tracker(_tolerances(tolerances))
+    self_check_failures = tracker.count("measurability_self_check_failures")
+    bound_violation = tracker.bound("isometry_bound_max_violation", "bound")
+    scalar_dev = tracker.eq("scalar_family_max_equality_dev", "scalar_equality")
+    linearity_dev = tracker.eq("linearity_max_dev", "linearity")
+    monotone_violations = tracker.count("measurability_monotone_violations")
+    negative_misses = tracker.count("nonmeasurable_detected_misses")
+    telescoping_dev = tracker.eq("telescoping_max_dev", "telescoping")
+    transport_dev = tracker.eq("unitary_transport_max_dev", "transport")
 
     for t in range(trials):
         rng = generator(seed, _OPERATOR, t)
@@ -113,12 +111,11 @@ def verify_operator_suite(
         proc = random_measurable_process(rng, mart, scalar_action=scalar)
 
         for k in range(1, n + 1):
-            if not check_measurable(proc.operator(k), mart, k - 1):
-                self_check_failures += 1
+            self_check_failures.count(not check_measurable(proc.operator(k), mart, k - 1))
         lhs, rhs = integral_norm_bound(proc, mart, enforce=False)
-        max_bound_violation = max(max_bound_violation, lhs - rhs)
+        bound_violation.observe(lhs - rhs)
         if scalar:
-            max_scalar_dev = max(max_scalar_dev, abs(lhs - rhs))
+            scalar_dev.observe(abs(lhs - rhs))
 
         if t % 5 == 0:
             other = random_measurable_process(rng, mart, scalar_action=not scalar)
@@ -131,13 +128,12 @@ def verify_operator_suite(
             split = a * stochastic_integral(proc, mart, enforce=False) + b * stochastic_integral(
                 other, mart, enforce=False
             )
-            max_linearity_dev = max(max_linearity_dev, float(np.linalg.norm(direct - split)))
+            linearity_dev.observe(float(np.linalg.norm(direct - split)))
 
         if t % 10 == 0:
             # measurable at j stays measurable at every later boundary
             for j in range(1, n + 1):
-                if not check_measurable(proc.operator(1), mart, j):
-                    monotone_violations += 1
+                monotone_violations.count(not check_measurable(proc.operator(1), mart, j))
             # an operator moving one future increment direction into an
             # earlier spectral slice must be flagged
             alive = [k for k in range(1, n + 1) if mart.mu(k) > 1e-12]
@@ -146,14 +142,12 @@ def verify_operator_suite(
                 q1 = mart.increment(i1) / np.linalg.norm(mart.increment(i1))
                 q2 = mart.increment(i2) / np.linalg.norm(mart.increment(i2))
                 bad = np.outer(q1, q2.conj())
-                if check_measurable(bad, mart, i2 - 1):
-                    negative_misses += 1
+                negative_misses.count(check_measurable(bad, mart, i2 - 1))
             identity = OperatorStepProcess(grid, tuple(np.eye(d) for _ in range(n)))
             tele = stochastic_integral(identity, mart, enforce=False)
             expected = mart.vector - mart.measure.atom @ mart.vector
-            max_telescoping_dev = max(max_telescoping_dev, float(np.linalg.norm(tele - expected)))
+            telescoping_dev.observe(float(np.linalg.norm(tele - expected)))
 
-    max_transport_dev = 0.0
     for t in range(transport_trials):
         rng = generator(seed, _TRANSPORT, t)
         n = int(rng.integers(1, cells + 1))
@@ -161,29 +155,31 @@ def verify_operator_suite(
         mart = random_martingale(rng, random_grid(rng, n), d)
         proc = random_measurable_process(rng, mart, scalar_action=t % 2 == 0)
         left, right = unitary_transport(random_unitary(rng, d), proc, mart, enforce=False)
-        max_transport_dev = max(max_transport_dev, float(np.linalg.norm(left - right)))
+        transport_dev.observe(float(np.linalg.norm(left - right)))
 
-    report.add(count_zero("measurability_self_check_failures", self_check_failures))
-    report.add(bound("isometry_bound_max_violation", max_bound_violation, 0.0, _tol(tolerances, "bound")))
-    report.add(equality("scalar_family_max_equality_dev", max_scalar_dev, 0.0, _tol(tolerances, "scalar_equality")))
-    report.add(equality("linearity_max_dev", max_linearity_dev, 0.0, _tol(tolerances, "linearity")))
-    report.add(count_zero("measurability_monotone_violations", monotone_violations))
-    report.add(count_zero("nonmeasurable_detected_misses", negative_misses))
-    report.add(equality("telescoping_max_dev", max_telescoping_dev, 0.0, _tol(tolerances, "telescoping")))
-    report.add(equality("unitary_transport_max_dev", max_transport_dev, 0.0, _tol(tolerances, "transport")))
-
-    if input_data is not None:
-        mart = VectorMartingale.from_json(input_data["martingale"])
-        proc = OperatorStepProcess.from_json(input_data["process"])
-        failures = sum(
-            0 if check_measurable(proc.operator(k), mart, k - 1) else 1
-            for k in range(1, proc.grid.n + 1)
-        )
-        lhs, rhs = integral_norm_bound(proc, mart, enforce=False)
-        report.add(count_zero("file_measurability_failures", failures))
-        report.add(bound("file_isometry_bound", lhs, rhs, _tol(tolerances, "bound")))
-
+    tracker.emit(report)
     return _finish(report, started)
+
+
+def verify_input_file(data: dict, tolerances: dict | None = None) -> list[CheckResult]:
+    """Measurability and the norm bound for a serialized martingale and process.
+
+    `data` holds ``"martingale"`` and ``"process"`` in their ``to_json``
+    forms.  Malformed data, including non-finite numbers and a process and a
+    martingale that differ in grid or dimension, raises ``KeyError``,
+    ``TypeError`` or ``ValueError``.
+    """
+    mart = VectorMartingale.from_json(data["martingale"])
+    proc = OperatorStepProcess.from_json(data["process"])
+    arrays = (mart.vector, mart.measure.atom, *mart.measure.cells, *proc.operators)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("the input holds a non-finite number")
+    failures = sum(not check_measurable(proc.operator(k), mart, k - 1) for k in range(1, proc.grid.n + 1))
+    lhs, rhs = integral_norm_bound(proc, mart, enforce=False)
+    return [
+        count_zero("file_measurability_failures", failures),
+        bound("file_isometry_bound", lhs, rhs, _tolerances(tolerances)["bound"]),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -207,11 +203,18 @@ def verify_fock_ito_suite(
         seed,
         f"random grids, cells<={cells}, degree<={degree}, trials={trials}",
     )
-
-    max_route_dev = 0.0
-    max_isometry_dev = 0.0
-    max_skorohod_dev = 0.0
-    offdiag_violations = 0
+    tracker = Tracker(_tolerances(tolerances))
+    route_dev = tracker.eq("route_equivalence_max_dev", "route_equivalence")
+    isometry_dev = tracker.eq("isometry_max_scaled_dev", "isometry")
+    skorohod_dev = tracker.eq("skorohod_extends_ito_max_dev", "skorohod_match")
+    offdiag_violations = tracker.count("offdiagonal_output_violations")
+    wick_dev = tracker.eq("wick_algebra_max_dev", "wick_algebra")
+    overflow_misses = tracker.count("strict_overflow_misses")
+    proj_dev = tracker.eq("projection_family_max_dev", "projection")
+    lebesgue_dev = tracker.eq("projected_indicator_measure_max_dev", "projection")
+    bridge_dev = tracker.eq("wick_operator_bridge_max_dev", "bridge")
+    bridge_failures = tracker.count("wick_operator_measurability_failures")
+    nonadapted_misses = tracker.count("wick_nonadapted_detected_misses")
 
     for t in range(trials):
         rng = generator(seed, _FOCK_ITO, t)
@@ -223,22 +226,19 @@ def verify_fock_ito_suite(
 
         iw = fock_ito.ito_wick(proc)
         isym = fock_ito.ito_symmetrize(proc)
-        max_route_dev = max(max_route_dev, fock.entrywise_distance(iw, isym))
+        route_dev.observe(fock.entrywise_distance(iw, isym))
 
         lhs, rhs = fock_ito.ito_isometry(proc)
-        max_isometry_dev = max(max_isometry_dev, abs(lhs - rhs) / max(1.0, rhs))
+        isometry_dev.observe(abs(lhs - rhs) / max(1.0, rhs))
 
         sk = fock_ito.skorohod_integral(proc)
-        max_skorohod_dev = max(max_skorohod_dev, fock.entrywise_distance(sk, isym))
+        skorohod_dev.observe(fock.entrywise_distance(sk, isym))
 
         if off_diag:
             for comp in iw.components:
-                if not comp.is_off_diagonal():
-                    offdiag_violations += 1
+                offdiag_violations.count(not comp.is_off_diagonal())
 
     # Wick algebra on random vectors with enough headroom for triple products
-    max_wick_dev = 0.0
-    overflow_misses = 0
     for t in range(max(1, trials // 5)):
         rng = generator(seed, _WICK, t)
         n = int(rng.integers(1, cells + 1))
@@ -247,32 +247,25 @@ def verify_fock_ito_suite(
         g = random_fock_vector(rng, grid, 1).pad(6)
         h = random_fock_vector(rng, grid, 1).pad(6)
         fg = fock.wick(f, g)
-        max_wick_dev = max(max_wick_dev, fock.entrywise_distance(fg, fock.wick(g, f)))
-        max_wick_dev = max(
-            max_wick_dev,
-            fock.entrywise_distance(fock.wick(fg, h), fock.wick(f, fock.wick(g, h))),
-        )
+        wick_dev.observe(fock.entrywise_distance(fg, fock.wick(g, f)))
+        wick_dev.observe(fock.entrywise_distance(fock.wick(fg, h), fock.wick(f, fock.wick(g, h))))
         a, b = complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2))
         lin = fock.wick(a * f + b * g, h)
         split = a * fock.wick(f, h) + b * fock.wick(g, h)
-        max_wick_dev = max(max_wick_dev, fock.entrywise_distance(lin, split))
-        max_wick_dev = max(
-            max_wick_dev, fock.entrywise_distance(fock.wick(fock.vacuum(grid, 6), f), f)
-        )
+        wick_dev.observe(fock.entrywise_distance(lin, split))
+        wick_dev.observe(fock.entrywise_distance(fock.wick(fock.vacuum(grid, 6), f), f))
         # strict policy must refuse to drop a nonzero top component
         top = symtensor.cell_indicator(grid, 1)
         full = FockVector(grid, tuple(symtensor.zero(grid, d) for d in range(6)) + (symtensor.ones(grid, 6),))
         try:
             fock.wick(full, FockVector(grid, (symtensor.zero(grid, 0), top)), "strict", 6)
-            overflow_misses += 1
+            overflow_misses.count(True)
         except TruncationOverflowError:
             pass
 
     # the projection family at boundaries: idempotent, self-adjoint,
     # monotone, and with the squared norm of the projected indicator equal to
     # the boundary time
-    max_proj_dev = 0.0
-    max_lebesgue_dev = 0.0
     for t in range(20):
         rng = generator(seed, _WICK, 10_000 + t)
         n = int(rng.integers(1, cells + 1))
@@ -282,34 +275,16 @@ def verify_fock_ito_suite(
         z = fock.indicator_vector(grid)
         for j in range(n + 1):
             pf = fock.resolution_project(f, j)
-            max_proj_dev = max(
-                max_proj_dev, fock.entrywise_distance(fock.resolution_project(pf, j), pf)
+            proj_dev.observe(fock.entrywise_distance(fock.resolution_project(pf, j), pf))
+            proj_dev.observe(
+                abs(fock.fock_inner(pf, g) - fock.fock_inner(f, fock.resolution_project(g, j)))
             )
-            sym_dev = abs(
-                fock.fock_inner(pf, g) - fock.fock_inner(f, fock.resolution_project(g, j))
-            )
-            max_proj_dev = max(max_proj_dev, sym_dev)
             for j2 in range(j, n + 1):
                 both = fock.resolution_project(fock.resolution_project(f, j2), j)
-                max_proj_dev = max(max_proj_dev, fock.entrywise_distance(both, pf))
-            max_lebesgue_dev = max(
-                max_lebesgue_dev,
-                abs(fock.norm2(fock.resolution_project(z, j)) - grid.boundaries[j]),
-            )
-
-    report.add(equality("route_equivalence_max_dev", max_route_dev, 0.0, _tol(tolerances, "route_equivalence")))
-    report.add(equality("isometry_max_scaled_dev", max_isometry_dev, 0.0, _tol(tolerances, "isometry")))
-    report.add(equality("skorohod_extends_ito_max_dev", max_skorohod_dev, 0.0, _tol(tolerances, "skorohod_match")))
-    report.add(count_zero("offdiagonal_output_violations", offdiag_violations))
-    report.add(equality("wick_algebra_max_dev", max_wick_dev, 0.0, _tol(tolerances, "wick_algebra")))
-    report.add(count_zero("strict_overflow_misses", overflow_misses))
-    report.add(equality("projection_family_max_dev", max_proj_dev, 0.0, _tol(tolerances, "projection")))
-    report.add(equality("projected_indicator_measure_max_dev", max_lebesgue_dev, 0.0, _tol(tolerances, "projection")))
+                proj_dev.observe(fock.entrywise_distance(both, pf))
+            lebesgue_dev.observe(abs(fock.norm2(fock.resolution_project(z, j)) - grid.boundaries[j]))
 
     # dense-matrix realization of Wick multiplication
-    max_bridge_dev = 0.0
-    bridge_measurability_failures = 0
-    nonadapted_misses = 0
     for t in range(bridge_trials):
         rng = generator(seed, _BRIDGE, t)
         n = int(rng.integers(2, cells + 1))
@@ -318,13 +293,12 @@ def verify_fock_ito_suite(
         proc = random_adapted_process(rng, grid, max_deg + 1, max_deg, off_diagonal=False)
         realization = fock_ito.wick_operator_process(proc)
         for k in range(1, n + 1):
-            if not check_measurable(realization.process.operator(k), realization.martingale, k - 1):
-                bridge_measurability_failures += 1
+            bridge_failures.count(
+                not check_measurable(realization.process.operator(k), realization.martingale, k - 1)
+            )
         vec = stochastic_integral(realization.process, realization.martingale, enforce=False)
         via_operators = realization.coords_to_vector(vec)
-        max_bridge_dev = max(
-            max_bridge_dev, fock.entrywise_distance(via_operators, fock_ito.ito_wick(proc))
-        )
+        bridge_dev.observe(fock.entrywise_distance(via_operators, fock_ito.ito_wick(proc)))
         if t < 5:
             # a value whose support reaches its own cell yields an operator
             # that must fail the measurability check one boundary earlier
@@ -337,14 +311,11 @@ def verify_fock_ito_suite(
             )
             shifted_real = fock_ito.wick_operator_process(shifted)
             k_bad = 2  # operator multiplies by the cell-1 increment
-            if check_measurable(
-                shifted_real.process.operator(k_bad), shifted_real.martingale, k_bad - 2
-            ):
-                nonadapted_misses += 1
+            nonadapted_misses.count(
+                check_measurable(shifted_real.process.operator(k_bad), shifted_real.martingale, k_bad - 2)
+            )
 
-    report.add(equality("wick_operator_bridge_max_dev", max_bridge_dev, 0.0, _tol(tolerances, "bridge")))
-    report.add(count_zero("wick_operator_measurability_failures", bridge_measurability_failures))
-    report.add(count_zero("wick_nonadapted_detected_misses", nonadapted_misses))
+    tracker.emit(report)
     report.notes.append(
         "wick-operator bridge checks are finite-grid numerical evidence, not a proof"
     )
@@ -369,78 +340,68 @@ def verify_bernoulli_suite(
     measurability equivalence, both integral transports, and the chaos map."""
     started = time.perf_counter()
     report = SuiteReport("bernoulli", seed, f"sign spaces, cells<={cells}, trials={trials}")
+    tracker = Tracker(_tolerances(tolerances))
+    mart_mean = tracker.eq("martingale_mean_max", "martingale_exact")
+    mart_var = tracker.eq("martingale_variance_max", "martingale_exact")
+    cond_dev = tracker.eq("conditional_projection_max_dev", "martingale_exact")
+    contraction_violations = tracker.count("conditional_contraction_violations")
+    agreement_violations = tracker.count("measurability_equivalence_violations")
+    norm_identity_dev = tracker.eq("restricted_norm_identity_max_dev", "norm_identity")
+    route_dev = tracker.eq("multiplication_route_max_dev", "pointwise")
+    chaos_dev = tracker.eq("chaos_isometry_max_dev", "chaos_isometry")
+    intertwine_dev = tracker.eq("chaos_ito_intertwine_max_dev", "pointwise")
+    predictability_violations = tracker.count("transported_predictability_violations")
+    proj_intertwine_dev = tracker.eq("chaos_projection_intertwine_max_dev", "pointwise")
+    gram_dev = tracker.eq("chaos_basis_gram_max_dev", "chaos_isometry")
 
     rng = generator(seed, _BERNOULLI, 0)
     space = brn.BernoulliSpace(random_grid(rng, max(2, cells)))
-
-    mart_mean = 0.0
-    mart_var = 0.0
     for k in range(1, space.n + 1):
         inc = space.increment(k)
-        mart_mean = max(mart_mean, brn.max_abs(brn.cond_expect(inc, k - 1)))
+        mart_mean.observe(brn.max_abs(brn.cond_expect(inc, k - 1)))
         var = brn.cond_expect(inc * inc, k - 1) - space.constant(space.grid.length(k))
-        mart_var = max(mart_var, brn.max_abs(var))
-    report.add(equality("martingale_mean_max", mart_mean, 0.0, _tol(tolerances, "martingale_exact")))
-    report.add(equality("martingale_variance_max", mart_var, 0.0, _tol(tolerances, "martingale_exact")))
+        mart_var.observe(brn.max_abs(var))
 
-    max_cond_dev = 0.0
-    contraction_violations = 0
     for t in range(20):
         rng = generator(seed, _BERNOULLI, 100 + t)
         x = brn.RandomVariable(space, rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size))
         y = brn.RandomVariable(space, rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size))
         for k in range(space.n + 1):
             ck = brn.cond_expect(x, k)
-            max_cond_dev = max(max_cond_dev, brn.max_abs(brn.cond_expect(ck, k) - ck))
-            adj = abs(brn.cond_expect(x, k).inner(y) - x.inner(brn.cond_expect(y, k)))
-            max_cond_dev = max(max_cond_dev, adj)
-            if ck.norm2() > x.norm2() + 1e-12:
-                contraction_violations += 1
+            cond_dev.observe(brn.max_abs(brn.cond_expect(ck, k) - ck))
+            cond_dev.observe(abs(brn.cond_expect(x, k).inner(y) - x.inner(brn.cond_expect(y, k))))
+            contraction_violations.count(ck.norm2() > x.norm2() + 1e-12)
             for j in range(k + 1):
                 nested = brn.cond_expect(ck, j)
-                max_cond_dev = max(max_cond_dev, brn.max_abs(nested - brn.cond_expect(x, j)))
-    report.add(equality("conditional_projection_max_dev", max_cond_dev, 0.0, _tol(tolerances, "martingale_exact")))
-    report.add(count_zero("conditional_contraction_violations", contraction_violations))
+                cond_dev.observe(brn.max_abs(nested - brn.cond_expect(x, j)))
 
     # exhaustive equivalence on the sign-product basis for small n
-    agreement_violations = 0
-    max_norm_identity_dev = 0.0
     for n in (1, 2, 3):
         small = brn.BernoulliSpace(uniform_grid(1.0, n))
         realization = brn.classical_realization(small)
-        from itertools import chain, combinations
-
         subsets = chain.from_iterable(combinations(range(1, n + 1), r) for r in range(n + 1))
         for cells_in_product in subsets:
             f = small.walsh(cells_in_product)
             for k in range(n + 1):
                 verdicts = brn.measurability_equivalence(f, k, realization)
-                if not verdicts.agree:
-                    agreement_violations += 1
+                agreement_violations.count(not verdicts.agree)
                 if verdicts.classical:
                     for nu in verdicts.restricted_norms:
-                        max_norm_identity_dev = max(
-                            max_norm_identity_dev, abs(nu - verdicts.function_norm)
-                        )
-    report.add(count_zero("measurability_equivalence_violations", agreement_violations))
-    report.add(equality("restricted_norm_identity_max_dev", max_norm_identity_dev, 0.0, _tol(tolerances, "norm_identity")))
+                        norm_identity_dev.observe(abs(nu - verdicts.function_norm))
 
     # integrating a predictable family as multiplication operators agrees with
     # the plain increment sum
     spaces = {n: brn.BernoulliSpace(uniform_grid(1.0, n)) for n in range(1, cells + 1)}
     realizations = {n: brn.classical_realization(sp) for n, sp in spaces.items()}
-    max_route_dev = 0.0
     for t in range(trials):
         rng = generator(seed, _BERNOULLI, 1000 + t)
         n = int(rng.integers(1, cells + 1))
         sp = spaces[n]
         integrands = random_predictable(rng, sp)
         via_ops, via_incs = brn.multiplication_integral_pair(sp, integrands, realizations[n])
-        max_route_dev = max(max_route_dev, brn.max_abs(via_ops - via_incs))
-    report.add(equality("multiplication_route_max_dev", max_route_dev, 0.0, _tol(tolerances, "pointwise")))
+        route_dev.observe(brn.max_abs(via_ops - via_incs))
 
     # chaos map: isometry on off-diagonal pairs
-    max_chaos_dev = 0.0
     for t in range(trials):
         rng = generator(seed, _BERNOULLI, 2000 + t)
         n = int(rng.integers(1, cells + 1))
@@ -449,59 +410,39 @@ def verify_bernoulli_suite(
         g = random_fock_vector(rng, sp.grid, min(n, 3), strict=True)
         lhs = brn.chaos_map(f, sp).inner(brn.chaos_map(g, sp))
         rhs = fock.fock_inner(f, g)
-        max_chaos_dev = max(max_chaos_dev, abs(lhs - rhs))
-    report.add(equality("chaos_isometry_max_dev", max_chaos_dev, 0.0, _tol(tolerances, "chaos_isometry")))
+        chaos_dev.observe(abs(lhs - rhs))
 
     # transport of the Ito integral through the chaos map
-    max_intertwine_dev = 0.0
-    predictability_violations = 0
-    max_proj_intertwine_dev = 0.0
     for t in range(trials):
         rng = generator(seed, _BERNOULLI, 3000 + t)
         n = int(rng.integers(2, cells + 1))
         sp = brn.BernoulliSpace(uniform_grid(1.0, n))
         proc = random_adapted_process(rng, sp.grid, 3, 2, off_diagonal=True)
         left, right, transported = brn.chaos_integral_pair(proc, sp)
-        max_intertwine_dev = max(max_intertwine_dev, brn.max_abs(left - right))
+        intertwine_dev.observe(brn.max_abs(left - right))
         for k, f_k in enumerate(transported, start=1):
-            if not brn.is_measurable_at(f_k, k - 1):
-                predictability_violations += 1
+            predictability_violations.count(not brn.is_measurable_at(f_k, k - 1))
         vec = random_fock_vector(rng, sp.grid, min(n, 2), strict=True)
         for j in range(n + 1):
             a = brn.chaos_map(fock.resolution_project(vec, j), sp)
             b = brn.cond_expect(brn.chaos_map(vec, sp), j)
-            max_proj_intertwine_dev = max(max_proj_intertwine_dev, brn.max_abs(a - b))
-    report.add(equality("chaos_ito_intertwine_max_dev", max_intertwine_dev, 0.0, _tol(tolerances, "pointwise")))
-    report.add(count_zero("transported_predictability_violations", predictability_violations))
-    report.add(equality("chaos_projection_intertwine_max_dev", max_proj_intertwine_dev, 0.0, _tol(tolerances, "pointwise")))
+            proj_intertwine_dev.observe(brn.max_abs(a - b))
 
     # full chaos basis on three cells: gram matrix matches, dimensions count
     n = 3
     sp = brn.BernoulliSpace(uniform_grid(1.0, n))
-    from itertools import chain, combinations
-
     multisets = list(chain.from_iterable(combinations(range(1, n + 1), d) for d in range(n + 1)))
-    max_gram_dev = 0.0
     for ms_a in multisets:
-        fa = _indicator_vector_for(sp.grid, ms_a)
+        fa = fock.basis_vector(sp.grid, ms_a)
         for ms_b in multisets:
-            fb = _indicator_vector_for(sp.grid, ms_b)
+            fb = fock.basis_vector(sp.grid, ms_b)
             lhs = brn.chaos_map(fa, sp).inner(brn.chaos_map(fb, sp))
             rhs = fock.fock_inner(fa, fb)
-            max_gram_dev = max(max_gram_dev, abs(lhs - rhs))
-    report.add(equality("chaos_basis_gram_max_dev", max_gram_dev, 0.0, _tol(tolerances, "chaos_isometry")))
+            gram_dev.observe(abs(lhs - rhs))
+
+    tracker.emit(report)
     report.add(equality("chaos_dimension_count", float(len(multisets)), float(sp.size), 0.0))
-
     return _finish(report, started)
-
-
-def _indicator_vector_for(grid, multiset) -> FockVector:
-    d = len(multiset)
-    comps = [
-        symtensor.SymCoeffs(grid, deg, {tuple(multiset): 1.0} if deg == d else {})
-        for deg in range(d + 1)
-    ]
-    return FockVector(grid, tuple(comps))
 
 
 # --------------------------------------------------------------------------
@@ -650,6 +591,32 @@ def refinement_study(start_cells: int = 2, levels: int = 6, seed: int = 0) -> Su
     return _finish(report, started)
 
 
+def verify(
+    suite: str,
+    cells: int = 4,
+    degree: int = 3,
+    trials: int = 200,
+    seed: int = 0,
+    tolerances: dict | None = None,
+) -> SuiteReport:
+    """Run one of :data:`VERIFY_SUITES` as the command line does: transport
+    and bridge trials capped at 200 and 100, Bernoulli spaces at 5 cells."""
+    common = dict(trials=trials, seed=seed, tolerances=tolerances)
+    if suite == "hstoch":
+        return verify_operator_suite(cells=cells, transport_trials=min(200, trials), **common)
+    if suite == "fock-ito":
+        return verify_fock_ito_suite(cells=cells, degree=degree, bridge_trials=min(100, trials), **common)
+    if suite == "bernoulli":
+        return verify_bernoulli_suite(cells=min(cells, 5), **common)
+    if suite == "all":
+        return verify_all(cells, degree, trials, seed, tolerances)
+    raise ValueError(f"unknown suite {suite!r}")
+
+
+#: the suite names :func:`verify` accepts; the last, "all", merges the others
+VERIFY_SUITES = ("hstoch", "fock-ito", "bernoulli", "all")
+
+
 def verify_all(
     cells: int = 4,
     degree: int = 3,
@@ -659,23 +626,6 @@ def verify_all(
 ) -> SuiteReport:
     """Run the three verification suites and flatten them into one report."""
     started = time.perf_counter()
-    parts = [
-        verify_operator_suite(
-            cells=cells,
-            trials=trials,
-            transport_trials=min(200, trials),
-            seed=seed,
-            tolerances=tolerances,
-        ),
-        verify_fock_ito_suite(
-            cells=cells,
-            degree=degree,
-            trials=trials,
-            bridge_trials=min(100, trials),
-            seed=seed,
-            tolerances=tolerances,
-        ),
-        verify_bernoulli_suite(cells=min(cells, 5), trials=trials, seed=seed, tolerances=tolerances),
-    ]
+    parts = [verify(suite, cells, degree, trials, seed, tolerances) for suite in VERIFY_SUITES[:-1]]
     merged = merge_reports("all", seed, f"cells<={cells}, degree<={degree}, trials={trials}", parts)
     return _finish(merged, started)

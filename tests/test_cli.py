@@ -46,6 +46,10 @@ def test_verify_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["verify", "hstoch", "--tol", "unknown=1"])
     assert err.value.code == 2
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "hstoch", "--trials", "2", "--tol", f"bound={value}"])
+        assert err.value.code == 2
 
 
 def test_mc_usage_errors_exit_2():
@@ -137,13 +141,16 @@ def test_refine_report_table(tmp_path):
     assert all(d > 0 for d in defects)
 
 
-def test_verify_hstoch_consumes_input_file(tmp_path):
+def input_payload() -> dict:
     rng = generator(123)
     mart = random_martingale(rng, random_grid(rng, 3), 5)
     proc = random_measurable_process(rng, mart)
-    payload = {"martingale": mart.to_json(), "process": proc.to_json()}
+    return {"martingale": mart.to_json(), "process": proc.to_json()}
+
+
+def test_verify_hstoch_consumes_input_file(tmp_path):
     in_path = tmp_path / "data.json"
-    in_path.write_text(json.dumps(payload))
+    in_path.write_text(json.dumps(input_payload()))
     out = tmp_path / "r.json"
     code = run(
         [
@@ -167,3 +174,71 @@ def test_input_rejected_for_other_suites(tmp_path):
     with pytest.raises(SystemExit) as err:
         run(["verify", "bernoulli", "--input", str(in_path)])
     assert err.value.code == 2
+
+
+def test_verify_all_appends_input_checks_like_hstoch(tmp_path):
+    in_path = tmp_path / "data.json"
+    in_path.write_text(json.dumps(input_payload()))
+    reports = {}
+    for suite in ("hstoch", "all"):
+        out = tmp_path / f"{suite}.json"
+        argv = ["verify", suite, "--trials", "3", "--seed", "2", "--input", str(in_path), "--out", str(out)]
+        assert run(argv) == 0
+        reports[suite] = json.loads(out.read_text())["checks"]
+    file_checks = reports["hstoch"][-2:]
+    assert [c["name"] for c in file_checks] == ["file_measurability_failures", "file_isometry_bound"]
+    assert reports["all"][-2:] == file_checks
+    assert not any(c["name"].startswith("file_") for c in reports["all"][:-2])
+
+
+def _break_payload(payload: dict, case: str):
+    """The text of a broken --input file, or None for a missing one."""
+    measure = payload["martingale"]["measure"]
+    if case == "missing_file":
+        return None
+    if case == "malformed_json":
+        return json.dumps(payload)[:-7]
+    if case == "missing_key":
+        del payload["martingale"]
+    elif case == "not_an_object":
+        payload = [payload]
+    elif case == "bad_shape":
+        payload["process"]["operators"][0].pop()
+    elif case == "dimension_mismatch":
+        payload["process"]["operators"] = [[row[:4] for row in op[:4]] for op in payload["process"]["operators"]]
+    elif case == "grid_mismatch":
+        payload["process"]["boundaries"] = payload["process"]["boundaries"][:-1]
+        payload["process"]["operators"].pop()
+    elif case == "not_a_projection":
+        measure["atom"][0][1] = [0.5, 0.0]
+    elif case == "non_finite":
+        payload["martingale"]["vector"][0] = [float("nan"), 0.0]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "missing_file",
+        "malformed_json",
+        "missing_key",
+        "not_an_object",
+        "bad_shape",
+        "dimension_mismatch",
+        "grid_mismatch",
+        "not_a_projection",
+        "non_finite",
+    ],
+)
+def test_bad_input_file_is_usage_error(tmp_path, capsys, case):
+    in_path = tmp_path / "data.json"
+    text = _break_payload(input_payload(), case)
+    if text is not None:
+        in_path.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "hstoch", "--trials", "2", "--input", str(in_path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = captured.err.strip().splitlines()[-1]
+    assert message.startswith("stochint: error: --input ")

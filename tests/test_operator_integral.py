@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochint.errors import MeasurabilityError, ShapeMismatchError
 from stochint.grid import uniform_grid
@@ -101,6 +103,26 @@ def test_boundary_n_is_vacuous():
     mart = example_martingale()
     anything = np.arange(9, dtype=float).reshape(3, 3).astype(complex)
     assert check_measurable(anything, mart, 2).ok
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(trial=st.integers(0, 100_000), exponent=st.floats(-6.0, 6.0))
+def test_measurability_verdict_is_scale_invariant(trial, exponent):
+    rng = generator(900, trial)
+    n = int(rng.integers(2, 7))
+    mart = random_martingale(rng, random_grid(rng, n), int(rng.integers(2, 9)))
+    proc = random_measurable_process(rng, mart, scalar_action=trial % 2 == 1)
+    scales = (1e-6, 10.0**exponent, 1e6)
+    for k in range(1, n + 1):
+        a = proc.operator(k)
+        verdict = check_measurable(a, mart, k - 1).ok
+        assert [check_measurable(s * a, mart, k - 1).ok for s in scales] == [verdict] * 3
+    alive = [k for k in range(1, n + 1) if mart.mu(k) > 1e-12]
+    if len(alive) >= 2:
+        # maps the last live increment direction onto the first: never measurable
+        q1, q2 = (mart.increment(i) / np.linalg.norm(mart.increment(i)) for i in (alive[0], alive[-1]))
+        bad = np.outer(q1, q2.conj())
+        assert not any(check_measurable(s * bad, mart, alive[-1] - 1).ok for s in scales)
 
 
 def test_measurability_monotone():

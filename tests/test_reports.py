@@ -5,6 +5,7 @@ import pytest
 from stochint.reports import (
     CheckResult,
     SuiteReport,
+    Tracker,
     bound,
     count_zero,
     equality,
@@ -27,6 +28,27 @@ def test_bound_pass_rule():
 def test_count_zero():
     assert count_zero("violations", 0).passed
     assert not count_zero("violations", 3).passed
+
+
+def test_tracker_emits_declared_checks_in_order():
+    tracker = Tracker({"tight": 1e-12, "loose": 0.5})
+    dev = tracker.eq("dev", "tight")
+    excess = tracker.bound("excess", "tight")
+    misses = tracker.count("misses")
+    idle = tracker.eq("idle", "loose")
+    for value in (3e-13, 1e-13, 4e-13):
+        dev.observe(value)
+    excess.observe(-2.0)  # a maximum starts at 0, as max(0.0, ...) does
+    for violated in (False, True, True):
+        misses.count(violated)
+    rep = SuiteReport("demo", 0, "")
+    tracker.emit(rep)
+    assert rep.checks == [
+        equality("dev", 4e-13, 0.0, 1e-12),
+        bound("excess", 0.0, 0.0, 1e-12),
+        count_zero("misses", 2),
+        equality("idle", 0.0, 0.0, 0.5),
+    ]
 
 
 def test_unknown_kind_rejected():
