@@ -106,9 +106,6 @@ class RandomVariable:
             raise ShapeMismatchError("value array does not match the sample space")
         object.__setattr__(self, "values", v)
 
-    def expectation(self) -> complex:
-        return complex(self.values.mean())
-
     def inner(self, other: "RandomVariable") -> complex:
         """E[conj(self) * other]."""
         _check_space(self, other)

@@ -180,17 +180,9 @@ class FockOperatorRealization:
     martingale: VectorMartingale
     process: OperatorStepProcess
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {ms: i for i, ms in enumerate(self.basis)})
-
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def vector_to_coords(self, f: FockVector) -> np.ndarray:
-        if f.max_degree() > self.truncation:
-            raise TruncationOverflowError(f.max_degree())
-        return _coords(f, self._index, self.scales, self.truncation)
 
     def coords_to_vector(self, coords: np.ndarray) -> FockVector:
         comps = {d: {} for d in range(self.truncation + 1)}

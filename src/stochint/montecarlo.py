@@ -1,15 +1,22 @@
 """Seeded Monte Carlo path ensembles and iterated-integral estimators.
 
-Determinism contract: each path owns a 64-bit stream seeded by a SplitMix64
-mix of (master seed, path index), and all draws are produced from that stream
-by Box-Muller (normals) or inverse-CDF (Poisson).  Ensembles are therefore
-bit-identical for a fixed seed regardless of execution order, batch size, or
-the numpy version's own generator internals.
+Determinism contract: path p owns a 64-bit SplitMix64 stream.  Its seed is
+the SplitMix64 finalizer of (master seed + (p+1)*golden), and its word j
+(j >= 1) the finalizer of (path seed + j*golden).  Brownian cell k is drawn
+from words 2k-1 and 2k by Box-Muller, Poisson cell k from word k by inverse
+CDF.
+
+Block layout: the generators fill the (paths x cells) increment array in
+consecutive blocks of whole rows.  A block's scratch arrays (raw words,
+shift scratch and uniforms) together hold about _BLOCK_DOUBLES values, and
+each block is computed in place and written straight into its rows.  Path
+p depends only on (seed, p), whatever the block it falls in, so an ensemble
+is bit-identical for a fixed seed regardless of block size, ensemble size,
+or the numpy version's own generator internals.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,34 +28,62 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-#: path blocks in iterated_samples keep each temporary near this many doubles
-#: (1 MiB), so a block's working set stays in a core's L2 cache
+#: path blocks keep their working set near this many doubles (1 MiB), so it
+#: stays in a core's L2 cache: all scratch arrays together in the ensemble
+#: generators, each temporary in iterated_samples
 _BLOCK_DOUBLES = 1 << 17
 
 
-def _splitmix(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on uint64 (wrapping arithmetic)."""
-    z = x.astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _splitmix_block(seeds: np.ndarray, ctr: np.ndarray, bits: np.ndarray, tmp: np.ndarray, out=None) -> None:
+    """SplitMix64 finalizer of seeds[:, None] + ctr, in place in the uint64
+    array bits (wrapping arithmetic; tmp is uint64 scratch of the same shape).
+    With out, the words are also mapped to doubles in (0, 1] there."""
+    np.add(seeds[:, None], ctr, out=bits)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(bits, shift, out=tmp)
+        bits ^= tmp
+        bits *= mix
+    np.right_shift(bits, 31, out=tmp)
+    bits ^= tmp
+    if out is not None:
+        np.right_shift(bits, 11, out=bits)
+        out[...] = bits
+        out += 1.0
+        out *= 2.0 ** -53
 
 
 def path_seeds(master_seed: int, paths: int) -> np.ndarray:
     """One derived 64-bit seed per path index 0..paths-1."""
-    idx = np.arange(1, paths + 1, dtype=np.uint64)
-    return _splitmix(np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN)
+    return _seeds(master_seed, 0, paths)
 
 
-def _stream(seeds: np.ndarray, count: int) -> np.ndarray:
-    """(paths, count) raw 64-bit outputs of each path's SplitMix64 stream."""
-    ctr = np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN
-    return _splitmix(seeds[:, None] + ctr[None, :])
+def _seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
+    """The derived seeds of path indices start..stop-1."""
+    master = np.array([master_seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    seeds = np.empty((1, stop - start), dtype=np.uint64)
+    _splitmix_block(master, np.arange(start + 1, stop + 1, dtype=np.uint64) * _GOLDEN, seeds, np.empty_like(seeds))
+    return seeds[0]
 
 
-def _uniform(bits: np.ndarray) -> np.ndarray:
-    """Map raw 64-bit words to doubles in (0, 1]."""
-    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+def _uniform_blocks(seed: int, paths: int, ctrs: tuple[np.ndarray, ...]):
+    """Yield (rows, uniforms) for consecutive blocks of paths: rows is the
+    block's slice of the ensemble, and uniforms[i][p, k] the uniform of word
+    j of path rows.start + p's stream, where ctrs[i][k] = j*golden.
+
+    The two uint64 scratch arrays and the uniforms hold about _BLOCK_DOUBLES
+    values together; the next block overwrites the uniforms."""
+    n = len(ctrs[0])
+    block = min(paths, max(1, _BLOCK_DOUBLES // ((2 + len(ctrs)) * n)))
+    bits = np.empty((block, n), dtype=np.uint64)
+    tmp = np.empty_like(bits)
+    uniforms = np.empty((len(ctrs), block, n))
+    for start in range(0, paths, block):
+        rows = slice(start, min(start + block, paths))
+        seeds = _seeds(seed, rows.start, rows.stop)
+        m = len(seeds)
+        for ctr, u in zip(ctrs, uniforms):
+            _splitmix_block(seeds, ctr, bits[:m], tmp[:m], u[:m])
+        yield rows, uniforms[:, :m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,39 +105,58 @@ class PathEnsemble:
 
 
 def brownian_ensemble(grid: TimeGrid, paths: int, seed: int) -> PathEnsemble:
-    """Gaussian increments with variance equal to the cell lengths."""
+    """Gaussian increments with variance equal to the cell lengths: cell k
+    is sqrt(-2 log u1) * cos(2 pi u2) * sqrt(len_k), with u1 and u2 the
+    uniforms of words 2k-1 and 2k of the path's stream."""
     if paths < 1:
         raise ValueError("need at least one path")
     n = grid.n
-    bits = _stream(path_seeds(seed, paths), 2 * n)
-    u1 = _uniform(bits[:, 0::2])
-    u2 = _uniform(bits[:, 1::2])
-    normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    inc = normals * np.sqrt(np.asarray(grid.lengths))
+    ctr = np.arange(1, 2 * n + 1, dtype=np.uint64) * _GOLDEN
+    scale = np.sqrt(np.asarray(grid.lengths))
+    inc = np.empty((paths, n))
+    for rows, (r, c) in _uniform_blocks(seed, paths, (ctr[0::2], ctr[1::2])):
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        c *= 2.0 * np.pi
+        np.cos(c, out=c)
+        r *= c
+        np.multiply(r, scale, out=inc[rows])
     return PathEnsemble(grid, "brownian", seed, inc)
 
 
 def poisson_ensemble(grid: TimeGrid, paths: int, seed: int, intensity: float = 1.0) -> PathEnsemble:
-    """Compensated Poisson increments (N_k - rate*len_k) / sqrt(rate)."""
+    """Compensated Poisson increments (N_k - rate*len_k) / sqrt(rate).
+
+    N_k is the inverse CDF of the uniform u of word k of the path's stream:
+    #{i < cap : u > cdf_i}.  The table is nondecreasing, so a block counts
+    level by level, straight into its rows, until no uniform exceeds the
+    level."""
     if paths < 1:
         raise ValueError("need at least one path")
     if not 0.0 < intensity < np.inf:
         raise ValueError("intensity must be positive and finite")
     n = grid.n
     means = intensity * np.asarray(grid.lengths)
-    u = _uniform(_stream(path_seeds(seed, paths), n))
-    counts = np.zeros((paths, n), dtype=np.int64)
-    pmf = np.broadcast_to(np.exp(-means), (paths, n)).copy()
-    cdf = pmf.copy()
     cap = int(np.ceil(means.max() + 40.0 * np.sqrt(means.max()) + 30.0))
-    for j in range(1, cap + 1):
-        unresolved = u > cdf
-        if not unresolved.any():
-            break
-        counts[unresolved] += 1
-        pmf = pmf * (means / j)
-        cdf = cdf + pmf
-    inc = (counts - means) / np.sqrt(intensity)
+    # cdf[i] = P(N <= i) per cell, by pmf_i = pmf_{i-1} * (means / i)
+    cdf = np.empty((cap, n))
+    pmf = cdf[0] = np.exp(-means)
+    for i in range(1, cap):
+        pmf = pmf * (means / i)
+        cdf[i] = cdf[i - 1] + pmf
+    root = np.sqrt(intensity)
+    inc = np.empty((paths, n))
+    for rows, (u,) in _uniform_blocks(seed, paths, (np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN,)):
+        count = inc[rows]
+        count[...] = 0.0
+        for level in cdf:
+            above = u > level
+            if not above.any():
+                break
+            count += above
+        count -= means
+        count /= root
     return PathEnsemble(grid, "poisson", seed, inc, intensity=intensity)
 
 
@@ -213,22 +267,29 @@ def linear_samples(g: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
 
 
 def _wiener(g: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
-    """W(g) = sum_c g_c dB_c per path, from one gather of the cells g touches
-    and one matrix product with the real and imaginary parts of g."""
-    cells = np.array([c for (c,) in g.values], dtype=np.intp) - 1
-    vals = np.array(list(g.values.values()), dtype=complex)
-    w = ensemble.increments[:, cells] @ np.column_stack([vals.real, vals.imag])
-    return w[:, 0] + 1j * w[:, 1]
+    """W(g) = sum_c g_c dB_c per path, from one matrix product of the dense
+    real-over-imaginary (2 x cells) coefficients of g with the transposed
+    increments (a view, so no column is gathered).
+
+    The orientation sets the last bits: below about 1e6 multiply-adds
+    OpenBLAS picks its kernel by operand layout, and increments @ coef.T
+    rounds differently on small ensembles."""
+    coef = np.zeros((2, ensemble.grid.n))
+    for (c,), v in g.values.items():
+        coef[:, c - 1] = v.real, v.imag
+    w = coef @ ensemble.increments.T
+    return w[0] + 1j * w[1]
 
 
 def export_csv(ensemble: PathEnsemble, path) -> None:
-    """Write the ensemble as rows (path, cell, increment)."""
+    """Write the ensemble as rows (path, cell, increment), in the bytes of a
+    csv.writer: comma-separated, CRLF-terminated, floats in repr form."""
+    cells = [f",{k}," for k in range(1, ensemble.grid.n + 1)]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["path", "cell", "increment"])
-        for p in range(ensemble.paths):
-            for k in range(1, ensemble.grid.n + 1):
-                writer.writerow([p, k, repr(float(ensemble.increments[p, k - 1]))])
+        handle.write("path,cell,increment\r\n")
+        for p, row in enumerate(ensemble.increments.tolist()):
+            prefix = str(p)
+            handle.write("".join([prefix + cell + repr(v) + "\r\n" for cell, v in zip(cells, row)]))
 
 
 def mean_and_stderr(samples: np.ndarray) -> tuple[float, float]:

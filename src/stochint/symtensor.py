@@ -91,10 +91,6 @@ class SymCoeffs:
         """True when no stored multiset repeats a cell."""
         return all(len(set(k)) == len(k) for k in self.values)
 
-    def support_max(self) -> int:
-        """Largest cell index appearing in the support (0 for scalars/zero)."""
-        return max((k[-1] for k in self.values if k), default=0)
-
     def to_json(self) -> dict:
         entries = [[list(k), v.real, v.imag] for k, v in sorted(self.values.items())]
         return {"degree": self.degree, "entries": entries}

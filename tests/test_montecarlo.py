@@ -1,12 +1,14 @@
 import csv
+import tracemalloc
 from itertools import combinations
 from math import factorial, prod
 
 import numpy as np
 import pytest
 
+import oracle
 from stochint import montecarlo
-from stochint.grid import uniform_grid
+from stochint.grid import TimeGrid, uniform_grid
 from stochint.montecarlo import (
     brownian_ensemble,
     export_csv,
@@ -49,6 +51,45 @@ def test_paths_are_order_independent():
 def test_path_seed_mix_spreads():
     seeds = path_seeds(0, 1000)
     assert len(np.unique(seeds)) == 1000
+    assert np.array_equal(seeds, oracle.path_seeds(0, 1000))
+    assert np.array_equal(path_seeds(-5, 3), oracle.path_seeds(-5, 3))
+
+
+ORACLE_GRIDS = [uniform_grid(1.0, n) for n in (1, 5, 17, 64)] + [TimeGrid((0.0, 0.05, 0.3, 0.31, 1.2, 2.0, 3.5))]
+
+
+@pytest.mark.parametrize("block_doubles", [None, 200, 1])
+@pytest.mark.parametrize("seed", [7, 123])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"{g.n}cells")
+def test_ensembles_match_whole_array_reference(grid, seed, block_doubles, monkeypatch):
+    # default blocks hold 2**17 // (4n) Brownian or 2**17 // (3n) Poisson
+    # paths, so 100_000 // n + 1 paths span several blocks and end in a
+    # partial one; 200 splits 37 paths into blocks of a few paths, 1 into
+    # one-path blocks
+    if block_doubles is None:
+        paths = 100_000 // grid.n + 1
+    else:
+        monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", block_doubles)
+        paths = 37
+    got = brownian_ensemble(grid, paths, seed).increments
+    assert np.array_equal(got, oracle.brownian_increments(grid, paths, seed))
+    for intensity in (0.3, 1.0, 2.5, 50.0):
+        got = poisson_ensemble(grid, paths, seed, intensity=intensity).increments
+        assert np.array_equal(got, oracle.poisson_increments(grid, paths, seed, intensity))
+
+
+@pytest.mark.parametrize("make", [brownian_ensemble, poisson_ensemble])
+def test_ensemble_peak_memory_is_the_result(make):
+    # blocks are generated in place, so only the increments themselves scale
+    # with the ensemble
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ens = make(uniform_grid(1.0, 64), 100_000, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * ens.increments.nbytes
 
 
 def test_brownian_moments():
@@ -173,3 +214,16 @@ def test_csv_export(tmp_path):
     assert rows[0] == ["path", "cell", "increment"]
     assert len(rows) == 1 + 4 * 3
     assert float(rows[1][2]) == ens.increments[0, 0]
+
+    # the same bytes as one csv.writer row per (path, cell)
+    ens = poisson_ensemble(uniform_grid(2.0, 5), 12, 3, intensity=0.7)
+    assert (ens.increments < 0).any() and (ens.increments > 0).any()
+    export_csv(ens, out)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["path", "cell", "increment"])
+        for p in range(ens.paths):
+            for k in range(1, ens.grid.n + 1):
+                writer.writerow([p, k, repr(float(ens.increments[p, k - 1]))])
+    assert out.read_bytes() == reference.read_bytes()
