@@ -54,6 +54,12 @@ class BernoulliSpace:
             signs[i] = 1.0 - 2.0 * ((points >> i) & 1)
         signs.setflags(write=False)
         object.__setattr__(self, "_signs", signs)
+        # row k-1: the increment xi_k * sqrt(len_k) of cell k
+        incs = np.array(
+            [complex(np.sqrt(self.grid.length(k))) * signs[k - 1].astype(complex) for k in range(1, n + 1)]
+        )
+        incs.setflags(write=False)
+        object.__setattr__(self, "_increments", incs)
 
     @property
     def n(self) -> int:
@@ -77,8 +83,10 @@ class BernoulliSpace:
         return RandomVariable(self, vals)
 
     def increment(self, k: int) -> "RandomVariable":
-        """Martingale increment over cell k: xi_k * sqrt(len_k)."""
-        return np.sqrt(self.grid.length(k)) * self.xi(k)
+        """Martingale increment over cell k: xi_k * sqrt(len_k) (read-only values)."""
+        if not 1 <= k <= self.n:
+            raise ValueError(f"cell index {k} out of range 1..{self.n}")
+        return RandomVariable(self, self._increments[k - 1])
 
     def walk_at(self, j: int) -> "RandomVariable":
         """The martingale at boundary j: sum of the first j increments."""
@@ -285,7 +293,7 @@ def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
                 raise NotRepresentableError(ms)
             w = np.full(space.size, factorial(d) * v)
             for c in ms:
-                w = w * space.increment(c).values
+                w *= space._increments[c - 1]
             out += w
     return RandomVariable(space, out)
 

@@ -122,13 +122,16 @@ def main(argv=None) -> int:
     if args.command == "mc":
         if args.paths < 2:
             parser.error("--paths must be at least 2: a standard error needs two samples")
-        report = suites.mc_suite(
-            model=args.model,
-            cells=args.cells,
-            paths=args.paths,
-            seed=args.seed,
-            intensity=args.intensity,
-        )
+        try:
+            report = suites.mc_suite(
+                model=args.model,
+                cells=args.cells,
+                paths=args.paths,
+                seed=args.seed,
+                intensity=args.intensity,
+            )
+        except ValueError as exc:  # arguments the ensemble generators refuse
+            parser.error(str(exc))
         if args.csv:
             grid = uniform_grid(1.0, args.cells)
             if args.model == "brownian":

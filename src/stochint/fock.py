@@ -137,35 +137,32 @@ def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int |
     """Wick product: degree-n output is sum_m f_m (x) g_{n-m} (symmetric tensor).
 
     The output truncation defaults to max of the operands'.  Under "strict" a
-    nonzero component above it raises; under "drop" it is discarded.
+    nonzero component above it raises; under "drop" it is discarded.  Each
+    degree's terms are merged into one dict in ascending m, with the values
+    of the running sum of SymCoeffs; a degree with a single term keeps it.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if f.grid != g.grid:
         raise ShapeMismatchError("operands live on different grids")
-    out_trunc = max(f.truncation, g.truncation) if truncation is None else truncation
-    full = f.truncation + g.truncation
+    ft, gt = f.truncation, g.truncation
+    out_trunc = max(ft, gt) if truncation is None else truncation
     comps = []
-    for n in range(min(out_trunc, full) + 1):
-        acc = symtensor.zero(f.grid, n)
-        for m in range(n + 1):
-            fm = f.component(m) if m <= f.truncation else None
-            gn = g.component(n - m) if n - m <= g.truncation else None
-            if fm is None or gn is None or fm.is_zero() or gn.is_zero():
-                continue
-            acc = acc + symtensor.sym_tensor(fm, gn)
-        comps.append(acc)
-    comps += [symtensor.zero(f.grid, d) for d in range(len(comps), out_trunc + 1)]
-    if policy == "strict":
-        for n in range(out_trunc + 1, full + 1):
-            acc = symtensor.zero(f.grid, n)
-            for m in range(max(0, n - g.truncation), min(n, f.truncation) + 1):
-                fm, gn = f.component(m), g.component(n - m)
-                if fm.is_zero() or gn.is_zero():
-                    continue
-                acc = acc + symtensor.sym_tensor(fm, gn)
-            if not acc.is_zero():
+    for n in range(ft + gt + 1 if policy == "strict" else min(out_trunc, ft + gt) + 1):
+        terms = [
+            symtensor.sym_tensor(f.components[m], g.components[n - m])
+            for m in range(max(0, n - gt), min(n, ft) + 1)
+            if f.components[m].values and g.components[n - m].values
+        ]
+        acc = {}
+        for term in terms:
+            symtensor.accumulate(acc, term.values)
+        if n > out_trunc:
+            if acc:
                 raise TruncationOverflowError(n)
+        else:
+            comps.append(terms[0] if len(terms) == 1 else SymCoeffs(f.grid, n, acc))
+    comps += [symtensor.zero(f.grid, d) for d in range(len(comps), out_trunc + 1)]
     return FockVector(f.grid, tuple(comps))
 
 

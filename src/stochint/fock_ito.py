@@ -98,14 +98,19 @@ def _require_adapted(proc: FockStepProcess):
 
 
 def ito_wick(proc: FockStepProcess) -> FockVector:
-    """sum_k value_k (Wick) increment_k, under the strict truncation policy."""
+    """sum_k value_k (Wick) increment_k, under the strict truncation policy.
+
+    The cell terms are merged into one dict per degree, with the values of
+    the running sum of Fock vectors.
+    """
     _require_adapted(proc)
     out_trunc = max(proc.truncation, 1)
-    acc = fock.zero_vector(proc.grid, out_trunc)
+    sums = [{} for _ in range(out_trunc + 1)]
     for k in range(1, proc.grid.n + 1):
         term = fock.wick(proc.value(k), fock.cell_increment(proc.grid, k), "strict", out_trunc)
-        acc = acc + term
-    return acc
+        for acc, comp in zip(sums, term.components):
+            symtensor.accumulate(acc, comp.values)
+    return FockVector(proc.grid, tuple(SymCoeffs(proc.grid, d, acc) for d, acc in enumerate(sums)))
 
 
 def _insert_all_degrees(proc: FockStepProcess) -> FockVector:

@@ -131,17 +131,25 @@ def poisson_ensemble(grid: TimeGrid, paths: int, seed: int, intensity: float = 1
     N_k is the inverse CDF of the uniform u of word k of the path's stream:
     #{i < cap : u > cdf_i}.  The table is nondecreasing, so a block counts
     level by level, straight into its rows, until no uniform exceeds the
-    level."""
+    level.  A per-cell mean above about 708.4 is refused: exp(-mean), the first
+    table entry, would fall below the smallest normal double and the table
+    would lose its precision or underflow to 0."""
     if paths < 1:
         raise ValueError("need at least one path")
     if not 0.0 < intensity < np.inf:
         raise ValueError("intensity must be positive and finite")
     n = grid.n
     means = intensity * np.asarray(grid.lengths)
+    pmf = np.exp(-means)
+    if pmf.min() < np.finfo(float).tiny:
+        raise ValueError(
+            f"per-cell Poisson mean intensity * cell length = {means.max():g} is above about 708.4: "
+            "exp(-mean) underflows"
+        )
     cap = int(np.ceil(means.max() + 40.0 * np.sqrt(means.max()) + 30.0))
     # cdf[i] = P(N <= i) per cell, by pmf_i = pmf_{i-1} * (means / i)
     cdf = np.empty((cap, n))
-    pmf = cdf[0] = np.exp(-means)
+    cdf[0] = pmf
     for i in range(1, cap):
         pmf = pmf * (means / i)
         cdf[i] = cdf[i - 1] + pmf

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import MeasurabilityError, ShapeMismatchError
 from .grid import TimeGrid
 
-#: tolerance for idempotency checks, and for commutation relative to
-#: max(1, restricted operator norm)
+#: tolerance for idempotency checks, and for commutation relative to the
+#: restricted operator norm
 COMMUTE_TOL = 1e-10
 #: relative tolerance for norm constancy across boundaries
 NORM_RTOL = 1e-9
@@ -144,6 +144,20 @@ class VectorMartingale:
         object.__setattr__(self, "vector", v)
         incs = tuple(p @ v for p in self.measure.cells)
         object.__setattr__(self, "_increments", incs)
+        # the normalized non-degenerate increments as columns, and their
+        # cells; future_increment_span hands out read-only column suffixes
+        cols, cells = [], []
+        for k, inc in enumerate(incs, start=1):
+            nv = np.linalg.norm(inc)
+            if nv >= DEGENERATE_TOL:
+                cols.append(inc / nv)
+                cells.append(k)
+        span = np.column_stack(cols) if cols else np.zeros((len(v), 0), dtype=complex)
+        cells = np.array(cells, dtype=int)
+        for arr in (span, cells):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_span_cells", cells)
 
     @property
     def grid(self) -> TimeGrid:
@@ -222,19 +236,12 @@ def future_increment_span(mart: VectorMartingale, j: int) -> np.ndarray:
 
     The increments are mutually orthogonal already, so normalization
     suffices; increments with norm below DEGENERATE_TOL are dropped.  May be
-    empty (dim x 0).
+    empty (dim x 0).  The result is a read-only view of the martingale's
+    cached basis.
     """
     if not 0 <= j <= mart.grid.n:
         raise ValueError(f"boundary index {j} out of range 0..{mart.grid.n}")
-    cols = []
-    for i in range(j + 1, mart.grid.n + 1):
-        v = mart.increment(i)
-        nv = np.linalg.norm(v)
-        if nv >= DEGENERATE_TOL:
-            cols.append(v / nv)
-    if not cols:
-        return np.zeros((mart.dim, 0), dtype=complex)
-    return np.column_stack(cols)
+    return mart._span[:, np.searchsorted(mart._span_cells, j, side="right") :]
 
 
 def restricted_norm(a: np.ndarray, basis: np.ndarray) -> float:
@@ -274,8 +281,12 @@ def check_measurable(
     same at every later boundary (relative tolerance `norm_rtol`; boundaries
     whose span is empty are skipped).  Condition (ii): for every basis vector
     g of the span at j and every boundary l >= j,
-    ||A E_l g - E_l A g|| <= tol * max(1, ref), where ref is the largest of
-    those restricted norms, so the verdict does not change when A is scaled.
+    ||A E_l g - E_l A g|| <= tol * ref, where ref is the largest of those
+    restricted norms.  Both deviations may also exceed their relative bound
+    by 4 * dim * eps * ||A||_F, the round-off of the four products with A or
+    E_l (norm 1) that form a commutator column, so that an A which vanishes
+    on the span is not rejected for round-off.  Every bound scales with A,
+    so the verdict does not change when A is scaled.
     Boundary j = n is vacuously measurable.
     """
     a = _as_matrix(a, mart.dim)
@@ -285,25 +296,26 @@ def check_measurable(
     if j == n:
         return MeasurabilityReport(True, j, 0.0, 0.0, ())
 
-    norms = []
-    for l in range(j, n):
-        basis_l = future_increment_span(mart, l)
-        if basis_l.shape[1] == 0:
-            continue
-        norms.append(restricted_norm(a, basis_l))
+    start = np.searchsorted(mart._span_cells, j, side="right")
+    basis, cells = mart._span[:, start:], mart._span_cells[start:]
+    image = a @ basis
+    # one row per boundary l in j..n-1 with a nonempty span: the columns of
+    # basis that span the increments after l
+    spans = cells > np.arange(j, n)[:, None]
+    spans = spans[spans.any(axis=1)]
+    norms = np.linalg.svd(image * spans[:, None, :], compute_uv=False).max(axis=1).tolist() if len(spans) else []
     ref = max(norms, default=0.0)
     norm_dev = ref - min(norms, default=0.0)
-    norm_ok = norm_dev <= norm_rtol * max(1.0, ref)
 
-    basis = future_increment_span(mart, j)
     comm_dev = 0.0
-    for l in range(j, n + 1):
-        e = mart.measure.boundary_projection(l)
-        for g in basis.T:
-            comm_dev = max(comm_dev, float(np.linalg.norm(a @ (e @ g) - e @ (a @ g))))
-    comm_ok = comm_dev <= tol * max(1.0, ref)
+    if len(cells):
+        for l in range(j, n + 1):
+            e = mart.measure.boundary_projection(l)
+            comm_dev = max(comm_dev, float(np.linalg.norm(a @ (e @ basis) - e @ image, axis=0).max()))
 
-    return MeasurabilityReport(norm_ok and comm_ok, j, norm_dev, comm_dev, tuple(norms))
+    roundoff = float(4 * a.shape[0] * np.finfo(float).eps * np.linalg.norm(a))
+    ok = norm_dev <= norm_rtol * ref + roundoff and comm_dev <= tol * ref + roundoff
+    return MeasurabilityReport(ok, j, norm_dev, comm_dev, tuple(norms))
 
 
 def stochastic_integral(

@@ -69,8 +69,7 @@ class SymCoeffs:
     def __add__(self, other: "SymCoeffs") -> "SymCoeffs":
         _check_pair(self, other, same_degree=True)
         merged = dict(self.values)
-        for key, val in other.values.items():
-            merged[key] = merged.get(key, 0.0 + 0.0j) + val
+        accumulate(merged, other.values)
         return SymCoeffs(self.grid, self.degree, merged)
 
     def __sub__(self, other: "SymCoeffs") -> "SymCoeffs":
@@ -99,6 +98,23 @@ class SymCoeffs:
     def from_json(cls, grid: TimeGrid, obj: dict) -> "SymCoeffs":
         values = {tuple(ms): complex(re, im) for ms, re, im in obj["entries"]}
         return cls(grid, int(obj["degree"]), values)
+
+
+def accumulate(acc: dict[Multiset, complex], values: Mapping[Multiset, complex]) -> None:
+    """Add the entries of a SymCoeffs into acc in place, with the values,
+    dropping and key order of SymCoeffs(grid, d, acc) + SymCoeffs(grid, d, values).
+
+    acc must hold cleaned entries too.  A sum below DROP_EPS is removed, so a
+    key that comes back later goes to the end, as when the dict is rebuilt.
+    Cleaned values have no -0.0 part, and neither has a sum of two of them,
+    so no further rounding is needed.
+    """
+    for key, val in values.items():
+        total = acc.get(key, 0.0) + val
+        if abs(total) >= DROP_EPS:
+            acc[key] = total
+        else:
+            del acc[key]
 
 
 def zero(grid: TimeGrid, degree: int) -> SymCoeffs:
@@ -145,7 +161,7 @@ def sym_inner(f: SymCoeffs, g: SymCoeffs) -> complex:
     """L^2([0,T]^d) inner product, conjugate-linear in the first argument."""
     _check_pair(f, g, same_degree=True)
     acc = 0.0 + 0.0j
-    small, large = (f, g) if len(f.values) <= len(g.values) else (g, f)
+    small = f if len(f.values) <= len(g.values) else g
     for key in small.values:
         gv = g.values.get(key)
         fv = f.values.get(key)
@@ -165,18 +181,18 @@ def sym_tensor(f: SymCoeffs, g: SymCoeffs) -> SymCoeffs:
     For entries alpha of f and beta of g the pair feeds the multiset
     gamma = alpha + beta with weight prod_i C(gamma_i, alpha_i) / C(p+q, p);
     the binomials count the position choices that the permutation average
-    distributes over the block.
+    distributes over the block.  Only cells that alpha and beta share have a
+    binomial other than 1.
     """
     _check_pair(f, g, same_degree=False)
     p, q = f.degree, g.degree
     total = comb(p + q, p)
     out: dict[Multiset, complex] = {}
     for alpha, va in f.values.items():
-        ca = Counter(alpha)
+        cells = set(alpha)
         for beta, vb in g.values.items():
             gamma = tuple(sorted(alpha + beta))
-            cg = Counter(gamma)
-            ways = prod(comb(cg[c], ca.get(c, 0)) for c in cg)
+            ways = prod(comb(alpha.count(c) + beta.count(c), alpha.count(c)) for c in cells.intersection(beta))
             out[gamma] = out.get(gamma, 0.0 + 0.0j) + va * vb * ways / total
     return SymCoeffs(f.grid, p + q, out)
 

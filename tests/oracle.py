@@ -4,17 +4,25 @@ A degree-d function is held as a full n^d array of block values.  Products,
 symmetrization, and integrals are computed by direct enumeration over ordered
 tuples and permutations, independently of the sparse multiset implementation
 under test.  The Monte Carlo path ensembles have a whole-array reference too,
-at the end of this module.
+and the Wick, measurability and Bernoulli kernels a straightforward one, at
+the end of this module.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations, product
+from math import comb, factorial, prod
 
 import numpy as np
 
+from stochint.bernoulli import BernoulliSpace, RandomVariable
+from stochint.errors import TruncationOverflowError
+from stochint.fock import FockVector, cell_increment
+from stochint.fock_ito import FockStepProcess
 from stochint.grid import TimeGrid
-from stochint.symtensor import SymCoeffs
+from stochint.operator_integral import COMMUTE_TOL, DEGENERATE_TOL, NORM_RTOL, VectorMartingale
+from stochint.symtensor import SymCoeffs, zero
 
 
 def dense_from_sym(f: SymCoeffs) -> np.ndarray:
@@ -137,3 +145,127 @@ def poisson_increments(grid: TimeGrid, paths: int, seed: int, intensity: float) 
         pmf = pmf * (means / j)
         cdf = cdf + pmf
     return (counts - means) / np.sqrt(intensity)
+
+
+# --------------------------------------------------------------------------
+# Reference kernels, written the plain way: the Wick product as a running
+# SymCoeffs sum with Counter-based binomial weights, the Ito sum as a running
+# sum of Fock vectors, the measurability check one column and one boundary
+# at a time, and the Bernoulli increments rebuilt from the sign coordinates
+# on every use.  The in-place, batched and cached kernels in stochint must
+# reproduce their values bit for bit and their verdicts exactly.
+# --------------------------------------------------------------------------
+
+
+def sym_tensor(f: SymCoeffs, g: SymCoeffs) -> SymCoeffs:
+    p, q = f.degree, g.degree
+    total = comb(p + q, p)
+    out: dict = {}
+    for alpha, va in f.values.items():
+        ca = Counter(alpha)
+        for beta, vb in g.values.items():
+            gamma = tuple(sorted(alpha + beta))
+            cg = Counter(gamma)
+            ways = prod(comb(cg[c], ca.get(c, 0)) for c in cg)
+            out[gamma] = out.get(gamma, 0.0 + 0.0j) + va * vb * ways / total
+    return SymCoeffs(f.grid, p + q, out)
+
+
+def _add(x: SymCoeffs, y: SymCoeffs) -> SymCoeffs:
+    merged = dict(x.values)
+    for key, val in y.values.items():
+        merged[key] = merged.get(key, 0.0 + 0.0j) + val
+    return SymCoeffs(x.grid, x.degree, merged)
+
+
+def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int | None = None) -> FockVector:
+    out_trunc = max(f.truncation, g.truncation) if truncation is None else truncation
+    full = f.truncation + g.truncation
+    comps = []
+    for n in range(min(out_trunc, full) + 1):
+        acc = zero(f.grid, n)
+        for m in range(n + 1):
+            if m > f.truncation or n - m > g.truncation:
+                continue
+            fm, gn = f.components[m], g.components[n - m]
+            if fm.is_zero() or gn.is_zero():
+                continue
+            acc = _add(acc, sym_tensor(fm, gn))
+        comps.append(acc)
+    comps += [zero(f.grid, d) for d in range(len(comps), out_trunc + 1)]
+    if policy == "strict":
+        for n in range(out_trunc + 1, full + 1):
+            acc = zero(f.grid, n)
+            for m in range(max(0, n - g.truncation), min(n, f.truncation) + 1):
+                fm, gn = f.components[m], g.components[n - m]
+                if fm.is_zero() or gn.is_zero():
+                    continue
+                acc = _add(acc, sym_tensor(fm, gn))
+            if not acc.is_zero():
+                raise TruncationOverflowError(n)
+    return FockVector(f.grid, tuple(comps))
+
+
+def ito_wick(proc: FockStepProcess) -> FockVector:
+    grid = proc.grid
+    out_trunc = max(proc.truncation, 1)
+    acc = [zero(grid, d) for d in range(out_trunc + 1)]
+    for k in range(1, grid.n + 1):
+        term = wick(proc.value(k), cell_increment(grid, k), "strict", out_trunc)
+        acc = [_add(a, t) for a, t in zip(acc, term.components)]
+    return FockVector(grid, tuple(acc))
+
+
+def future_increment_span(mart: VectorMartingale, j: int) -> np.ndarray:
+    cols = []
+    for i in range(j + 1, mart.grid.n + 1):
+        v = mart.increment(i)
+        nv = np.linalg.norm(v)
+        if nv >= DEGENERATE_TOL:
+            cols.append(v / nv)
+    if not cols:
+        return np.zeros((mart.dim, 0), dtype=complex)
+    return np.column_stack(cols)
+
+
+def measurability_deviations(a: np.ndarray, mart: VectorMartingale, j: int) -> tuple[list, float, float]:
+    """(restricted norms, norm deviation, commutator deviation) at boundary j < n."""
+    n = mart.grid.n
+    norms = []
+    for l in range(j, n):
+        basis_l = future_increment_span(mart, l)
+        if basis_l.shape[1]:
+            norms.append(float(np.linalg.norm(a @ basis_l, 2)))
+    basis = future_increment_span(mart, j)
+    comm_dev = 0.0
+    for l in range(j, n + 1):
+        e = mart.measure.boundary_projection(l)
+        for g in basis.T:
+            comm_dev = max(comm_dev, float(np.linalg.norm(a @ (e @ g) - e @ (a @ g))))
+    return norms, max(norms, default=0.0) - min(norms, default=0.0), comm_dev
+
+
+def is_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> bool:
+    """Both deviations within their tolerance relative to the largest
+    restricted norm, plus dim * eps * ||a||_F for round-off."""
+    if j == mart.grid.n:
+        return True
+    norms, norm_dev, comm_dev = measurability_deviations(a, mart, j)
+    ref = max(norms, default=0.0)
+    roundoff = a.shape[0] * np.finfo(float).eps * np.linalg.norm(a)
+    return bool(norm_dev <= NORM_RTOL * ref + roundoff and comm_dev <= COMMUTE_TOL * ref + roundoff)
+
+
+def bernoulli_increment(space: BernoulliSpace, k: int) -> RandomVariable:
+    return np.sqrt(space.grid.length(k)) * space.xi(k)
+
+
+def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
+    out = np.zeros(space.size, dtype=complex)
+    for d in range(f.truncation + 1):
+        for ms, v in f.components[d].values.items():
+            w = np.full(space.size, factorial(d) * v)
+            for c in ms:
+                w = w * bernoulli_increment(space, c).values
+            out += w
+    return RandomVariable(space, out)

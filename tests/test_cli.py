@@ -79,6 +79,15 @@ def test_mc_intensity_must_be_finite_positive(intensity, capsys):
     assert "expected a finite positive number" in message
 
 
+def test_mc_poisson_mean_that_underflows_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        run(["mc", "--model", "poisson", "--cells", "1", "--intensity", "760", "--paths", "2000", "--seed", "1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1].startswith("stochint: error: per-cell Poisson mean")
+
+
 def test_refine_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["refine", "--levels", "1"])

@@ -1,0 +1,157 @@
+"""The in-place Wick merge, the per-boundary measurability check and the
+cached Bernoulli increments against the plain kernels in tests/oracle.py.
+
+Values must agree bit for bit (compared through float.hex, so the sign of a
+zero counts, and in dict order), overflow errors at the same degree, and
+measurability verdicts exactly.
+"""
+
+import numpy as np
+import pytest
+
+import oracle
+from stochint import fock, fock_ito
+from stochint.bernoulli import (
+    BernoulliSpace,
+    RandomVariable,
+    chaos_map,
+    classical_realization,
+    cond_expect,
+    multiplication_operator,
+)
+from stochint.errors import TruncationOverflowError
+from stochint.fock import FockVector
+from stochint.fock_ito import FockStepProcess, wick_operator_process
+from stochint.operator_integral import check_measurable, future_increment_span
+from stochint.randomgen import (
+    generator,
+    random_adapted_process,
+    random_complex,
+    random_fock_vector,
+    random_grid,
+    random_martingale,
+    random_measurable_process,
+)
+from stochint.symtensor import SymCoeffs
+
+#: small integer values, so that Wick terms cancel exactly and the merge
+#: drops their sum
+_SMALL = [-2.0, -1.0, 1.0, 2.0]
+
+
+def _entries(f: FockVector) -> list:
+    return [
+        [(ms, v.real.hex(), v.imag.hex()) for ms, v in comp.values.items()] for comp in f.components
+    ]
+
+
+def _small_values(rng, f: FockVector) -> FockVector:
+    comps = tuple(
+        SymCoeffs(f.grid, c.degree, {ms: complex(_SMALL[int(rng.integers(4))]) for ms in c.values})
+        for c in f.components
+    )
+    return FockVector(f.grid, comps)
+
+
+def _random_vector(rng, grid, truncation, strict, small):
+    f = random_fock_vector(rng, grid, truncation, strict=strict)
+    return _small_values(rng, f) if small else f
+
+
+def _outcome(fn, *args):
+    try:
+        return _entries(fn(*args))
+    except TruncationOverflowError as err:
+        return ("overflow", err.degree)
+
+
+def test_wick_matches_running_sum():
+    outcomes = set()
+    for trial in range(1500):
+        rng = generator(4100, trial)
+        grid = random_grid(rng, int(rng.integers(1, 6)))
+        strict, small = bool(rng.integers(2)), trial % 3 == 0
+        f = _random_vector(rng, grid, int(rng.integers(0, 4)), strict, small)
+        g = f if trial % 7 == 0 else _random_vector(rng, grid, int(rng.integers(0, 4)), strict, small)
+        policy = ("strict", "drop")[trial % 2]
+        truncation = None if trial % 4 == 0 else int(rng.integers(0, 7))
+        got = _outcome(fock.wick, f, g, policy, truncation)
+        assert got == _outcome(oracle.wick, f, g, policy, truncation), trial
+        outcomes.add(got[0] if isinstance(got, tuple) else "value")
+    assert outcomes == {"overflow", "value"}
+
+
+def test_ito_wick_matches_running_sum():
+    for trial in range(400):
+        rng = generator(4200, trial)
+        grid = random_grid(rng, int(rng.integers(1, 6)))
+        max_deg = int(rng.integers(0, 4))
+        truncation = max_deg + int(rng.integers(0, 3))
+        proc = random_adapted_process(rng, grid, truncation, max_deg, off_diagonal=trial % 2 == 0)
+        if trial % 3 == 0:
+            proc = FockStepProcess(grid, tuple(_small_values(rng, v) for v in proc.values))
+        assert _outcome(fock_ito.ito_wick, proc) == _outcome(oracle.ito_wick, proc), trial
+
+
+def _verdicts(a, mart, js) -> list:
+    return [(check_measurable(a, mart, j).ok, oracle.is_measurable(a, mart, j)) for j in js]
+
+
+def test_measurability_verdicts_match_per_column_check():
+    verdicts = []
+    for trial in range(150):
+        rng = generator(4300, trial)
+        n = int(rng.integers(1, 6))
+        mart = random_martingale(rng, random_grid(rng, n), int(rng.integers(2, 9)))
+        proc = random_measurable_process(rng, mart, scalar_action=trial % 2 == 1)
+        for k in range(1, n + 1):
+            verdicts += _verdicts(proc.operator(k), mart, range(n + 1))
+        alive = [k for k in range(1, n + 1) if mart.mu(k) > 1e-12]
+        if len(alive) >= 2:
+            q1, q2 = (mart.increment(i) / np.linalg.norm(mart.increment(i)) for i in (alive[0], alive[-1]))
+            verdicts += _verdicts(np.outer(q1, q2.conj()), mart, range(n + 1))
+        verdicts += _verdicts(random_complex(rng, mart.dim, mart.dim), mart, range(n + 1))
+    for trial in range(30):
+        rng = generator(4400, trial)
+        grid = random_grid(rng, int(rng.integers(1, 4)))
+        max_deg = int(rng.integers(0, 3))
+        real = wick_operator_process(random_adapted_process(rng, grid, max_deg + 1, max_deg))
+        for k in range(1, grid.n + 1):
+            verdicts += _verdicts(real.process.operator(k), real.martingale, range(grid.n + 1))
+    for n in range(1, 5):
+        space = BernoulliSpace(random_grid(generator(4500, n), n))
+        real = classical_realization(space)
+        rng = generator(4600, n)
+        for k in range(n + 1):
+            f = cond_expect(RandomVariable(space, random_complex(rng, space.size)), k)
+            verdicts += _verdicts(multiplication_operator(f), real.martingale, range(n + 1))
+    assert all(new == ref for new, ref in verdicts)
+    assert {ref for _, ref in verdicts} == {True, False}
+
+
+def test_future_increment_span_is_a_read_only_cache():
+    rng = generator(4700)
+    for n in range(1, 6):
+        mart = random_martingale(rng, random_grid(rng, n), 6)
+        for j in range(n + 1):
+            span = future_increment_span(mart, j)
+            assert np.array_equal(span, oracle.future_increment_span(mart, j))
+            if span.size:
+                with pytest.raises(ValueError):
+                    span[0, 0] = 7.0
+        assert np.array_equal(future_increment_span(mart, 0), oracle.future_increment_span(mart, 0))
+
+
+def test_bernoulli_increments_and_chaos_map_match_rebuilt_ones():
+    for n in range(1, 6):
+        rng = generator(4800, n)
+        space = BernoulliSpace(random_grid(rng, n))
+        for k in range(1, n + 1):
+            inc = space.increment(k).values
+            assert np.array_equal(inc, oracle.bernoulli_increment(space, k).values)
+            with pytest.raises(ValueError):
+                inc[0] = 7.0
+            assert np.array_equal(space.increment(k).values, oracle.bernoulli_increment(space, k).values)
+        for trial in range(40):
+            f = random_fock_vector(rng, space.grid, int(rng.integers(0, n + 1)), strict=True)
+            assert np.array_equal(chaos_map(f, space).values, oracle.chaos_map(f, space).values)

@@ -78,6 +78,19 @@ def test_ensembles_match_whole_array_reference(grid, seed, block_doubles, monkey
         assert np.array_equal(got, oracle.poisson_increments(grid, paths, seed, intensity))
 
 
+def test_poisson_large_means_exact_or_refused():
+    # exp(-700) is a normal double, exp(-760) underflows to 0 and would make
+    # every count the table length
+    grid = uniform_grid(1.0, 1)
+    got = poisson_ensemble(grid, 2000, 1, intensity=700.0).increments
+    assert np.array_equal(got, oracle.poisson_increments(grid, 2000, 1, 700.0))
+    for intensity in (760.0, 1e9):
+        with pytest.raises(ValueError, match="underflows"):
+            poisson_ensemble(grid, 2000, 1, intensity=intensity)
+    with pytest.raises(ValueError, match="underflows"):
+        poisson_ensemble(uniform_grid(1.0, 2), 10, 1, intensity=1500.0)
+
+
 @pytest.mark.parametrize("make", [brownian_ensemble, poisson_ensemble])
 def test_ensemble_peak_memory_is_the_result(make):
     # blocks are generated in place, so only the increments themselves scale

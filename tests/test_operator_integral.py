@@ -19,6 +19,7 @@ from stochint.operator_integral import (
 )
 from stochint.randomgen import (
     generator,
+    random_complex,
     random_grid,
     random_martingale,
     random_measurable_process,
@@ -112,17 +113,43 @@ def test_measurability_verdict_is_scale_invariant(trial, exponent):
     n = int(rng.integers(2, 7))
     mart = random_martingale(rng, random_grid(rng, n), int(rng.integers(2, 9)))
     proc = random_measurable_process(rng, mart, scalar_action=trial % 2 == 1)
-    scales = (1e-6, 10.0**exponent, 1e6)
+    scales = (1e-12, 1e-6, 10.0**exponent, 1e6)
     for k in range(1, n + 1):
         a = proc.operator(k)
         verdict = check_measurable(a, mart, k - 1).ok
-        assert [check_measurable(s * a, mart, k - 1).ok for s in scales] == [verdict] * 3
+        assert [check_measurable(s * a, mart, k - 1).ok for s in scales] == [verdict] * len(scales)
     alive = [k for k in range(1, n + 1) if mart.mu(k) > 1e-12]
     if len(alive) >= 2:
         # maps the last live increment direction onto the first: never measurable
         q1, q2 = (mart.increment(i) / np.linalg.norm(mart.increment(i)) for i in (alive[0], alive[-1]))
         bad = np.outer(q1, q2.conj())
         assert not any(check_measurable(s * bad, mart, alive[-1] - 1).ok for s in scales)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e-9, 1e-6, 1.0, 1e6])
+def test_norm_drop_rejected_at_every_scale(scale):
+    # restricted norms 2s at boundary 0 and s at boundary 1: measurable at 1 only
+    mart = example_martingale()
+    a = scale * np.diag([2.0, 1.0, 0.0]).astype(complex)
+    assert not check_measurable(a, mart, 0).ok
+    assert check_measurable(a, mart, 1).ok
+
+
+def test_operator_vanishing_on_the_future_span_is_measurable_at_every_scale():
+    # the example rotated by a random unitary: A acts on the third basis
+    # direction only, so A P_k M = 0 up to the round-off of the rotation
+    for trial in range(50):
+        rng = generator(910, trial)
+        u = random_unitary(rng, 3)
+        uh = u.conj().T
+        base = example_martingale()
+        measure = ProjectorMeasure(G2, base.measure.atom, tuple(u @ p @ uh for p in base.measure.cells))
+        mart = VectorMartingale(measure, u @ base.vector)
+        b = np.zeros((3, 3), dtype=complex)
+        b[:, 2] = random_complex(rng, 3)
+        a = u @ b @ uh
+        for scale in (1e-12, 1.0, 1e6):
+            assert all(check_measurable(scale * a, mart, j).ok for j in range(3))
 
 
 def test_measurability_monotone():
