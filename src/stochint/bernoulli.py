@@ -21,17 +21,16 @@ from typing import Sequence
 
 import numpy as np
 
+from . import symtensor
 from .errors import NotAdaptedError, NotRepresentableError, ShapeMismatchError
 from .grid import TimeGrid
 from .fock import FockVector
-from .fock_ito import FockStepProcess, check_adapted, ito_wick
+from .fock_ito import FockStepProcess, ito_wick
 from .operator_integral import (
     OperatorStepProcess,
     ProjectorMeasure,
     VectorMartingale,
     check_measurable,
-    future_increment_span,
-    restricted_norm,
     stochastic_integral,
 )
 
@@ -216,13 +215,16 @@ class ClassicalRealization:
 def classical_realization(space: BernoulliSpace) -> ClassicalRealization:
     """Conditional expectations as projections on C^{2^n}, with the terminal
     walk value as the martingale vector.  The cell measures come out as the
-    cell lengths."""
+    cell lengths.
+
+    E_k averages over the sample points that share the first k coordinates,
+    the low k bits of the point index: with m = 2^(n-k) such points, it is
+    the Kronecker product of the constant m x m matrix 1/m with I_{2^k}."""
     n, size = space.n, space.size
-    eye = np.eye(size, dtype=complex)
     cond_mats = []
     for k in range(n + 1):
-        cols = [cond_expect(RandomVariable(space, eye[:, p]), k).values for p in range(size)]
-        cond_mats.append(np.column_stack(cols))
+        m = 1 << (n - k)
+        cond_mats.append(np.kron(np.full((m, m), 1.0 / m), np.eye(1 << k)).astype(complex))
     atom = cond_mats[0]
     cells = tuple(cond_mats[k] - cond_mats[k - 1] for k in range(1, n + 1))
     measure = ProjectorMeasure(space.grid, atom, cells)
@@ -253,13 +255,8 @@ def measurability_equivalence(
     restricted norms at boundaries >= k all equal ||f||."""
     real = classical_realization(f.space) if realization is None else realization
     classical = is_measurable_at(f, k)
-    op = multiplication_operator(f)
-    operator = bool(check_measurable(op, real.martingale, k))
-    norms = tuple(
-        restricted_norm(op, future_increment_span(real.martingale, l))
-        for l in range(k, f.space.n)
-    )
-    return MeasurabilityEquivalence(classical, operator, float(np.sqrt(f.norm2())), norms)
+    report = check_measurable(multiplication_operator(f), real.martingale, k)
+    return MeasurabilityEquivalence(classical, report.ok, float(np.sqrt(f.norm2())), report.restricted_norms)
 
 
 def multiplication_integral_pair(
@@ -286,16 +283,23 @@ def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
     """
     if f.grid != space.grid:
         raise ShapeMismatchError("Fock vector and sample space use different grids")
-    out = np.zeros(space.size, dtype=complex)
-    for d in range(f.truncation + 1):
-        for ms, v in f.components[d].values.items():
-            if len(set(ms)) != len(ms):
-                raise NotRepresentableError(ms)
-            w = np.full(space.size, factorial(d) * v)
-            for c in ms:
-                w *= space._increments[c - 1]
-            out += w
-    return RandomVariable(space, out)
+    # one row per stored multiset, in degree then rank order, each the
+    # running product d! * v * inc_{c_1} * inc_{c_2} ...; the sum down the
+    # rows adds them one by one onto the degree-0 value
+    rows = [np.full((1, space.size), complex(f.components[0].vector[0]))]
+    for d, comp in enumerate(f.components[1:], start=1):
+        if comp.is_zero():
+            continue
+        ranks = comp.stored()
+        cells = symtensor.multisets(space.n, d)[ranks]
+        repeated = np.flatnonzero((cells[:, 1:] == cells[:, :-1]).any(axis=1)) if d > 1 else ()
+        if len(repeated):
+            raise NotRepresentableError(tuple(cells[repeated[0]].tolist()))
+        w = (factorial(d) * comp.vector[ranks])[:, None]
+        for c in cells.T - 1:
+            w = w * space._increments[c]
+        rows.append(w)
+    return RandomVariable(space, np.add.reduce(np.concatenate(rows), axis=0))
 
 
 def chaos_integral_pair(
@@ -307,10 +311,7 @@ def chaos_integral_pair(
     transported integrand, the transported per-cell integrands).  The first
     two agree pointwise, and the transported family is predictable.
     """
-    report = check_adapted(proc)
-    if not report.ok:
-        raise NotAdaptedError(report.cell, report.degree, report.multiset)
-    left = chaos_map(ito_wick(proc), space)
+    left = chaos_map(ito_wick(proc), space)  # raises NotAdaptedError first
     transported = [chaos_map(proc.value(k), space) for k in range(1, space.n + 1)]
     right = discrete_ito(space, transported)
     return left, right, transported

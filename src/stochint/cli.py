@@ -115,7 +115,10 @@ def main(argv=None) -> int:
                     input_checks = suites.verify_input_file(json.load(handle), tolerances)
             except (OSError, ValueError, KeyError, TypeError) as exc:
                 parser.error(f"--input {args.input}: {type(exc).__name__}: {exc}")
-        report = suites.verify(args.suite, args.cells, args.degree, args.trials, args.seed, tolerances)
+        try:
+            report = suites.verify(args.suite, args.cells, args.degree, args.trials, args.seed, tolerances)
+        except ValueError as exc:  # a coefficient vector over the size limit
+            parser.error(str(exc))
         report.checks += input_checks
         return _emit(report, args.out)
 
@@ -130,7 +133,7 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 intensity=args.intensity,
             )
-        except ValueError as exc:  # arguments the ensemble generators refuse
+        except ValueError as exc:  # arguments the ensemble generators refuse, or the size limit
             parser.error(str(exc))
         if args.csv:
             grid = uniform_grid(1.0, args.cells)
@@ -144,7 +147,10 @@ def main(argv=None) -> int:
     if args.command == "refine":
         if args.levels < 2:
             parser.error("--levels must be at least 2")
-        report = suites.refinement_study(start_cells=args.cells, levels=args.levels, seed=args.seed)
+        try:
+            report = suites.refinement_study(start_cells=args.cells, levels=args.levels, seed=args.seed)
+        except ValueError as exc:  # a coefficient vector over the size limit
+            parser.error(str(exc))
         return _emit(report, args.out)
 
     parser.error(f"unknown command {args.command!r}")

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
+import numpy as np
+
 from .errors import ShapeMismatchError, TruncationOverflowError
 from .grid import TimeGrid
 from . import symtensor
@@ -93,7 +95,7 @@ def zero_vector(grid: TimeGrid, truncation: int = 0) -> FockVector:
 def basis_vector(grid: TimeGrid, multiset: tuple[int, ...]) -> FockVector:
     """Coefficient 1 at `multiset` and 0 elsewhere, truncated at the multiset's size."""
     d = len(multiset)
-    comps = tuple(SymCoeffs(grid, k, {multiset: 1.0} if k == d else {}) for k in range(d + 1))
+    comps = tuple(symtensor.zero(grid, k) for k in range(d)) + (SymCoeffs(grid, d, {multiset: 1.0}),)
     return FockVector(grid, comps)
 
 
@@ -107,8 +109,7 @@ def indicator_vector(grid: TimeGrid, upto: int | None = None) -> FockVector:
     j = grid.n if upto is None else upto
     if not 0 <= j <= grid.n:
         raise ValueError(f"boundary index {j} out of range 0..{grid.n}")
-    deg1 = SymCoeffs(grid, 1, {(k,): 1.0 + 0.0j for k in range(1, j + 1)})
-    return FockVector(grid, (symtensor.zero(grid, 0), deg1))
+    return FockVector(grid, (symtensor.zero(grid, 0), SymCoeffs(grid, 1, np.arange(grid.n) < j)))
 
 
 def fock_inner(f: FockVector, g: FockVector) -> complex:
@@ -137,9 +138,9 @@ def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int |
     """Wick product: degree-n output is sum_m f_m (x) g_{n-m} (symmetric tensor).
 
     The output truncation defaults to max of the operands'.  Under "strict" a
-    nonzero component above it raises; under "drop" it is discarded.  Each
-    degree's terms are merged into one dict in ascending m, with the values
-    of the running sum of SymCoeffs; a degree with a single term keeps it.
+    nonzero component above it raises; under "drop" it is discarded.  The
+    terms of a degree are added in ascending m; only pairs of nonzero
+    components form a term.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -148,21 +149,17 @@ def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int |
     ft, gt = f.truncation, g.truncation
     out_trunc = max(ft, gt) if truncation is None else truncation
     comps = []
-    for n in range(ft + gt + 1 if policy == "strict" else min(out_trunc, ft + gt) + 1):
-        terms = [
-            symtensor.sym_tensor(f.components[m], g.components[n - m])
-            for m in range(max(0, n - gt), min(n, ft) + 1)
-            if f.components[m].values and g.components[n - m].values
-        ]
-        acc = {}
-        for term in terms:
-            symtensor.accumulate(acc, term.values)
-        if n > out_trunc:
-            if acc:
-                raise TruncationOverflowError(n)
-        else:
-            comps.append(terms[0] if len(terms) == 1 else SymCoeffs(f.grid, n, acc))
-    comps += [symtensor.zero(f.grid, d) for d in range(len(comps), out_trunc + 1)]
+    for n in range(max(out_trunc, ft + gt) + 1 if policy == "strict" else out_trunc + 1):
+        total = None
+        for m in range(max(0, n - gt), min(n, ft) + 1):
+            fm, gm = f.components[m], g.components[n - m]
+            if not (fm.is_zero() or gm.is_zero()):
+                term = symtensor.sym_tensor(fm, gm)
+                total = term if total is None else total + term
+        if n <= out_trunc:
+            comps.append(symtensor.zero(f.grid, n) if total is None else total)
+        elif total is not None and not total.is_zero():
+            raise TruncationOverflowError(n)
     return FockVector(f.grid, tuple(comps))
 
 
@@ -176,9 +173,12 @@ def resolution_project(f: FockVector, j: int) -> FockVector:
     if not 0 <= j <= f.grid.n:
         raise ValueError(f"boundary index {j} out of range 0..{f.grid.n}")
     comps = [f.components[0]]
-    for d in range(1, f.truncation + 1):
-        kept = {ms: v for ms, v in f.components[d].values.items() if ms[-1] <= j}
-        comps.append(SymCoeffs(f.grid, d, kept))
+    for d, comp in enumerate(f.components[1:], start=1):
+        if comp.is_zero():
+            comps.append(comp)
+        else:
+            kept = symtensor.multisets(f.grid.n, d)[:, -1] <= j
+            comps.append(SymCoeffs(f.grid, d, np.where(kept, comp.vector, 0.0)))
     return FockVector(f.grid, tuple(comps))
 
 

@@ -22,7 +22,6 @@ multiplication by the cell values plays the role of the operator process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from math import factorial
 
 import numpy as np
@@ -84,10 +83,13 @@ def check_adapted(proc: FockStepProcess) -> AdaptednessReport:
     """Verdict plus the first offending (cell, degree, multiset)."""
     for k in range(1, proc.grid.n + 1):
         v = proc.value(k)
-        for d in range(1, v.truncation + 1):
-            for ms in sorted(v.components[d].values):
-                if ms[-1] >= k:
-                    return AdaptednessReport(False, k, d, ms)
+        for d, comp in enumerate(v.components[1:], start=1):
+            if comp.is_zero():
+                continue
+            cells = symtensor.multisets(proc.grid.n, d)[comp.stored()]
+            late = np.flatnonzero(cells[:, -1] >= k)
+            if len(late):
+                return AdaptednessReport(False, k, d, tuple(cells[late[0]].tolist()))
     return AdaptednessReport(True)
 
 
@@ -100,17 +102,29 @@ def _require_adapted(proc: FockStepProcess):
 def ito_wick(proc: FockStepProcess) -> FockVector:
     """sum_k value_k (Wick) increment_k, under the strict truncation policy.
 
-    The cell terms are merged into one dict per degree, with the values of
-    the running sum of Fock vectors.
+    The increment of cell k has only the degree-1 part e_k, so the Wick
+    product maps degree d of value_k to value_k[d] (x) e_k in degree d+1; a
+    nonzero top degree overflows.  The cell terms are added into one vector
+    per degree, in order of k.
     """
     _require_adapted(proc)
+    grid = proc.grid
     out_trunc = max(proc.truncation, 1)
-    sums = [{} for _ in range(out_trunc + 1)]
-    for k in range(1, proc.grid.n + 1):
-        term = fock.wick(proc.value(k), fock.cell_increment(proc.grid, k), "strict", out_trunc)
-        for acc, comp in zip(sums, term.components):
-            symtensor.accumulate(acc, comp.values)
-    return FockVector(proc.grid, tuple(SymCoeffs(proc.grid, d, acc) for d, acc in enumerate(sums)))
+    sums = {}
+    for k in range(1, grid.n + 1):
+        increment = symtensor.cell_indicator(grid, k)
+        for d, comp in enumerate(proc.value(k).components):
+            if comp.is_zero():
+                continue
+            if d == out_trunc:
+                raise TruncationOverflowError(d + 1)
+            term = symtensor.sym_tensor(comp, increment).vector
+            if d + 1 in sums:
+                sums[d + 1] += term
+            else:
+                sums[d + 1] = np.array(term)
+    comps = (SymCoeffs(grid, d, sums[d]) if d in sums else symtensor.zero(grid, d) for d in range(out_trunc + 1))
+    return FockVector(grid, tuple(comps))
 
 
 def _insert_all_degrees(proc: FockStepProcess) -> FockVector:
@@ -150,21 +164,11 @@ def ito_isometry(proc: FockStepProcess) -> tuple[float, float]:
 
 
 def fock_basis(grid: TimeGrid, truncation: int) -> tuple[tuple[int, ...], ...]:
-    """All cell multisets of size 0..truncation, ordered by degree then lexicographically."""
-    out = []
-    for d in range(truncation + 1):
-        out.extend(combinations_with_replacement(range(1, grid.n + 1), d))
-    return tuple(out)
-
-
-def _coords(f: FockVector, index: dict, scales: np.ndarray, truncation: int) -> np.ndarray:
-    """Coordinates of the degrees 0..truncation of f in the orthonormalized basis."""
-    coords = np.zeros(len(scales), dtype=complex)
-    for d in range(min(f.truncation, truncation) + 1):
-        for ms, v in f.components[d].values.items():
-            i = index[ms]
-            coords[i] = v * scales[i]
-    return coords
+    """All cell multisets of size 0..truncation, ordered by degree then
+    lexicographically: the concatenated rank orders of the degrees."""
+    return tuple(
+        tuple(ms) for d in range(truncation + 1) for ms in symtensor.multisets(grid.n, d).tolist()
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,15 +194,9 @@ class FockOperatorRealization:
         return len(self.basis)
 
     def coords_to_vector(self, coords: np.ndarray) -> FockVector:
-        comps = {d: {} for d in range(self.truncation + 1)}
-        for i, ms in enumerate(self.basis):
-            v = coords[i] / self.scales[i]
-            if v != 0:
-                comps[len(ms)][ms] = v
-        return FockVector(
-            self.grid,
-            tuple(SymCoeffs(self.grid, d, comps[d]) for d in range(self.truncation + 1)),
-        )
+        sizes = [symtensor.size(self.grid.n, d) for d in range(self.truncation + 1)]
+        parts = np.split(np.asarray(coords) / self.scales, np.cumsum(sizes)[:-1])
+        return FockVector(self.grid, tuple(SymCoeffs(self.grid, d, v) for d, v in enumerate(parts)))
 
 
 def wick_operator_process(proc: FockStepProcess, truncation: int | None = None) -> FockOperatorRealization:
@@ -214,30 +212,39 @@ def wick_operator_process(proc: FockStepProcess, truncation: int | None = None) 
     if proc.max_degree() + 1 > n_trunc:
         raise TruncationOverflowError(proc.max_degree() + 1)
 
+    # within a degree the basis is in rank order
     basis = fock_basis(grid, n_trunc)
     dim = len(basis)
-    index = {ms: i for i, ms in enumerate(basis)}
-    scales = np.array(
-        [np.sqrt(factorial(len(ms)) * symtensor.block_weight(grid, ms)) for ms in basis]
+    ranks = [np.arange(symtensor.size(grid.n, d)) for d in range(n_trunc + 1)]
+    starts = np.cumsum([0] + [len(r) for r in ranks])
+    degrees = np.repeat(np.arange(n_trunc + 1), [len(r) for r in ranks])
+    scales = np.sqrt(
+        np.concatenate([factorial(d) * symtensor.block_weights(grid, d, r) for d, r in enumerate(ranks)])
     )
 
     # diagonal time projections: a multiset belongs to the increment of the
     # last cell it touches; the empty multiset is the atom at t = 0
-    masks = {j: np.zeros(dim) for j in range(grid.n + 1)}
-    for i, ms in enumerate(basis):
-        masks[ms[-1] if ms else 0][i] = 1.0
-    atom = np.diag(masks[0]).astype(complex)
-    cells = tuple(np.diag(masks[k]).astype(complex) for k in range(1, grid.n + 1))
+    last = np.concatenate([[0]] + [symtensor.multisets(grid.n, d)[:, -1] for d in range(1, n_trunc + 1)])
+    atom = np.diag(last == 0).astype(complex)
+    cells = tuple(np.diag(last == k).astype(complex) for k in range(1, grid.n + 1))
     measure = ProjectorMeasure(grid, atom, cells, validate=False)
-    martingale = VectorMartingale(measure, _coords(fock.indicator_vector(grid), index, scales, n_trunc))
+    # the indicator of [0, T] is 1 on every degree-1 multiset
+    martingale = VectorMartingale(measure, np.where(degrees == 1, scales, 0.0).astype(complex))
 
+    # column b of degree q holds the Wick product of value_k with the basis
+    # indicator of the multiset of rank b, dropped above the truncation:
+    # its degree-(m+q) part is value_k[m] (x) indicator
     operators = []
     for k in range(1, grid.n + 1):
-        f_k = proc.value(k)
         mat = np.zeros((dim, dim), dtype=complex)
-        for col, ms in enumerate(basis):
-            image = fock.wick(f_k, fock.basis_vector(grid, ms), "drop", n_trunc)
-            mat[:, col] = _coords(image, index, scales, n_trunc) / scales[col]
+        for m, comp in enumerate(proc.value(k).components[: n_trunc + 1]):
+            if comp.is_zero():
+                continue
+            for q in range(n_trunc - m + 1):
+                unit = np.ones(len(ranks[q]), dtype=complex)
+                gamma, values = symtensor.pair_products(comp, q, ranks[q], unit)
+                rows, cols = starts[m + q] + gamma, starts[q] + ranks[q]
+                mat[rows, cols] = values * scales[rows] / scales[cols]
         operators.append(mat)
     process = OperatorStepProcess(grid, tuple(operators))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,7 @@ class TimeGrid:
         if any(s >= t for s, t in zip(b, b[1:])):
             raise ValueError("boundaries must be strictly increasing")
 
-    @property
+    @cached_property
     def n(self) -> int:
         """Number of cells."""
         return len(self.boundaries) - 1
@@ -43,7 +44,7 @@ class TimeGrid:
     def horizon(self) -> float:
         return self.boundaries[-1]
 
-    @property
+    @cached_property
     def lengths(self) -> tuple[float, ...]:
         return tuple(t - s for s, t in zip(self.boundaries, self.boundaries[1:]))
 

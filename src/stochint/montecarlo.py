@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid
+from . import symtensor
 from .symtensor import SymCoeffs, norm2 as sym_norm2
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -194,15 +195,16 @@ def iterated_samples(coeffs: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
         raise ValueError("coefficients and ensemble use different grids")
     d = coeffs.degree
     fac = factorial(d)
-    strict = [(ms, v) for ms, v in coeffs.values.items() if len(set(ms)) == len(ms)]
     if d == 0:
         value = fac * coeffs[()]
         return np.full(ensemble.paths, value, dtype=complex)
-    if not strict:
+    ranks = coeffs.stored()
+    ranks = ranks[symtensor.strict(coeffs.grid.n, d)[ranks]]
+    if not len(ranks):
         return np.zeros(ensemble.paths, dtype=complex)
 
-    cells = np.array([ms for ms, _ in strict], dtype=np.intp) - 1
-    vals = fac * np.array([v for _, v in strict], dtype=complex)
+    cells = symtensor.multisets(coeffs.grid.n, d)[ranks] - 1
+    vals = fac * coeffs.vector[ranks]
     inc = ensemble.increments
     prefixes, prefix_of = np.unique(cells[:, :-1], axis=0, return_inverse=True)
     lasts, last_of = np.unique(cells[:, -1], return_inverse=True)
@@ -258,7 +260,7 @@ def hermite_reference(g: SymCoeffs, order: int, ensemble: PathEnsemble) -> np.nd
     """
     if g.degree != 1:
         raise ValueError("reference needs a degree-1 integrand")
-    if any(abs(v.imag) > 0 for v in g.values.values()):
+    if np.any(g.vector.imag != 0):
         raise ValueError("reference needs a real-valued integrand")
     gnorm = float(np.sqrt(sym_norm2(g)))
     if gnorm == 0.0:
@@ -282,9 +284,7 @@ def _wiener(g: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
     The orientation sets the last bits: below about 1e6 multiply-adds
     OpenBLAS picks its kernel by operand layout, and increments @ coef.T
     rounds differently on small ensembles."""
-    coef = np.zeros((2, ensemble.grid.n))
-    for (c,), v in g.values.items():
-        coef[:, c - 1] = v.real, v.imag
+    coef = np.stack([g.vector.real, g.vector.imag])
     w = coef @ ensemble.increments.T
     return w[0] + 1j * w[1]
 

@@ -7,12 +7,10 @@ parallelizable in any order.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
-
 import numpy as np
 
 from .grid import TimeGrid, uniform_grid
-from . import fock, symtensor
+from . import symtensor
 from .fock import FockVector
 from .fock_ito import FockStepProcess
 from .operator_integral import (
@@ -122,18 +120,21 @@ def random_sym_coeffs(
     strict: bool = False,
     entries: int = 3,
 ) -> SymCoeffs:
-    """Sparse random coefficients supported on cells 1..max_cell."""
+    """Sparse random coefficients supported on cells 1..max_cell: `entries`
+    multisets drawn from those (strict ones, with `strict`) in rank order."""
     top = grid.n if max_cell is None else max_cell
     if degree == 0:
         return symtensor.scalar(grid, complex(random_complex(rng)))
-    pool_iter = combinations(range(1, top + 1), degree) if strict else combinations_with_replacement(
-        range(1, top + 1), degree
-    )
-    pool = list(pool_iter)
-    if not pool:
+    allowed = symtensor.multisets(grid.n, degree)[:, -1] <= top
+    if strict:
+        allowed &= symtensor.strict(grid.n, degree)
+    pool = allowed.nonzero()[0]
+    if not len(pool):
         return symtensor.zero(grid, degree)
     picks = rng.choice(len(pool), size=min(entries, len(pool)), replace=False)
-    values = {pool[int(i)]: complex(random_complex(rng)) for i in picks}
+    values = np.zeros(len(allowed), dtype=complex)
+    for i in picks:
+        values[pool[i]] = complex(random_complex(rng))
     return SymCoeffs(grid, degree, values)
 
 

@@ -11,7 +11,7 @@ depend on execution order.
 from __future__ import annotations
 
 import time
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import fock, fock_ito, montecarlo, symtensor
 from .errors import TruncationOverflowError
 from .fock import FockVector
 from .fock_ito import FockStepProcess
-from .grid import uniform_grid
+from .grid import TimeGrid, uniform_grid
 from .operator_integral import (
     OperatorStepProcess,
     VectorMartingale,
@@ -228,7 +228,9 @@ def verify_fock_ito_suite(
         isym = fock_ito.ito_symmetrize(proc)
         route_dev.observe(fock.entrywise_distance(iw, isym))
 
-        lhs, rhs = fock_ito.ito_isometry(proc)
+        # the isometry of iw itself: fock_ito.ito_isometry would integrate again
+        lhs = fock.norm2(iw)
+        rhs = sum(fock.norm2(proc.value(k)) * grid.length(k) for k in range(1, n + 1))
         isometry_dev.observe(abs(lhs - rhs) / max(1.0, rhs))
 
         sk = fock_ito.skorohod_integral(proc)
@@ -423,22 +425,20 @@ def verify_bernoulli_suite(
         for k, f_k in enumerate(transported, start=1):
             predictability_violations.count(not brn.is_measurable_at(f_k, k - 1))
         vec = random_fock_vector(rng, sp.grid, min(n, 2), strict=True)
+        image = brn.chaos_map(vec, sp)
         for j in range(n + 1):
             a = brn.chaos_map(fock.resolution_project(vec, j), sp)
-            b = brn.cond_expect(brn.chaos_map(vec, sp), j)
-            proj_intertwine_dev.observe(brn.max_abs(a - b))
+            proj_intertwine_dev.observe(brn.max_abs(a - brn.cond_expect(image, j)))
 
     # full chaos basis on three cells: gram matrix matches, dimensions count
     n = 3
     sp = brn.BernoulliSpace(uniform_grid(1.0, n))
     multisets = list(chain.from_iterable(combinations(range(1, n + 1), d) for d in range(n + 1)))
-    for ms_a in multisets:
-        fa = fock.basis_vector(sp.grid, ms_a)
-        for ms_b in multisets:
-            fb = fock.basis_vector(sp.grid, ms_b)
-            lhs = brn.chaos_map(fa, sp).inner(brn.chaos_map(fb, sp))
-            rhs = fock.fock_inner(fa, fb)
-            gram_dev.observe(abs(lhs - rhs))
+    basis = [fock.basis_vector(sp.grid, ms) for ms in multisets]
+    images = [brn.chaos_map(f, sp) for f in basis]
+    for fa, xa in zip(basis, images):
+        for fb, xb in zip(basis, images):
+            gram_dev.observe(abs(xa.inner(xb) - fock.fock_inner(fa, fb)))
 
     tracker.emit(report)
     report.add(equality("chaos_dimension_count", float(len(multisets)), float(sp.size), 0.0))
@@ -480,15 +480,15 @@ def mc_suite(
         mean, se = montecarlo.mean_and_stderr(diff)
         report.add(equality("order2_mean_diff", mean, 0.0, 4.0 * se))
 
-        # order 3 on a prefix window keeps the dense coefficient set tractable
+        # order 3 on the sub-grid of a prefix window keeps the coefficient
+        # vector at C(window + 2, 3) entries, whatever the number of cells
         window = min(cells, 24)
-        g3 = symtensor.SymCoeffs(grid, 1, {(c,): 1.0 for c in range(1, window + 1)})
-        cube = symtensor.SymCoeffs(
-            grid,
-            3,
-            {ms: 1.0 for ms in combinations_with_replacement(range(1, window + 1), 3)},
+        head = montecarlo.PathEnsemble(
+            TimeGrid(grid.boundaries[: window + 1]), "brownian", seed, ens.increments[:, :window]
         )
-        diff = montecarlo.iterated_samples(cube, ens).real - montecarlo.hermite_reference(g3, 3, ens)
+        g3 = symtensor.ones(head.grid, 1)
+        cube = symtensor.ones(head.grid, 3)
+        diff = montecarlo.iterated_samples(cube, head).real - montecarlo.hermite_reference(g3, 3, head)
         mean, se = montecarlo.mean_and_stderr(diff)
         report.add(equality("order3_mean_diff", mean, 0.0, 4.0 * se))
 

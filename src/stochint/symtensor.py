@@ -1,97 +1,227 @@
 """Symmetric piecewise-constant functions on [0, T]^d.
 
 A degree-d symmetric function that is constant on products of grid cells is
-stored sparsely as a map from cell multisets to complex values: the multiset
-(m_1, ..., m_d) of cell indices (sorted, repeats allowed) carries the value of
-the function on every ordered tuple from that block.  The L^2 inner product
-over [0, T]^d then becomes a weighted sum,
+stored as one dense complex vector, with an entry per cell multiset
+(m_1 <= ... <= m_d): the value of the function on every ordered tuple from
+that block.  Entry r belongs to the multiset of rank r in
+``combinations_with_replacement`` order, which is sorted order, so the vector
+has C(n+d-1, d) entries instead of n^d.  The L^2 inner product over [0, T]^d
+is then a weighted sum,
 
     <f, g> = sum_alpha w(alpha) conj(f_alpha) g_alpha,
     w(alpha) = d!/prod(mult_i!) * prod(len_i ** mult_i),
 
 where the combinatorial factor counts the ordered tuples in the block and the
-product of cell lengths is the block's volume.  This occupation-number storage
-costs C(n+d-1, d) entries instead of n^d and keeps all algebra exact up to
-floating point.
+product of cell lengths is the block's volume.
+
+The kernels gather the nonzero entries of their operands and scatter with
+``np.bincount``, so they cost O(nonzeros).  Complex products are rounded as
+Python's (a*c - b*d) + (a*d + b*c)i; numpy's complex multiply may fuse a
+multiply-add and round differently.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-from math import comb, factorial, prod
+from functools import cache
+from math import comb, factorial
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ShapeMismatchError
 from .grid import TimeGrid, refine
 
-#: entries with |value| below this are dropped; no other implicit rounding
+#: entries with |value| below this are not stored: they are set to 0
 DROP_EPS = 1e-300
+#: most entries, C(n+d-1, d), that one coefficient vector may have (64 MiB)
+MAX_ENTRIES = 1 << 22
 
 Multiset = tuple[int, ...]
 
 
-def _clean(values: Mapping[Multiset, complex], degree: int) -> dict[Multiset, complex]:
-    out = {}
-    for key, val in values.items():
-        key = tuple(sorted(int(c) for c in key))
-        if len(key) != degree:
-            raise ShapeMismatchError(f"multiset {key} does not have degree {degree}")
-        v = complex(val)
-        if abs(v) >= DROP_EPS:
-            out[key] = out.get(key, 0.0 + 0.0j) + v
-    return {k: v for k, v in out.items() if abs(v) >= DROP_EPS}
+def size(n: int, degree: int) -> int:
+    """C(n+d-1, d), the entries of a degree-d vector on n cells; raises
+    ValueError past MAX_ENTRIES, before anything is allocated."""
+    count = comb(n + degree - 1, degree)
+    if count > MAX_ENTRIES:
+        raise ValueError(f"a degree-{degree} vector on {n} cells has {count} entries, over the limit {MAX_ENTRIES}")
+    return count
 
 
-@dataclass(frozen=True, eq=False)
+@cache
+def _table(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cells, factorials), read-only: row r of cells is the multiset of rank
+    r in ascending order, and factorials[r] the product of its multiplicities'
+    factorials.  The rows that start with cell c continue with the last
+    C(n-c+d-1, d-1) rows of degree d-1, those with no cell below c."""
+    cells, fact = np.zeros((1, 0), dtype=np.intp), np.ones(1, dtype=np.intp)
+    if degree:
+        tail, tail_fact = _table(n, degree - 1)
+        counts = [comb(n - c + degree - 1, degree - 1) for c in range(1, n + 1)]
+        rows = np.concatenate([np.arange(len(tail) - k, len(tail)) for k in counts])
+        cells = np.column_stack([np.repeat(np.arange(1, n + 1), counts), tail[rows]])
+        fact = tail_fact[rows] * (cells == cells[:, :1]).sum(axis=1)
+    cells.setflags(write=False)
+    fact.setflags(write=False)
+    return cells, fact
+
+
+def multisets(n: int, degree: int) -> np.ndarray:
+    """(C(n+d-1, d), d) array whose row r is the multiset of rank r."""
+    size(n, degree)
+    return _table(n, degree)[0]
+
+
+def strict(n: int, degree: int) -> np.ndarray:
+    """Mask of the multisets, by rank, that repeat no cell."""
+    size(n, degree)
+    return _table(n, degree)[1] == 1
+
+
+@cache
+def _rank_terms(n: int, degree: int) -> np.ndarray:
+    """T with rank(m) = sum_i T[i, m_i] for sorted m: the combinatorial number
+    system on the increasing m_i + i, C(n+d-1, d) - 1 - sum_i C(n+d-1-m_i-i, d-i)."""
+    terms = np.array([[-comb(n + degree - 1 - c - i, degree - i) for c in range(n + 1)] for i in range(degree)])
+    terms = terms.reshape(degree, n + 1).astype(np.intp)
+    terms[:1] += size(n, degree) - 1
+    terms.setflags(write=False)
+    return terms
+
+
+def _rank(n: int, rows: np.ndarray) -> np.ndarray:
+    """Ranks of the sorted multisets in the rows of an int array."""
+    return np.add.reduce(_rank_terms(n, rows.shape[1])[np.arange(rows.shape[1]), rows], axis=1)
+
+
+@cache
+def _insertions(n: int, degree: int) -> np.ndarray:
+    """Read-only (C(n+d-1, d), n) table: entry [r, c-1] is the rank of the
+    degree-(d+1) multiset made of the multiset of rank r and cell c."""
+    size(n, degree + 1)
+    cells = _table(n, degree)[0]
+    rows = np.empty((len(cells), n, degree + 1), dtype=np.intp)
+    rows[..., :degree] = cells[:, None]
+    rows[..., degree] = np.arange(1, n + 1)
+    rows.sort(axis=2)
+    ranks = _rank(n, rows.reshape(len(cells) * n, degree + 1)).reshape(len(cells), n)
+    ranks.setflags(write=False)
+    return ranks
+
+
+@cache
+def _zeros(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only vector of `count` zeros in O(1) memory (stride 0), and its
+    empty array of stored ranks."""
+    vector = np.lib.stride_tricks.as_strided(np.zeros(1, dtype=complex), (count,), (0,), writeable=False)
+    return vector, np.zeros(0, dtype=np.intp)
+
+
+def _times(x, y) -> np.ndarray:
+    """x * y with Python's rounding; x and y are a Python complex and a
+    vector, or two vectors of one shape."""
+    out = np.empty(np.shape(x) or np.shape(y), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _scatter(count: int, index: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Vector of `count` entries; entry i sums the values at index == i, in
+    order and starting from 0, part by part."""
+    slots = ((2 * index)[:, None] + np.arange(2)).ravel()
+    return np.bincount(slots, values.view(np.float64), minlength=2 * count).view(complex)
+
+
 class SymCoeffs:
-    """Sparse degree-d symmetric function attached to a grid.
+    """Degree-d symmetric function attached to a grid: ``vector`` holds its
+    block values in rank order (read-only).
 
-    Treated as immutable; all operations return new objects.
+    ``values`` is a mapping from multisets (in any order, repeats summed) to
+    values, or a vector of size(n, d) entries in rank order.  Entries below
+    DROP_EPS are set to 0; a function with no stored entry shares a zero
+    vector of stride 0, so it costs O(1) memory.  Immutable.
     """
 
-    grid: TimeGrid
-    degree: int
-    values: dict[Multiset, complex] = field(default_factory=dict)
+    __slots__ = ("grid", "degree", "vector", "_ranks")
 
-    def __post_init__(self):
-        if self.degree < 0:
+    def __init__(self, grid: TimeGrid, degree: int, values: Mapping[Iterable[int], complex] | np.ndarray | None = None):
+        if degree < 0:
             raise ValueError("degree must be non-negative")
-        object.__setattr__(self, "values", _clean(self.values, self.degree))
-        n = self.grid.n
-        for key in self.values:
-            if key and (key[0] < 1 or key[-1] > n):
-                raise ValueError(f"cell index in {key} outside 1..{n}")
+        n, count, vec = grid.n, size(grid.n, degree), None
+        if isinstance(values, np.ndarray):
+            if values.shape != (count,):
+                raise ShapeMismatchError(f"expected {count} entries for degree {degree}, got shape {values.shape}")
+            vec = values
+        elif values:
+            keys, vals = [], []
+            for key, val in values.items():
+                key = sorted(int(c) for c in key)
+                if len(key) != degree:
+                    raise ShapeMismatchError(f"multiset {tuple(key)} does not have degree {degree}")
+                if abs(complex(val)) >= DROP_EPS:
+                    if key and (key[0] < 1 or key[-1] > n):
+                        raise ValueError(f"cell index in {tuple(key)} outside 1..{n}")
+                    keys.append(key)
+                    vals.append(complex(val))
+            if keys:
+                vec = _scatter(count, _rank(n, np.array(keys, dtype=np.intp)), np.array(vals))
+        self.grid, self.degree = grid, degree
+        self.vector, self._ranks = _zeros(count)
+        if vec is not None:
+            vec = vec + 0j  # an own complex copy, without -0.0 parts
+            kept = np.abs(vec) >= DROP_EPS
+            ranks = kept.nonzero()[0]
+            if len(ranks) != np.count_nonzero(vec):
+                vec[~kept] = 0.0
+            if len(ranks):
+                vec.setflags(write=False)
+                self.vector, self._ranks = vec, ranks
+
+    @property
+    def values(self) -> Mapping[Multiset, complex]:
+        """Read-only map from each stored multiset to its value, in rank order."""
+        keys = map(tuple, _table(self.grid.n, self.degree)[0][self._ranks].tolist())
+        return MappingProxyType(dict(zip(keys, self.vector[self._ranks].tolist())))
+
+    def stored(self) -> np.ndarray:
+        """Ranks of the stored (nonzero) entries, ascending."""
+        return self._ranks
 
     def __getitem__(self, key: Iterable[int]) -> complex:
-        return self.values.get(tuple(sorted(key)), 0.0 + 0.0j)
+        key = sorted(key)
+        if len(key) != self.degree or (key and not 1 <= key[0] <= key[-1] <= self.grid.n):
+            return 0.0 + 0.0j
+        return complex(self.vector[_rank(self.grid.n, np.array([key], dtype=np.intp))[0]])
 
     def __add__(self, other: "SymCoeffs") -> "SymCoeffs":
         _check_pair(self, other, same_degree=True)
-        merged = dict(self.values)
-        accumulate(merged, other.values)
-        return SymCoeffs(self.grid, self.degree, merged)
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
+        return SymCoeffs(self.grid, self.degree, self.vector + other.vector)
 
     def __sub__(self, other: "SymCoeffs") -> "SymCoeffs":
-        return self + (-1.0) * other
+        _check_pair(self, other, same_degree=True)
+        return self if other.is_zero() else SymCoeffs(self.grid, self.degree, self.vector - other.vector)
 
     def __mul__(self, scalar: complex) -> "SymCoeffs":
-        return SymCoeffs(self.grid, self.degree, {k: scalar * v for k, v in self.values.items()})
+        return self if self.is_zero() else SymCoeffs(self.grid, self.degree, _times(complex(scalar), self.vector))
 
     __rmul__ = __mul__
 
     def conj(self) -> "SymCoeffs":
-        return SymCoeffs(self.grid, self.degree, {k: v.conjugate() for k, v in self.values.items()})
+        return SymCoeffs(self.grid, self.degree, self.vector.conj())
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not len(self._ranks)
 
     def is_off_diagonal(self) -> bool:
         """True when no stored multiset repeats a cell."""
-        return all(len(set(k)) == len(k) for k in self.values)
+        return bool(strict(self.grid.n, self.degree)[self._ranks].all())
 
     def to_json(self) -> dict:
-        entries = [[list(k), v.real, v.imag] for k, v in sorted(self.values.items())]
+        entries = [[list(k), v.real, v.imag] for k, v in self.values.items()]
         return {"degree": self.degree, "entries": entries}
 
     @classmethod
@@ -100,54 +230,38 @@ class SymCoeffs:
         return cls(grid, int(obj["degree"]), values)
 
 
-def accumulate(acc: dict[Multiset, complex], values: Mapping[Multiset, complex]) -> None:
-    """Add the entries of a SymCoeffs into acc in place, with the values,
-    dropping and key order of SymCoeffs(grid, d, acc) + SymCoeffs(grid, d, values).
-
-    acc must hold cleaned entries too.  A sum below DROP_EPS is removed, so a
-    key that comes back later goes to the end, as when the dict is rebuilt.
-    Cleaned values have no -0.0 part, and neither has a sum of two of them,
-    so no further rounding is needed.
-    """
-    for key, val in values.items():
-        total = acc.get(key, 0.0) + val
-        if abs(total) >= DROP_EPS:
-            acc[key] = total
-        else:
-            del acc[key]
-
-
 def zero(grid: TimeGrid, degree: int) -> SymCoeffs:
-    return SymCoeffs(grid, degree, {})
+    return SymCoeffs(grid, degree)
 
 
 def scalar(grid: TimeGrid, value: complex) -> SymCoeffs:
     """Degree-0 element holding a single complex number."""
-    return SymCoeffs(grid, 0, {(): complex(value)})
+    return SymCoeffs(grid, 0, np.array([complex(value)]))
 
 
 def cell_indicator(grid: TimeGrid, k: int) -> SymCoeffs:
     """Degree-1 indicator of cell k."""
     if not 1 <= k <= grid.n:
         raise ValueError(f"cell index {k} out of range 1..{grid.n}")
-    return SymCoeffs(grid, 1, {(k,): 1.0 + 0.0j})
+    return SymCoeffs(grid, 1, np.arange(grid.n) == k - 1)
 
 
 def ones(grid: TimeGrid, degree: int) -> SymCoeffs:
     """The constant-1 symmetric function of the given degree."""
-    from itertools import combinations_with_replacement
+    return SymCoeffs(grid, degree, np.ones(size(grid.n, degree), dtype=complex))
 
-    vals = {ms: 1.0 + 0.0j for ms in combinations_with_replacement(range(1, grid.n + 1), degree)}
-    return SymCoeffs(grid, degree, vals)
+
+def block_weights(grid: TimeGrid, degree: int, ranks: np.ndarray) -> np.ndarray:
+    """Block weights of the degree-d multisets of the given ranks."""
+    cells, fact = _table(grid.n, degree)
+    volume = np.multiply.reduce(np.asarray(grid.lengths)[cells[ranks] - 1], axis=1)
+    return (factorial(degree) // fact[ranks]) * volume
 
 
 def block_weight(grid: TimeGrid, multiset: Multiset) -> float:
     """Measure of the symmetric block: ordered-tuple count times volume."""
-    mults = Counter(multiset)
-    d = len(multiset)
-    count = factorial(d) // prod(factorial(m) for m in mults.values())
-    volume = prod(grid.length(c) ** m for c, m in mults.items())
-    return count * volume
+    rank = _rank(grid.n, np.array([sorted(multiset)], dtype=np.intp))
+    return float(block_weights(grid, len(multiset), rank)[0])
 
 
 def _check_pair(f: SymCoeffs, g: SymCoeffs, same_degree: bool):
@@ -158,43 +272,60 @@ def _check_pair(f: SymCoeffs, g: SymCoeffs, same_degree: bool):
 
 
 def sym_inner(f: SymCoeffs, g: SymCoeffs) -> complex:
-    """L^2([0,T]^d) inner product, conjugate-linear in the first argument."""
+    """L^2([0,T]^d) inner product, conjugate-linear in the first argument,
+    summed left to right in rank order (np.sum adds pairwise)."""
     _check_pair(f, g, same_degree=True)
-    acc = 0.0 + 0.0j
-    small = f if len(f.values) <= len(g.values) else g
-    for key in small.values:
-        gv = g.values.get(key)
-        fv = f.values.get(key)
-        if gv is None or fv is None:
-            continue
-        acc += block_weight(f.grid, key) * fv.conjugate() * gv
-    return acc
+    if f.is_zero() or g.is_zero():
+        return 0j
+    r = f.stored()
+    terms = _times(block_weights(f.grid, f.degree, r) * f.vector[r].conj(), g.vector[r])
+    return complex(np.add.accumulate(terms)[-1])
 
 
 def norm2(f: SymCoeffs) -> float:
-    return sum(block_weight(f.grid, k) * abs(v) ** 2 for k, v in f.values.items())
+    if f.is_zero():
+        return 0.0
+    r, v = f.stored(), f.vector[f.stored()]
+    return float(np.add.accumulate(block_weights(f.grid, f.degree, r) * np.hypot(v.real, v.imag) ** 2)[-1])
+
+
+def pair_products(f: SymCoeffs, q: int, ranks: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each stored entry alpha of f with the degree-q multisets beta of
+    the given ranks and values: (entries of f, len(ranks)) arrays of the rank
+    of gamma = alpha + beta and of va * vb * ways / total.  ways =
+    prod_c C(gamma_c, alpha_c), the multiplicity factorials of gamma over
+    those of alpha and beta, counts the position choices that the permutation
+    average distributes over the block; total = C(p+q, p)."""
+    n, p, ia = f.grid.n, f.degree, f.stored()
+    gamma = ia[:, None]
+    for i, cell in enumerate(_table(n, q)[0][ranks].T):  # add the cells of beta one at a time
+        gamma = _insertions(n, p + i)[gamma, cell - 1]
+    ways = _table(n, p + q)[1][gamma] // np.multiply.outer(_table(n, p)[1][ia], _table(n, q)[1][ranks])
+    # products[a, b, i, j]: part i of va times part j of vb
+    products = f.vector[ia].view(np.float64).reshape(-1, 1, 2, 1) * values.view(np.float64).reshape(1, -1, 1, 2)
+    parts = np.empty(ways.shape + (2,))
+    np.subtract(products[..., 0, 0], products[..., 1, 1], out=parts[..., 0])
+    np.add(products[..., 0, 1], products[..., 1, 0], out=parts[..., 1])
+    parts *= ways[..., None]
+    parts /= comb(p + q, p)
+    return gamma, parts.view(complex)[..., 0]
 
 
 def sym_tensor(f: SymCoeffs, g: SymCoeffs) -> SymCoeffs:
-    """Symmetric tensor product (symmetrization of the ordered product).
-
-    For entries alpha of f and beta of g the pair feeds the multiset
-    gamma = alpha + beta with weight prod_i C(gamma_i, alpha_i) / C(p+q, p);
-    the binomials count the position choices that the permutation average
-    distributes over the block.  Only cells that alpha and beta share have a
-    binomial other than 1.
-    """
+    """Symmetric tensor product (symmetrization of the ordered product): each
+    entry gamma sums the pair_products that feed it, in the order (rank of
+    alpha, rank of beta).  A degree-0 factor just scales the other one."""
     _check_pair(f, g, same_degree=False)
     p, q = f.degree, g.degree
-    total = comb(p + q, p)
-    out: dict[Multiset, complex] = {}
-    for alpha, va in f.values.items():
-        cells = set(alpha)
-        for beta, vb in g.values.items():
-            gamma = tuple(sorted(alpha + beta))
-            ways = prod(comb(alpha.count(c) + beta.count(c), alpha.count(c)) for c in cells.intersection(beta))
-            out[gamma] = out.get(gamma, 0.0 + 0.0j) + va * vb * ways / total
-    return SymCoeffs(f.grid, p + q, out)
+    count = size(f.grid.n, p + q)
+    if f.is_zero() or g.is_zero():
+        return zero(f.grid, p + q)
+    if not p:
+        return SymCoeffs(f.grid, q, _times(complex(f.vector[0]), g.vector))
+    if not q:
+        return SymCoeffs(f.grid, p, _times(f.vector, complex(g.vector[0])))
+    gamma, products = pair_products(f, q, g.stored(), g.vector[g.stored()])
+    return SymCoeffs(f.grid, p + q, _scatter(count, gamma.ravel(), products.ravel()))
 
 
 def symmetrize_insert(step_values: Sequence[SymCoeffs]) -> SymCoeffs:
@@ -203,48 +334,42 @@ def symmetrize_insert(step_values: Sequence[SymCoeffs]) -> SymCoeffs:
     The output value on a block gamma averages, over the d argument slots, the
     value of u at the cell occupying that slot:
 
-        out[gamma] = (1/d) * sum_c gamma_c * u^(c)[gamma - e_c].
+        out[gamma] = (1/d) * sum_c gamma_c * u^(c)[gamma - e_c],
+
+    summed in the order (c, rank of gamma - e_c).
     """
     if not step_values:
         raise ShapeMismatchError("need one value per cell")
-    grid = step_values[0].grid
-    base = step_values[0].degree
+    grid, base = step_values[0].grid, step_values[0].degree
     if len(step_values) != grid.n:
         raise ShapeMismatchError(f"expected {grid.n} per-cell values, got {len(step_values)}")
-    for u in step_values:
-        if u.grid != grid or u.degree != base:
-            raise ShapeMismatchError("per-cell values must share grid and degree")
-    d = base + 1
-    out: dict[Multiset, complex] = {}
-    for c, u in enumerate(step_values, start=1):
-        for alpha, v in u.values.items():
-            gamma = tuple(sorted(alpha + (c,)))
-            out[gamma] = out.get(gamma, 0.0 + 0.0j) + (alpha.count(c) + 1) * v / d
-    return SymCoeffs(grid, d, out)
+    if any(u.grid != grid or u.degree != base for u in step_values):
+        raise ShapeMismatchError("per-cell values must share grid and degree")
+    d, ranks = base + 1, [u.stored() for u in step_values]
+    count, source = size(grid.n, d), np.concatenate(ranks)
+    if not len(source):
+        return zero(grid, d)
+    cell = np.repeat(np.arange(grid.n), [len(r) for r in ranks])
+    vals = np.concatenate([u.vector[r] for u, r in zip(step_values, ranks) if len(r)])
+    gamma = _insertions(grid.n, base)[source, cell]
+    parts = vals.view(np.float64).reshape(len(vals), 2)  # gamma_c * v / d, part by part
+    parts *= (_table(grid.n, d)[1][gamma] // _table(grid.n, base)[1][source])[:, None]
+    parts /= d
+    return SymCoeffs(grid, d, _scatter(count, gamma, vals))
 
 
 def entrywise_distance(f: SymCoeffs, g: SymCoeffs) -> float:
-    """Largest |f_alpha - g_alpha| over all stored multisets."""
+    """Largest |f_alpha - g_alpha| over all multisets."""
     _check_pair(f, g, same_degree=True)
-    keys = set(f.values) | set(g.values)
-    return max((abs(f[k] - g[k]) for k in keys), default=0.0)
+    diff = f.vector - g.vector
+    return float(np.hypot(diff.real, diff.imag).max())
 
 
 def refine_values(f: SymCoeffs, factor: int) -> SymCoeffs:
-    """Re-express f on the `factor`-fold refined grid (same function)."""
-    from itertools import combinations_with_replacement, product
-
+    """Re-express f on the `factor`-fold refined grid (same function): each
+    fine multiset takes the value of the multiset of its parent cells."""
     fine = refine(f.grid, factor)
-    if factor == 1:
-        return SymCoeffs(fine, f.degree, dict(f.values))
-    out: dict[Multiset, complex] = {}
-    for alpha, v in f.values.items():
-        mults = Counter(alpha)
-        choices = []
-        for c, m in sorted(mults.items()):
-            children = range((c - 1) * factor + 1, c * factor + 1)
-            choices.append(list(combinations_with_replacement(children, m)))
-        for combo in product(*choices):
-            gamma = tuple(sorted(sum(combo, ())))
-            out[gamma] = v
-    return SymCoeffs(fine, f.degree, out)
+    if f.is_zero():
+        return zero(fine, f.degree)
+    parents = (multisets(fine.n, f.degree) - 1) // factor + 1
+    return SymCoeffs(fine, f.degree, f.vector[_rank(f.grid.n, parents)])

@@ -269,3 +269,15 @@ def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
                 w = w * bernoulli_increment(space, c).values
             out += w
     return RandomVariable(space, out)
+
+
+def classical_conditional_expectations(space: BernoulliSpace) -> list[np.ndarray]:
+    """E_0..E_n of the sign space built column by column: column p of E_k is
+    the conditional expectation of the p-th unit vector."""
+    from stochint.bernoulli import cond_expect
+
+    eye = np.eye(space.size, dtype=complex)
+    return [
+        np.column_stack([cond_expect(RandomVariable(space, eye[:, p]), k).values for p in range(space.size)])
+        for k in range(space.n + 1)
+    ]

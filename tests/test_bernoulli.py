@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracle
+
 from stochint import fock, symtensor
 from stochint.bernoulli import (
     BernoulliSpace,
@@ -127,6 +129,16 @@ def test_classical_realization_measures_cell_lengths():
     # terminal vector round-trips through the scaling
     back = real.to_random_variable(real.to_vector(sp.walk_at(4)))
     assert max_abs(back - sp.walk_at(4)) < 1e-15
+
+
+def test_classical_realization_matches_column_by_column_construction():
+    for n in range(1, 8):
+        sp = BernoulliSpace(random_grid(generator(62, n), n))
+        real = classical_realization(sp)
+        cond = oracle.classical_conditional_expectations(sp)
+        assert np.array_equal(real.measure.atom, cond[0])
+        for k in range(1, n + 1):
+            assert np.array_equal(real.measure.cell_projection(k), cond[k] - cond[k - 1])
 
 
 def test_measurability_equivalence_examples():

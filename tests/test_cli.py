@@ -94,6 +94,23 @@ def test_refine_usage_errors_exit_2():
     assert err.value.code == 2
 
 
+def test_refine_past_the_size_limit_is_usage_error(capsys):
+    from math import comb
+
+    from stochint.symtensor import MAX_ENTRIES
+
+    # the coarsest grid's degree-2 integral already has more entries than the limit
+    cells = next(n for n in range(2, 10_000) if comb(n + 1, 2) > MAX_ENTRIES)
+    with pytest.raises(SystemExit) as err:
+        run(["refine", "--cells", str(cells), "--levels", "2"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines[-1].startswith("stochint: error: a degree-2 vector on")
+    assert not any("Traceback" in line for line in lines)
+
+
 def test_failure_exit_code_and_report_still_written(tmp_path):
     out = tmp_path / "report.json"
     code = run(

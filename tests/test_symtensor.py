@@ -1,10 +1,13 @@
+import tracemalloc
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
 from stochint.errors import ShapeMismatchError
 from stochint.grid import uniform_grid
 from stochint.randomgen import generator, random_grid, random_sym_coeffs
-from stochint import symtensor
+from stochint import fock, symtensor
 from stochint.symtensor import (
     SymCoeffs,
     block_weight,
@@ -196,3 +199,64 @@ def test_json_roundtrip():
 def test_json_shape():
     f = SymCoeffs(G2, 2, {(1, 2): 0.5 + 0.25j})
     assert f.to_json() == {"degree": 2, "entries": [[[1, 2], 0.5, 0.25]]}
+
+
+def test_rank_order_is_combinations_with_replacement_order():
+    for n in range(1, 6):
+        for d in range(5):
+            table = symtensor.multisets(n, d)
+            assert [tuple(row) for row in table.tolist()] == list(combinations_with_replacement(range(1, n + 1), d))
+            assert symtensor.size(n, d) == len(table)
+            assert not table.flags.writeable
+            f = random_sym_coeffs(generator(600 + n, d), uniform_grid(1.0, n), d, entries=4)
+            assert list(f.values) == sorted(f.values)
+            for r, ms in enumerate(table.tolist()):
+                assert f[ms] == f.vector[r]
+
+
+def test_values_view_is_read_only_and_holds_stored_entries():
+    f = SymCoeffs(G2, 2, {(2, 1): 0.5 + 0.25j, (2, 2): 0.0})
+    assert dict(f.values) == {(1, 2): 0.5 + 0.25j}
+    assert f.stored().tolist() == [1]
+    with pytest.raises(TypeError):
+        f.values[(1, 1)] = 1.0
+    with pytest.raises(ValueError):
+        f.vector[0] = 1.0
+
+
+def test_zero_component_costs_constant_memory():
+    grid = uniform_grid(1.0, 1000)
+    z = symtensor.zero(grid, 2)
+    assert z.is_zero() and z.vector.shape == (symtensor.size(1000, 2),)
+    assert z.vector.strides == (0,)
+    assert not z.vector.flags.writeable
+    assert (2.0 * z).is_zero() and (z + z).is_zero()
+    assert SymCoeffs(grid, 2, np.zeros(symtensor.size(1000, 2), dtype=complex)).vector.strides == (0,)
+
+
+def test_size_guard_raises_before_allocating():
+    n = _first_cells_over_limit(2)
+    grid = uniform_grid(1.0, n)
+    tracemalloc.start()
+    try:
+        for build in (symtensor.zero, symtensor.ones):
+            with pytest.raises(ValueError, match="over the limit"):
+                build(grid, 2)
+        for build in (lambda: symtensor.multisets(n, 2), lambda: fock.vacuum(grid, 2)):
+            with pytest.raises(ValueError, match="over the limit"):
+                build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert symtensor.size(n - 1, 2) <= symtensor.MAX_ENTRIES
+
+
+def _first_cells_over_limit(degree: int) -> int:
+    """The fewest cells whose degree-d vector exceeds MAX_ENTRIES."""
+    from math import comb
+
+    n = 1
+    while comb(n + degree - 1, degree) <= symtensor.MAX_ENTRIES:
+        n += 1
+    return n
