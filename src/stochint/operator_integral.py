@@ -77,10 +77,6 @@ class ProjectorMeasure:
             raise ShapeMismatchError(f"expected {self.grid.n} cell projections, got {len(cells)}")
         if self.validate:
             self._check_projections()
-        cums = [atom]
-        for c in cells:
-            cums.append(cums[-1] + c)
-        object.__setattr__(self, "_cumulative", tuple(cums))
 
     def _check_projections(self):
         parts = (self.atom,) + self.cells
@@ -107,10 +103,10 @@ class ProjectorMeasure:
         return self.cells[k - 1]
 
     def boundary_projection(self, j: int) -> np.ndarray:
-        """E at boundary j: atom plus the first j cell projections."""
+        """E at boundary j: atom plus the first j cell projections, summed per call."""
         if not 0 <= j <= self.grid.n:
             raise ValueError(f"boundary index {j} out of range 0..{self.grid.n}")
-        return self._cumulative[j]
+        return sum(self.cells[:j], self.atom)
 
     def to_json(self) -> dict:
         return {
@@ -282,11 +278,13 @@ def check_measurable(
     whose span is empty are skipped).  Condition (ii): for every basis vector
     g of the span at j and every boundary l >= j,
     ||A E_l g - E_l A g|| <= tol * ref, where ref is the largest of those
-    restricted norms.  Both deviations may also exceed their relative bound
-    by 4 * dim * eps * ||A||_F, the round-off of the four products with A or
-    E_l (norm 1) that form a commutator column, so that an A which vanishes
-    on the span is not rejected for round-off.  Every bound scales with A,
-    so the verdict does not change when A is scaled.
+    restricted norms.  No E_l is formed: each increment lies in the range of
+    its own cell's projection, and the parts sum to the identity.  Both
+    deviations may also exceed their relative bound by 4 * dim * eps *
+    ||A||_F, a round-off allowance for the products that form a commutator
+    column, so that an A which vanishes on the span is not rejected for
+    round-off.  Every bound scales with A, so the verdict does not change
+    when A is scaled.
     Boundary j = n is vacuously measurable.
     """
     a = _as_matrix(a, mart.dim)
@@ -307,11 +305,14 @@ def check_measurable(
     ref = max(norms, default=0.0)
     norm_dev = ref - min(norms, default=0.0)
 
+    # A E_l g is the image column of g if its cell is <= l, else 0; and
+    # E_l A g = A g - sum_{k>l} P_k A g, built down from E_n = I (commutator 0)
     comm_dev = 0.0
     if len(cells):
-        for l in range(j, n + 1):
-            e = mart.measure.boundary_projection(l)
-            comm_dev = max(comm_dev, float(np.linalg.norm(a @ (e @ basis) - e @ image, axis=0).max()))
+        below = image.copy()
+        for l in range(n - 1, j - 1, -1):
+            below -= mart.measure.cells[l] @ image
+            comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max()))
 
     roundoff = float(4 * a.shape[0] * np.finfo(float).eps * np.linalg.norm(a))
     ok = norm_dev <= norm_rtol * ref + roundoff and comm_dev <= tol * ref + roundoff

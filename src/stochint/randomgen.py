@@ -18,6 +18,7 @@ from .operator_integral import (
     OperatorStepProcess,
     ProjectorMeasure,
     VectorMartingale,
+    future_increment_span,
 )
 from .symtensor import SymCoeffs
 
@@ -77,13 +78,9 @@ def random_measurable_process(
     dim = mart.dim
     n = mart.grid.n
     ops = []
+    cells, basis = mart._span_cells.tolist(), future_increment_span(mart, 0)
     for k in range(1, n + 1):
-        directions = []
-        for i in range(k, n + 1):
-            inc = mart.increment(i)
-            nv = np.linalg.norm(inc)
-            if nv >= DEGENERATE_TOL:
-                directions.append((i, inc / nv))
+        directions = [(i, q) for i, q in zip(cells, basis.T) if i >= k]
         a = np.zeros((dim, dim), dtype=complex)
         span = np.zeros((dim, dim), dtype=complex)
         if directions:

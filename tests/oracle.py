@@ -237,9 +237,10 @@ def measurability_deviations(a: np.ndarray, mart: VectorMartingale, j: int) -> t
         if basis_l.shape[1]:
             norms.append(float(np.linalg.norm(a @ basis_l, 2)))
     basis = future_increment_span(mart, j)
+    parts = np.array([mart.measure.atom, *mart.measure.cells])
     comm_dev = 0.0
     for l in range(j, n + 1):
-        e = mart.measure.boundary_projection(l)
+        e = parts[: l + 1].sum(axis=0)
         for g in basis.T:
             comm_dev = max(comm_dev, float(np.linalg.norm(a @ (e @ g) - e @ (a @ g))))
     return norms, max(norms, default=0.0) - min(norms, default=0.0), comm_dev

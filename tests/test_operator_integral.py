@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochint.bernoulli import BernoulliSpace, classical_realization
 from stochint.errors import MeasurabilityError, ShapeMismatchError
+from stochint.fock_ito import wick_operator_process
 from stochint.grid import uniform_grid
 from stochint.operator_integral import (
     OperatorStepProcess,
@@ -19,6 +21,7 @@ from stochint.operator_integral import (
 )
 from stochint.randomgen import (
     generator,
+    random_adapted_process,
     random_complex,
     random_grid,
     random_martingale,
@@ -46,6 +49,32 @@ def test_measure_invariants_enforced():
         ProjectorMeasure(G2, np.zeros((2, 2), complex), (p, p * 0))
     with pytest.raises(ValueError):  # not orthogonal
         ProjectorMeasure(G2, np.zeros((2, 2), complex), (p, p))
+
+
+def _three_measures() -> tuple[ProjectorMeasure, ...]:
+    """A random measure, a Fock realization's and a Bernoulli realization's."""
+    rng = generator(4800)
+    return (
+        random_martingale(rng, random_grid(rng, 4), 7).measure,
+        wick_operator_process(random_adapted_process(rng, random_grid(rng, 3), 3, 2)).measure,
+        classical_realization(BernoulliSpace(random_grid(rng, 3))).measure,
+    )
+
+
+def test_boundary_projection_is_the_running_sum_of_the_parts():
+    for measure in _three_measures():
+        running = measure.atom
+        assert np.array_equal(measure.boundary_projection(0), running)
+        for j, cell in enumerate(measure.cells, start=1):
+            running = running + cell
+            assert np.array_equal(measure.boundary_projection(j), running)
+
+
+def test_measure_stores_each_projection_once():
+    for measure in _three_measures():
+        values = vars(measure).values()
+        arrays = [a for v in values for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == (measure.grid.n + 1) * measure.dim**2 * 16
 
 
 def test_martingale_mass_splits():

@@ -1,6 +1,9 @@
 import pytest
 
-from stochint import suites
+from stochint import bernoulli, fock_ito, suites
+from stochint.errors import NotAdaptedError
+from stochint.fock import FockVector
+from stochint.symtensor import SymCoeffs
 
 
 def test_operator_suite_small():
@@ -72,3 +75,38 @@ def test_verify_all_has_thirty_checks():
     rep = suites.verify_all(cells=3, degree=2, trials=12, seed=3)
     assert rep.passed, [c.name for c in rep.failures()]
     assert len(rep.checks) >= 30
+
+
+def test_skorohod_check_compares_with_the_wick_route(monkeypatch):
+    original = fock_ito.ito_wick
+
+    def perturbed(proc):
+        out = original(proc)
+        comps = list(out.components)
+        vec = comps[1].vector.copy()
+        vec[0] += 1e-14
+        comps[1] = SymCoeffs(out.grid, 1, vec)
+        return FockVector(out.grid, tuple(comps))
+
+    monkeypatch.setattr(fock_ito, "ito_wick", perturbed)
+    rep = suites.verify_fock_ito_suite(cells=3, degree=2, trials=10, bridge_trials=0, seed=5)
+    checks = {c.name: c for c in rep.checks}
+    assert checks["skorohod_extends_ito_max_dev"].lhs > 0
+    assert checks["route_equivalence_max_dev"].lhs > 0
+
+
+def test_bernoulli_suite_counts_an_unpredictable_transport(monkeypatch):
+    original = bernoulli.chaos_integral_pair
+    calls = []
+
+    def flaky(proc, space):
+        calls.append(proc)
+        if len(calls) == 3:
+            raise NotAdaptedError(2)
+        return original(proc, space)
+
+    monkeypatch.setattr(bernoulli, "chaos_integral_pair", flaky)
+    rep = suites.verify_bernoulli_suite(cells=3, trials=6, seed=5)
+    checks = {c.name: c for c in rep.checks}
+    assert checks["transported_predictability_violations"].lhs == 1.0
+    assert [c.name for c in rep.failures()] == ["transported_predictability_violations"]
