@@ -168,8 +168,10 @@ def max_abs(x: RandomVariable) -> float:
     return float(np.abs(x.values).max(initial=0.0))
 
 
-def is_measurable_at(x: RandomVariable, k: int, tol: float = PREDICTABILITY_TOL) -> bool:
-    return max_abs(x - cond_expect(x, k)) <= tol
+def is_measurable_at(x: RandomVariable, k: int) -> bool:
+    """True when x is a function of the first k coordinates, up to
+    PREDICTABILITY_TOL pointwise."""
+    return max_abs(x - cond_expect(x, k)) <= PREDICTABILITY_TOL
 
 
 def discrete_ito(space: BernoulliSpace, integrands: Sequence[RandomVariable]) -> RandomVariable:
@@ -292,7 +294,7 @@ def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
             continue
         ranks = comp.stored()
         cells = symtensor.multisets(space.n, d)[ranks]
-        repeated = np.flatnonzero((cells[:, 1:] == cells[:, :-1]).any(axis=1)) if d > 1 else ()
+        repeated = np.flatnonzero(~symtensor.strict(space.n, d)[ranks])
         if len(repeated):
             raise NotRepresentableError(tuple(cells[repeated[0]].tolist()))
         w = (factorial(d) * comp.vector[ranks])[:, None]

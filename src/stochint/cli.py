@@ -14,8 +14,7 @@ import json
 import math
 import sys
 
-from . import montecarlo, suites
-from .grid import uniform_grid
+from . import suites
 from .reports import SuiteReport, render_json
 
 SUITES = suites.VERIFY_SUITES
@@ -132,16 +131,10 @@ def main(argv=None) -> int:
                 paths=args.paths,
                 seed=args.seed,
                 intensity=args.intensity,
+                csv=args.csv,
             )
         except ValueError as exc:  # arguments the ensemble generators refuse, or the size limit
             parser.error(str(exc))
-        if args.csv:
-            grid = uniform_grid(1.0, args.cells)
-            if args.model == "brownian":
-                ens = montecarlo.brownian_ensemble(grid, args.paths, args.seed)
-            else:
-                ens = montecarlo.poisson_ensemble(grid, args.paths, args.seed, intensity=args.intensity)
-            montecarlo.export_csv(ens, args.csv)
         return _emit(report, args.out)
 
     if args.command == "refine":

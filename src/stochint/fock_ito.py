@@ -183,7 +183,6 @@ class FockOperatorRealization:
 
     grid: TimeGrid
     truncation: int
-    basis: tuple[tuple[int, ...], ...]
     scales: np.ndarray
     measure: ProjectorMeasure
     martingale: VectorMartingale
@@ -191,7 +190,7 @@ class FockOperatorRealization:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.scales)
 
     def coords_to_vector(self, coords: np.ndarray) -> FockVector:
         sizes = [symtensor.size(self.grid.n, d) for d in range(self.truncation + 1)]
@@ -199,28 +198,29 @@ class FockOperatorRealization:
         return FockVector(self.grid, tuple(SymCoeffs(self.grid, d, v) for d, v in enumerate(parts)))
 
 
-def wick_operator_process(proc: FockStepProcess, truncation: int | None = None) -> FockOperatorRealization:
+def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
     """Materialize g -> value_k (Wick) g as matrices, plus the measure and vector.
 
-    Requires one degree of headroom: max nonzero degree of the process plus
-    one must fit inside the realization truncation.  Wick products above the
-    truncation are dropped (the matrices act on the truncated space).
+    The realization truncation is the process's own, proc.truncation, and
+    the coordinates follow :func:`fock_basis`.  Requires one degree of
+    headroom: max nonzero degree of the process plus one must fit inside
+    the truncation.  Wick products above the truncation are dropped (the
+    matrices act on the truncated space).
     """
     _require_adapted(proc)
     grid = proc.grid
-    n_trunc = proc.truncation if truncation is None else truncation
+    n_trunc = proc.truncation
     if proc.max_degree() + 1 > n_trunc:
         raise TruncationOverflowError(proc.max_degree() + 1)
 
-    # within a degree the basis is in rank order
-    basis = fock_basis(grid, n_trunc)
-    dim = len(basis)
+    # coordinates: the degrees one after another, each in rank order
     ranks = [np.arange(symtensor.size(grid.n, d)) for d in range(n_trunc + 1)]
     starts = np.cumsum([0] + [len(r) for r in ranks])
     degrees = np.repeat(np.arange(n_trunc + 1), [len(r) for r in ranks])
     scales = np.sqrt(
         np.concatenate([factorial(d) * symtensor.block_weights(grid, d, r) for d, r in enumerate(ranks)])
     )
+    dim = len(scales)
 
     # diagonal time projections: a multiset belongs to the increment of the
     # last cell it touches; the empty multiset is the atom at t = 0
@@ -248,4 +248,4 @@ def wick_operator_process(proc: FockStepProcess, truncation: int | None = None) 
         operators.append(mat)
     process = OperatorStepProcess(grid, tuple(operators))
 
-    return FockOperatorRealization(grid, n_trunc, basis, scales, measure, martingale, process)
+    return FockOperatorRealization(grid, n_trunc, scales, measure, martingale, process)

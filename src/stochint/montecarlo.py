@@ -92,10 +92,7 @@ class PathEnsemble:
     """Independent martingale increments, one row per path, one column per cell."""
 
     grid: TimeGrid
-    model: str
-    seed: int
     increments: np.ndarray
-    intensity: float | None = None
 
     @property
     def paths(self) -> int:
@@ -123,7 +120,7 @@ def brownian_ensemble(grid: TimeGrid, paths: int, seed: int) -> PathEnsemble:
         np.cos(c, out=c)
         r *= c
         np.multiply(r, scale, out=inc[rows])
-    return PathEnsemble(grid, "brownian", seed, inc)
+    return PathEnsemble(grid, inc)
 
 
 def poisson_ensemble(grid: TimeGrid, paths: int, seed: int, intensity: float = 1.0) -> PathEnsemble:
@@ -166,7 +163,7 @@ def poisson_ensemble(grid: TimeGrid, paths: int, seed: int, intensity: float = 1
             count += above
         count -= means
         count /= root
-    return PathEnsemble(grid, "poisson", seed, inc, intensity=intensity)
+    return PathEnsemble(grid, inc)
 
 
 def iterated_samples(coeffs: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
@@ -265,25 +262,21 @@ def hermite_reference(g: SymCoeffs, order: int, ensemble: PathEnsemble) -> np.nd
     gnorm = float(np.sqrt(sym_norm2(g)))
     if gnorm == 0.0:
         return np.zeros(ensemble.paths)
-    w = _wiener(g, ensemble).real
+    w = linear_samples(g, ensemble).real
     return gnorm ** order * hermite_polynomial(order, w / gnorm)
 
 
 def linear_samples(g: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
-    """Per-path value of W(g) = sum_c g_c dB_c for a degree-1 integrand."""
-    if g.degree != 1:
-        raise ValueError("need a degree-1 integrand")
-    return _wiener(g, ensemble)
-
-
-def _wiener(g: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
-    """W(g) = sum_c g_c dB_c per path, from one matrix product of the dense
-    real-over-imaginary (2 x cells) coefficients of g with the transposed
-    increments (a view, so no column is gathered).
+    """Per-path value of W(g) = sum_c g_c dB_c for a degree-1 integrand,
+    from one matrix product of the dense real-over-imaginary (2 x cells)
+    coefficients of g with the transposed increments (a view, so no column
+    is gathered).
 
     The orientation sets the last bits: below about 1e6 multiply-adds
     OpenBLAS picks its kernel by operand layout, and increments @ coef.T
     rounds differently on small ensembles."""
+    if g.degree != 1:
+        raise ValueError("need a degree-1 integrand")
     coef = np.stack([g.vector.real, g.vector.imag])
     w = coef @ ensemble.increments.T
     return w[0] + 1j * w[1]

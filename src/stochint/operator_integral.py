@@ -264,21 +264,15 @@ class MeasurabilityReport:
         return self.ok
 
 
-def check_measurable(
-    a: np.ndarray,
-    mart: VectorMartingale,
-    j: int,
-    tol: float = COMMUTE_TOL,
-    norm_rtol: float = NORM_RTOL,
-) -> MeasurabilityReport:
+def check_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> MeasurabilityReport:
     """Decide measurability of `a` at boundary j.
 
     Condition (i): the restricted norm over the future-increment span is the
-    same at every later boundary (relative tolerance `norm_rtol`; boundaries
+    same at every later boundary (relative tolerance NORM_RTOL; boundaries
     whose span is empty are skipped).  Condition (ii): for every basis vector
     g of the span at j and every boundary l >= j,
-    ||A E_l g - E_l A g|| <= tol * ref, where ref is the largest of those
-    restricted norms.  No E_l is formed: each increment lies in the range of
+    ||A E_l g - E_l A g|| <= COMMUTE_TOL * ref, where ref is the largest of
+    those restricted norms.  No E_l is formed: each increment lies in the range of
     its own cell's projection, and the parts sum to the identity.  Both
     deviations may also exceed their relative bound by 4 * dim * eps *
     ||A||_F, a round-off allowance for the products that form a commutator
@@ -315,7 +309,7 @@ def check_measurable(
             comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max()))
 
     roundoff = float(4 * a.shape[0] * np.finfo(float).eps * np.linalg.norm(a))
-    ok = norm_dev <= norm_rtol * ref + roundoff and comm_dev <= tol * ref + roundoff
+    ok = norm_dev <= NORM_RTOL * ref + roundoff and comm_dev <= COMMUTE_TOL * ref + roundoff
     return MeasurabilityReport(ok, j, norm_dev, comm_dev, tuple(norms))
 
 

@@ -11,6 +11,7 @@ depend on execution order.
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import chain, combinations
 
 import numpy as np
@@ -287,7 +288,7 @@ def verify_fock_ito_suite(
     # dense-matrix realization of Wick multiplication
     for t in range(bridge_trials):
         rng = generator(seed, _BRIDGE, t)
-        n = int(rng.integers(2, cells + 1))
+        n = int(rng.integers(2, max(2, cells) + 1))
         grid = random_grid(rng, n)
         max_deg = int(rng.integers(0, min(3, degree) + 1))
         proc = random_adapted_process(rng, grid, max_deg + 1, max_deg, off_diagonal=False)
@@ -375,15 +376,18 @@ def verify_bernoulli_suite(
                 nested = brn.cond_expect(ck, j)
                 cond_dev.observe(brn.max_abs(nested - brn.cond_expect(x, j)))
 
+    # one uniform sign space and realization per size, shared by every
+    # section below; the exhaustive and Gram sections need up to three cells
+    spaces = {n: brn.BernoulliSpace(uniform_grid(1.0, n)) for n in range(1, max(cells, 3) + 1)}
+    realizations = {n: brn.classical_realization(sp) for n, sp in spaces.items()}
+
     # exhaustive equivalence on the sign-product basis for small n
     for n in (1, 2, 3):
-        small = brn.BernoulliSpace(uniform_grid(1.0, n))
-        realization = brn.classical_realization(small)
         subsets = chain.from_iterable(combinations(range(1, n + 1), r) for r in range(n + 1))
         for cells_in_product in subsets:
-            f = small.walsh(cells_in_product)
+            f = spaces[n].walsh(cells_in_product)
             for k in range(n + 1):
-                verdicts = brn.measurability_equivalence(f, k, realization)
+                verdicts = brn.measurability_equivalence(f, k, realizations[n])
                 agreement_violations.count(not verdicts.agree)
                 if verdicts.classical:
                     for nu in verdicts.restricted_norms:
@@ -391,8 +395,6 @@ def verify_bernoulli_suite(
 
     # integrating a predictable family as multiplication operators agrees with
     # the plain increment sum
-    spaces = {n: brn.BernoulliSpace(uniform_grid(1.0, n)) for n in range(1, cells + 1)}
-    realizations = {n: brn.classical_realization(sp) for n, sp in spaces.items()}
     for t in range(trials):
         rng = generator(seed, _BERNOULLI, 1000 + t)
         n = int(rng.integers(1, cells + 1))
@@ -415,7 +417,7 @@ def verify_bernoulli_suite(
     # transport of the Ito integral through the chaos map
     for t in range(trials):
         rng = generator(seed, _BERNOULLI, 3000 + t)
-        n = int(rng.integers(2, cells + 1))
+        n = int(rng.integers(2, max(2, cells) + 1))
         sp = spaces[n]
         proc = random_adapted_process(rng, sp.grid, 3, 2, off_diagonal=True)
         # the discrete integral raises on an integrand that is not predictable
@@ -433,7 +435,7 @@ def verify_bernoulli_suite(
 
     # full chaos basis on three cells: gram matrix matches, dimensions count
     n = 3
-    sp = brn.BernoulliSpace(uniform_grid(1.0, n))
+    sp = spaces[n]
     multisets = list(chain.from_iterable(combinations(range(1, n + 1), d) for d in range(n + 1)))
     basis = [fock.basis_vector(sp.grid, ms) for ms in multisets]
     images = [brn.chaos_map(f, sp) for f in basis]
@@ -457,20 +459,28 @@ def mc_suite(
     paths: int = 100_000,
     seed: int = 0,
     intensity: float = 1.0,
+    csv: str | None = None,
 ) -> SuiteReport:
     """Statistical checks at four standard errors against closed-form
     references; the Gaussian model also checks the iterated-sum second
-    moments with an O(max cell length) discretization allowance."""
+    moments with an O(max cell length) discretization allowance.  With
+    `csv`, the ensemble the checks ran on is also written there
+    (:func:`montecarlo.export_csv`)."""
     started = time.perf_counter()
     grid = uniform_grid(1.0, cells)
     report = SuiteReport(f"mc-{model}", seed, f"uniform grid, cells={cells}, paths={paths}")
     max_len = max(grid.lengths)
 
     if model == "brownian":
-        ens = montecarlo.brownian_ensemble(grid, paths, seed)
-        again = montecarlo.brownian_ensemble(grid, paths, seed)
-        report.add(count_zero("ensemble_deterministic", int(not np.array_equal(ens.increments, again.increments))))
+        generate = partial(montecarlo.brownian_ensemble, grid, paths, seed)
+    elif model == "poisson":
+        generate = partial(montecarlo.poisson_ensemble, grid, paths, seed, intensity=intensity)
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    ens = generate()
+    report.add(count_zero("ensemble_deterministic", int(not np.array_equal(ens.increments, generate().increments))))
 
+    if model == "brownian":
         g = symtensor.ones(grid, 1)
         d1 = montecarlo.iterated_samples(g, ens).real - montecarlo.hermite_reference(g, 1, ens)
         report.add(equality("order1_reference_max_dev", float(np.abs(d1).max()), 0.0, 1e-12))
@@ -484,9 +494,7 @@ def mc_suite(
         # order 3 on the sub-grid of a prefix window keeps the coefficient
         # vector at C(window + 2, 3) entries, whatever the number of cells
         window = min(cells, 24)
-        head = montecarlo.PathEnsemble(
-            TimeGrid(grid.boundaries[: window + 1]), "brownian", seed, ens.increments[:, :window]
-        )
+        head = montecarlo.PathEnsemble(TimeGrid(grid.boundaries[: window + 1]), ens.increments[:, :window])
         g3 = symtensor.ones(head.grid, 1)
         cube = symtensor.ones(head.grid, 3)
         diff = montecarlo.iterated_samples(cube, head).real - montecarlo.hermite_reference(g3, 3, head)
@@ -508,11 +516,7 @@ def mc_suite(
         w2 = np.abs(montecarlo.linear_samples(g, ens)) ** 2
         mean, se = montecarlo.mean_and_stderr(w2)
         report.add(equality("linear_isometry", mean, symtensor.norm2(g), 4.0 * se))
-    elif model == "poisson":
-        ens = montecarlo.poisson_ensemble(grid, paths, seed, intensity=intensity)
-        again = montecarlo.poisson_ensemble(grid, paths, seed, intensity=intensity)
-        report.add(count_zero("ensemble_deterministic", int(not np.array_equal(ens.increments, again.increments))))
-
+    else:
         mean, se = montecarlo.mean_and_stderr(ens.increments.reshape(-1))
         report.add(equality("increment_mean", mean, 0.0, 4.0 * se))
 
@@ -524,9 +528,9 @@ def mc_suite(
         term = ens.terminal() ** 2
         mean, se = montecarlo.mean_and_stderr(term)
         report.add(equality("terminal_second_moment", mean, grid.horizon, 4.0 * se))
-    else:
-        raise ValueError(f"unknown model {model!r}")
 
+    if csv:
+        montecarlo.export_csv(ens, csv)
     return _finish(report, started)
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from stochint import montecarlo
 from stochint.cli import main
+from stochint.grid import uniform_grid
 from stochint.randomgen import generator, random_grid, random_martingale, random_measurable_process
 
 
@@ -155,6 +157,39 @@ def test_mc_csv_export(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "path,cell,increment"
     assert len(lines) == 1 + 50 * 4
+
+
+@pytest.mark.parametrize("model", ["brownian", "poisson"])
+def test_mc_csv_exports_the_ensemble_the_report_used(tmp_path, monkeypatch, model):
+    # two generator calls per run: the ensemble and its determinism check
+    calls = {"brownian": 0, "poisson": 0}
+
+    def counted(name):
+        original = getattr(montecarlo, f"{name}_ensemble")
+
+        def generate(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return generate
+
+    for name in calls:
+        monkeypatch.setattr(montecarlo, f"{name}_ensemble", counted(name))
+    csv_path, fresh = tmp_path / "paths.csv", tmp_path / "fresh.csv"
+    args = ["mc", "--model", model, "--cells", "5", "--paths", "300", "--seed", "9"]
+    assert run(args + ["--csv", str(csv_path), "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == {"brownian": 0, "poisson": 0, model: 2}
+    montecarlo.export_csv(getattr(montecarlo, f"{model}_ensemble")(uniform_grid(1.0, 5), 300, 9), fresh)
+    assert csv_path.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("suite", ["fock-ito", "bernoulli", "all"])
+def test_verify_runs_with_one_cell(tmp_path, suite):
+    # bridge and transport trials need two cells and draw 2-cell grids
+    out = tmp_path / "r.json"
+    assert run(["verify", suite, "--cells", "1", "--trials", "20", "--seed", "42", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert checks and all(c["pass"] for c in checks)
 
 
 def test_refine_report_table(tmp_path):

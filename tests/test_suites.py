@@ -110,3 +110,17 @@ def test_bernoulli_suite_counts_an_unpredictable_transport(monkeypatch):
     checks = {c.name: c for c in rep.checks}
     assert checks["transported_predictability_violations"].lhs == 1.0
     assert [c.name for c in rep.failures()] == ["transported_predictability_violations"]
+
+
+def test_bernoulli_suite_builds_one_realization_per_size(monkeypatch):
+    original = bernoulli.classical_realization
+    sizes = []
+
+    def counted(space):
+        sizes.append(space.n)
+        return original(space)
+
+    monkeypatch.setattr(bernoulli, "classical_realization", counted)
+    rep = suites.verify_bernoulli_suite(cells=4, trials=10, seed=5)
+    assert rep.passed, [c.name for c in rep.failures()]
+    assert sizes == [1, 2, 3, 4]
