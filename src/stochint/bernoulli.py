@@ -70,9 +70,7 @@ class BernoulliSpace:
 
     def xi(self, i: int) -> "RandomVariable":
         """The i-th sign coordinate, i = 1..n."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coordinate {i} out of range 1..{self.n}")
-        return RandomVariable(self, self._signs[i - 1].astype(complex))
+        return RandomVariable(self, self._signs[self.grid.check_cell(i) - 1].astype(complex))
 
     def walsh(self, cells: Sequence[int]) -> "RandomVariable":
         """Product of the listed distinct sign coordinates (empty = constant 1)."""
@@ -83,16 +81,12 @@ class BernoulliSpace:
 
     def increment(self, k: int) -> "RandomVariable":
         """Martingale increment over cell k: xi_k * sqrt(len_k) (read-only values)."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"cell index {k} out of range 1..{self.n}")
-        return RandomVariable(self, self._increments[k - 1])
+        return RandomVariable(self, self._increments[self.grid.check_cell(k) - 1])
 
     def walk_at(self, j: int) -> "RandomVariable":
         """The martingale at boundary j: sum of the first j increments."""
-        if not 0 <= j <= self.n:
-            raise ValueError(f"boundary index {j} out of range 0..{self.n}")
         vals = np.zeros(self.size, dtype=complex)
-        for k in range(1, j + 1):
+        for k in range(1, self.grid.check_boundary(j) + 1):
             vals = vals + self.increment(k).values
         return RandomVariable(self, vals)
 
@@ -154,9 +148,7 @@ def cond_expect(x: RandomVariable, k: int) -> RandomVariable:
     functions of the first k coordinates.  k = n is the identity, k = 0 the
     plain expectation."""
     n = x.space.n
-    if not 0 <= k <= n:
-        raise ValueError(f"filtration index {k} out of range 0..{n}")
-    if k == n:
+    if x.space.grid.check_boundary(k) == n:
         return RandomVariable(x.space, x.values.copy())
     # C-order reshape puts coordinate i on axis n-i, so coords k+1..n are axes 0..n-k-1
     tensor = x.values.reshape((2,) * n)
@@ -283,8 +275,7 @@ def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
     Only off-diagonal vectors (no repeated cells) are representable; the map
     is then an exact isometry onto L^2 for degrees <= n.
     """
-    if f.grid != space.grid:
-        raise ShapeMismatchError("Fock vector and sample space use different grids")
+    space.grid.check_same(f.grid)
     # one row per stored multiset, in degree then rank order, each the
     # running product d! * v * inc_{c_1} * inc_{c_2} ...; the sum down the
     # rows adds them one by one onto the degree-0 value

@@ -33,8 +33,7 @@ class FockVector:
         if not self.components:
             raise ValueError("need at least the degree-0 component")
         for d, comp in enumerate(self.components):
-            if comp.grid != self.grid:
-                raise ShapeMismatchError("component grid mismatch")
+            self.grid.check_same(comp.grid)
             if comp.degree != d:
                 raise ShapeMismatchError(f"component {d} has degree {comp.degree}")
 
@@ -53,8 +52,7 @@ class FockVector:
         return max((d for d, c in enumerate(self.components) if not c.is_zero()), default=-1)
 
     def __add__(self, other: "FockVector") -> "FockVector":
-        if other.grid != self.grid:
-            raise ShapeMismatchError("operands live on different grids")
+        self.grid.check_same(other.grid)
         top = max(self.truncation, other.truncation)
         return FockVector(self.grid, tuple(self.component(d) + other.component(d) for d in range(top + 1)))
 
@@ -106,16 +104,13 @@ def cell_increment(grid: TimeGrid, k: int) -> FockVector:
 
 def indicator_vector(grid: TimeGrid, upto: int | None = None) -> FockVector:
     """(0, indicator of [0, t_j], 0, ...) for a boundary index j (default n)."""
-    j = grid.n if upto is None else upto
-    if not 0 <= j <= grid.n:
-        raise ValueError(f"boundary index {j} out of range 0..{grid.n}")
+    j = grid.n if upto is None else grid.check_boundary(upto)
     return FockVector(grid, (symtensor.zero(grid, 0), SymCoeffs(grid, 1, np.arange(grid.n) < j)))
 
 
 def fock_inner(f: FockVector, g: FockVector) -> complex:
     """sum_d d! <f_d, g_d>; truncations may differ (missing degrees are zero)."""
-    if f.grid != g.grid:
-        raise ShapeMismatchError("operands live on different grids")
+    f.grid.check_same(g.grid)
     top = min(f.truncation, g.truncation)
     return sum(
         factorial(d) * symtensor.sym_inner(f.components[d], g.components[d]) for d in range(top + 1)
@@ -128,8 +123,7 @@ def norm2(f: FockVector) -> float:
 
 def entrywise_distance(f: FockVector, g: FockVector) -> float:
     """Largest coefficient difference across all degrees and multisets."""
-    if f.grid != g.grid:
-        raise ShapeMismatchError("operands live on different grids")
+    f.grid.check_same(g.grid)
     top = max(f.truncation, g.truncation)
     return max(symtensor.entrywise_distance(f.component(d), g.component(d)) for d in range(top + 1))
 
@@ -144,8 +138,7 @@ def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int |
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    if f.grid != g.grid:
-        raise ShapeMismatchError("operands live on different grids")
+    f.grid.check_same(g.grid)
     ft, gt = f.truncation, g.truncation
     out_trunc = max(ft, gt) if truncation is None else truncation
     comps = []
@@ -170,8 +163,7 @@ def resolution_project(f: FockVector, j: int) -> FockVector:
     are not piecewise constant on the grid, so refine instead.  j = n is the
     identity, j = 0 keeps only the degree-0 part.
     """
-    if not 0 <= j <= f.grid.n:
-        raise ValueError(f"boundary index {j} out of range 0..{f.grid.n}")
+    f.grid.check_boundary(j)
     comps = [f.components[0]]
     for d, comp in enumerate(f.components[1:], start=1):
         if comp.is_zero():

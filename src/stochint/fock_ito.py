@@ -43,8 +43,7 @@ class FockStepProcess:
         if len(self.values) != self.grid.n:
             raise ShapeMismatchError(f"expected {self.grid.n} cell values, got {len(self.values)}")
         for v in self.values:
-            if v.grid != self.grid:
-                raise ShapeMismatchError("cell value grid mismatch")
+            self.grid.check_same(v.grid)
         top = max(v.truncation for v in self.values)
         object.__setattr__(self, "values", tuple(v.pad(top) for v in self.values))
 
@@ -53,9 +52,7 @@ class FockStepProcess:
         return self.values[0].truncation
 
     def value(self, k: int) -> FockVector:
-        if not 1 <= k <= self.grid.n:
-            raise ValueError(f"cell index {k} out of range 1..{self.grid.n}")
-        return self.values[k - 1]
+        return self.values[self.grid.check_cell(k) - 1]
 
     def max_degree(self) -> int:
         return max(v.max_degree() for v in self.values)

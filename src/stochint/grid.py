@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnsupportedPointError
+from .errors import ShapeMismatchError, UnsupportedPointError
 
 #: marker returned by :func:`locate` for t == 0 (cell indices start at 1)
 ORIGIN = 0
@@ -48,17 +48,30 @@ class TimeGrid:
     def lengths(self) -> tuple[float, ...]:
         return tuple(t - s for s, t in zip(self.boundaries, self.boundaries[1:]))
 
-    def length(self, k: int) -> float:
-        """Length of cell k, 1-based."""
+    def check_cell(self, k: int) -> int:
+        """k itself, when it names a cell 1..n; raises ValueError otherwise."""
         if not 1 <= k <= self.n:
             raise ValueError(f"cell index {k} out of range 1..{self.n}")
-        return self.boundaries[k] - self.boundaries[k - 1]
+        return k
+
+    def check_boundary(self, j: int) -> int:
+        """j itself, when it names a boundary 0..n; raises ValueError otherwise."""
+        if not 0 <= j <= self.n:
+            raise ValueError(f"boundary index {j} out of range 0..{self.n}")
+        return j
+
+    def check_same(self, other: "TimeGrid") -> None:
+        """Raise ShapeMismatchError unless `other` is the same partition."""
+        if other is not self and other != self:
+            raise ShapeMismatchError("operands live on different grids")
+
+    def length(self, k: int) -> float:
+        """Length of cell k, 1-based."""
+        return self.boundaries[self.check_cell(k)] - self.boundaries[k - 1]
 
     def cell(self, k: int) -> tuple[float, float]:
         """Endpoints (t_{k-1}, t_k] of cell k."""
-        if not 1 <= k <= self.n:
-            raise ValueError(f"cell index {k} out of range 1..{self.n}")
-        return self.boundaries[k - 1], self.boundaries[k]
+        return self.boundaries[self.check_cell(k) - 1], self.boundaries[k]
 
     def to_json(self) -> list[float]:
         return list(self.boundaries)

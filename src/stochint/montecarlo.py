@@ -188,8 +188,7 @@ def iterated_samples(coeffs: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
     """
     from math import factorial
 
-    if coeffs.grid != ensemble.grid:
-        raise ValueError("coefficients and ensemble use different grids")
+    coeffs.grid.check_same(ensemble.grid)
     d = coeffs.degree
     fac = factorial(d)
     if d == 0:

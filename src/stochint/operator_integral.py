@@ -98,15 +98,11 @@ class ProjectorMeasure:
         return self.atom.shape[0]
 
     def cell_projection(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.grid.n:
-            raise ValueError(f"cell index {k} out of range 1..{self.grid.n}")
-        return self.cells[k - 1]
+        return self.cells[self.grid.check_cell(k) - 1]
 
     def boundary_projection(self, j: int) -> np.ndarray:
         """E at boundary j: atom plus the first j cell projections, summed per call."""
-        if not 0 <= j <= self.grid.n:
-            raise ValueError(f"boundary index {j} out of range 0..{self.grid.n}")
-        return sum(self.cells[:j], self.atom)
+        return sum(self.cells[: self.grid.check_boundary(j)], self.atom)
 
     def to_json(self) -> dict:
         return {
@@ -126,7 +122,11 @@ class ProjectorMeasure:
 
 @dataclass(frozen=True, eq=False)
 class VectorMartingale:
-    """A fixed vector transported by a projector measure: t -> E_t M."""
+    """A fixed vector transported by a projector measure: t -> E_t M.
+
+    ``span_cells`` (read-only, ascending) holds the cells whose increment is
+    not degenerate: the cells of the :func:`future_increment_span` columns.
+    """
 
     measure: ProjectorMeasure
     vector: np.ndarray
@@ -153,7 +153,7 @@ class VectorMartingale:
         for arr in (span, cells):
             arr.setflags(write=False)
         object.__setattr__(self, "_span", span)
-        object.__setattr__(self, "_span_cells", cells)
+        object.__setattr__(self, "span_cells", cells)
 
     @property
     def grid(self) -> TimeGrid:
@@ -165,9 +165,7 @@ class VectorMartingale:
 
     def increment(self, k: int) -> np.ndarray:
         """P_k M, the martingale increment over cell k."""
-        if not 1 <= k <= self.grid.n:
-            raise ValueError(f"cell index {k} out of range 1..{self.grid.n}")
-        return self._increments[k - 1]
+        return self._increments[self.grid.check_cell(k) - 1]
 
     def mu(self, k: int) -> float:
         """Scalar measure of cell k: squared norm of the increment."""
@@ -210,9 +208,7 @@ class OperatorStepProcess:
         return self.operators[0].shape[0]
 
     def operator(self, k: int) -> np.ndarray:
-        if not 1 <= k <= self.grid.n:
-            raise ValueError(f"cell index {k} out of range 1..{self.grid.n}")
-        return self.operators[k - 1]
+        return self.operators[self.grid.check_cell(k) - 1]
 
     def to_json(self) -> dict:
         return {
@@ -235,9 +231,8 @@ def future_increment_span(mart: VectorMartingale, j: int) -> np.ndarray:
     empty (dim x 0).  The result is a read-only view of the martingale's
     cached basis.
     """
-    if not 0 <= j <= mart.grid.n:
-        raise ValueError(f"boundary index {j} out of range 0..{mart.grid.n}")
-    return mart._span[:, np.searchsorted(mart._span_cells, j, side="right") :]
+    mart.grid.check_boundary(j)
+    return mart._span[:, np.searchsorted(mart.span_cells, j, side="right") :]
 
 
 def restricted_norm(a: np.ndarray, basis: np.ndarray) -> float:
@@ -283,13 +278,11 @@ def check_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> Measurabi
     """
     a = _as_matrix(a, mart.dim)
     n = mart.grid.n
-    if not 0 <= j <= n:
-        raise ValueError(f"boundary index {j} out of range 0..{n}")
-    if j == n:
+    if mart.grid.check_boundary(j) == n:
         return MeasurabilityReport(True, j, 0.0, 0.0, ())
 
-    start = np.searchsorted(mart._span_cells, j, side="right")
-    basis, cells = mart._span[:, start:], mart._span_cells[start:]
+    start = np.searchsorted(mart.span_cells, j, side="right")
+    basis, cells = mart._span[:, start:], mart.span_cells[start:]
     image = a @ basis
     # one row per boundary l in j..n-1 with a nonempty span: the columns of
     # basis that span the increments after l
@@ -317,8 +310,7 @@ def stochastic_integral(
     proc: OperatorStepProcess, mart: VectorMartingale, enforce: bool = True
 ) -> np.ndarray:
     """sum_k A_k (P_k M).  With `enforce`, every A_k must be measurable at k-1."""
-    if proc.grid != mart.grid:
-        raise ShapeMismatchError("process and martingale live on different grids")
+    mart.grid.check_same(proc.grid)
     if proc.dim != mart.dim:
         raise ShapeMismatchError("process dimension does not match the martingale")
     out = np.zeros(mart.dim, dtype=complex)
@@ -334,8 +326,7 @@ def stochastic_integral(
 
 def process_quasinorm(proc: OperatorStepProcess, mart: VectorMartingale) -> float:
     """sqrt(sum_k ||A_k||_{restricted at k-1}^2 * mu(cell k))."""
-    if proc.grid != mart.grid:
-        raise ShapeMismatchError("process and martingale live on different grids")
+    mart.grid.check_same(proc.grid)
     acc = 0.0
     for k in range(1, mart.grid.n + 1):
         basis = future_increment_span(mart, k - 1)

@@ -78,7 +78,7 @@ def random_measurable_process(
     dim = mart.dim
     n = mart.grid.n
     ops = []
-    cells, basis = mart._span_cells.tolist(), future_increment_span(mart, 0)
+    cells, basis = mart.span_cells.tolist(), future_increment_span(mart, 0)
     for k in range(1, n + 1):
         directions = [(i, q) for i, q in zip(cells, basis.T) if i >= k]
         a = np.zeros((dim, dim), dtype=complex)

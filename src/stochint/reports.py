@@ -3,8 +3,8 @@
 A report is a flat list of named checks, each either an equality check
 (|lhs - rhs| <= tolerance) or a bound check (lhs <= rhs + tolerance).  The
 JSON rendering is deterministic: fixed key order, floats printed with 17
-significant digits, no timestamps.  Wall time is kept on the in-memory object
-only, so identical (seed, flags) produce identical report bytes.
+significant digits, no timestamps or wall times, so identical (seed, flags)
+produce identical report bytes.
 """
 
 from __future__ import annotations
@@ -103,7 +103,6 @@ class SuiteReport:
     checks: list[CheckResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     table: list[dict] | None = None
-    wall_time_s: float | None = None
 
     def add(self, check: CheckResult) -> CheckResult:
         self.checks.append(check)

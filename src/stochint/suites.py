@@ -10,7 +10,6 @@ depend on execution order.
 
 from __future__ import annotations
 
-import time
 from functools import partial
 from itertools import chain, combinations
 
@@ -70,11 +69,6 @@ def _tolerances(overrides: dict | None) -> dict:
     return {**DEFAULT_TOLERANCES, **(overrides or {})}
 
 
-def _finish(report: SuiteReport, started: float) -> SuiteReport:
-    report.wall_time_s = time.perf_counter() - started
-    return report
-
-
 # --------------------------------------------------------------------------
 # operator-integral suite ("hstoch")
 # --------------------------------------------------------------------------
@@ -89,7 +83,6 @@ def verify_operator_suite(
     tolerances: dict | None = None,
 ) -> SuiteReport:
     """Norm bound, linearity, measurability and transport on random data."""
-    started = time.perf_counter()
     report = SuiteReport(
         "hstoch", seed, f"random grids, cells<={cells}, dim<={dim}, trials={trials}"
     )
@@ -141,7 +134,7 @@ def verify_operator_suite(
             span = future_increment_span(mart, 0)
             if span.shape[1] >= 2:
                 bad = np.outer(span[:, 0], span[:, -1].conj())
-                negative_misses.count(check_measurable(bad, mart, int(mart._span_cells[-1]) - 1))
+                negative_misses.count(check_measurable(bad, mart, int(mart.span_cells[-1]) - 1))
             identity = OperatorStepProcess(grid, tuple(np.eye(d) for _ in range(n)))
             tele = stochastic_integral(identity, mart, enforce=False)
             expected = mart.vector - mart.measure.atom @ mart.vector
@@ -157,7 +150,7 @@ def verify_operator_suite(
         transport_dev.observe(float(np.linalg.norm(left - right)))
 
     tracker.emit(report)
-    return _finish(report, started)
+    return report
 
 
 def verify_input_file(data: dict, tolerances: dict | None = None) -> list[CheckResult]:
@@ -196,7 +189,6 @@ def verify_fock_ito_suite(
 ) -> SuiteReport:
     """Two-route equality, isometry, Skorohod extension, Wick algebra,
     projection family, and the operator realization of Wick multiplication."""
-    started = time.perf_counter()
     report = SuiteReport(
         "fock-ito",
         seed,
@@ -323,7 +315,7 @@ def verify_fock_ito_suite(
     report.notes.append(
         "operator matrices use the drop policy above the realization truncation"
     )
-    return _finish(report, started)
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -339,7 +331,6 @@ def verify_bernoulli_suite(
 ) -> SuiteReport:
     """Exact identities on the sign space: martingale structure, the
     measurability equivalence, both integral transports, and the chaos map."""
-    started = time.perf_counter()
     report = SuiteReport("bernoulli", seed, f"sign spaces, cells<={cells}, trials={trials}")
     tracker = Tracker(_tolerances(tolerances))
     mart_mean = tracker.eq("martingale_mean_max", "martingale_exact")
@@ -445,12 +436,24 @@ def verify_bernoulli_suite(
 
     tracker.emit(report)
     report.add(equality("chaos_dimension_count", float(len(multisets)), float(sp.size), 0.0))
-    return _finish(report, started)
+    return report
 
 
 # --------------------------------------------------------------------------
 # Monte Carlo suite ("mc")
 # --------------------------------------------------------------------------
+
+
+def _mean_check(report: SuiteReport, name: str, samples: np.ndarray, target: float, allowance: float = 0.0) -> None:
+    """Add the check that the sample mean is within four standard errors,
+    plus `allowance`, of `target`.  Samples that are all equal have no
+    spread to judge by, so one that misses its target raises ValueError (a
+    usage error) instead of failing the check."""
+    mean, se = montecarlo.mean_and_stderr(samples)
+    check = equality(name, mean, target, 4.0 * se + allowance)
+    if not check.passed and np.ptp(samples) == 0:
+        raise ValueError(f"{name}: all {len(samples)} samples are equal, so their standard error cannot judge the check")
+    report.add(check)
 
 
 def mc_suite(
@@ -466,7 +469,6 @@ def mc_suite(
     moments with an O(max cell length) discretization allowance.  With
     `csv`, the ensemble the checks ran on is also written there
     (:func:`montecarlo.export_csv`)."""
-    started = time.perf_counter()
     grid = uniform_grid(1.0, cells)
     report = SuiteReport(f"mc-{model}", seed, f"uniform grid, cells={cells}, paths={paths}")
     max_len = max(grid.lengths)
@@ -479,17 +481,16 @@ def mc_suite(
         raise ValueError(f"unknown model {model!r}")
     ens = generate()
     report.add(count_zero("ensemble_deterministic", int(not np.array_equal(ens.increments, generate().increments))))
+    g = symtensor.ones(grid, 1)
+    w2 = np.abs(montecarlo.linear_samples(g, ens)) ** 2
 
     if model == "brownian":
-        g = symtensor.ones(grid, 1)
         d1 = montecarlo.iterated_samples(g, ens).real - montecarlo.hermite_reference(g, 1, ens)
         report.add(equality("order1_reference_max_dev", float(np.abs(d1).max()), 0.0, 1e-12))
 
         square = symtensor.ones(grid, 2)  # the symmetric square of g
         square_samples = montecarlo.iterated_samples(square, ens).real
-        diff = square_samples - montecarlo.hermite_reference(g, 2, ens)
-        mean, se = montecarlo.mean_and_stderr(diff)
-        report.add(equality("order2_mean_diff", mean, 0.0, 4.0 * se))
+        _mean_check(report, "order2_mean_diff", square_samples - montecarlo.hermite_reference(g, 2, ens), 0.0)
 
         # order 3 on the sub-grid of a prefix window keeps the coefficient
         # vector at C(window + 2, 3) entries, whatever the number of cells
@@ -498,40 +499,26 @@ def mc_suite(
         g3 = symtensor.ones(head.grid, 1)
         cube = symtensor.ones(head.grid, 3)
         diff = montecarlo.iterated_samples(cube, head).real - montecarlo.hermite_reference(g3, 3, head)
-        mean, se = montecarlo.mean_and_stderr(diff)
-        report.add(equality("order3_mean_diff", mean, 0.0, 4.0 * se))
+        _mean_check(report, "order3_mean_diff", diff, 0.0)
 
-        samples = square_samples**2
         target = 2.0 * symtensor.norm2(square)
-        mean, se = montecarlo.mean_and_stderr(samples)
-        report.add(equality("power_second_moment", mean, target, 4.0 * se + 4.0 * max_len * target))
+        _mean_check(report, "power_second_moment", square_samples**2, target, 4.0 * max_len * target)
 
         rng = generator(seed, _MC, 0)
         f2 = random_sym_coeffs(rng, grid, 2, strict=True, entries=6)
         samples = np.abs(montecarlo.iterated_samples(f2, ens)) ** 2
         target = 2.0 * symtensor.norm2(f2)
-        mean, se = montecarlo.mean_and_stderr(samples)
-        report.add(equality("offdiagonal_second_moment", mean, target, 4.0 * se + 4.0 * max_len * target))
+        _mean_check(report, "offdiagonal_second_moment", samples, target, 4.0 * max_len * target)
 
-        w2 = np.abs(montecarlo.linear_samples(g, ens)) ** 2
-        mean, se = montecarlo.mean_and_stderr(w2)
-        report.add(equality("linear_isometry", mean, symtensor.norm2(g), 4.0 * se))
+        _mean_check(report, "linear_isometry", w2, symtensor.norm2(g))
     else:
-        mean, se = montecarlo.mean_and_stderr(ens.increments.reshape(-1))
-        report.add(equality("increment_mean", mean, 0.0, 4.0 * se))
-
-        g = symtensor.ones(grid, 1)
-        w2 = np.abs(montecarlo.linear_samples(g, ens)) ** 2
-        mean, se = montecarlo.mean_and_stderr(w2)
-        report.add(equality("linear_isometry", mean, symtensor.norm2(g), 4.0 * se))
-
-        term = ens.terminal() ** 2
-        mean, se = montecarlo.mean_and_stderr(term)
-        report.add(equality("terminal_second_moment", mean, grid.horizon, 4.0 * se))
+        _mean_check(report, "increment_mean", ens.increments.reshape(-1), 0.0)
+        _mean_check(report, "linear_isometry", w2, symtensor.norm2(g))
+        _mean_check(report, "terminal_second_moment", ens.terminal() ** 2, grid.horizon)
 
     if csv:
         montecarlo.export_csv(ens, csv)
-    return _finish(report, started)
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -544,7 +531,6 @@ def refinement_study(start_cells: int = 2, levels: int = 6, seed: int = 0) -> Su
     target) on doubling grids.  The squared-norm defect against the limit
     value T^2/2 is an explicit left-Riemann-sum error: positive, monotone,
     and halving per refinement."""
-    started = time.perf_counter()
     report = SuiteReport("refine", seed, f"uniform grids, cells {start_cells}..{start_cells * 2 ** (levels - 1)}")
     limit = 0.5  # T = 1
 
@@ -593,7 +579,7 @@ def refinement_study(start_cells: int = 2, levels: int = 6, seed: int = 0) -> Su
         )
         sratios = [a / b for a, b in zip(step_diffs, step_diffs[1:])]
         report.add(count_zero("step_diff_rate_violations", sum(1 for r in sratios if not 1.0 <= r <= 4.0)))
-    return _finish(report, started)
+    return report
 
 
 def verify(
@@ -630,7 +616,5 @@ def verify_all(
     tolerances: dict | None = None,
 ) -> SuiteReport:
     """Run the three verification suites and flatten them into one report."""
-    started = time.perf_counter()
     parts = [verify(suite, cells, degree, trials, seed, tolerances) for suite in VERIFY_SUITES[:-1]]
-    merged = merge_reports("all", seed, f"cells<={cells}, degree<={degree}, trials={trials}", parts)
-    return _finish(merged, started)
+    return merge_reports("all", seed, f"cells<={cells}, degree<={degree}, trials={trials}", parts)

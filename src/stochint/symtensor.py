@@ -241,9 +241,7 @@ def scalar(grid: TimeGrid, value: complex) -> SymCoeffs:
 
 def cell_indicator(grid: TimeGrid, k: int) -> SymCoeffs:
     """Degree-1 indicator of cell k."""
-    if not 1 <= k <= grid.n:
-        raise ValueError(f"cell index {k} out of range 1..{grid.n}")
-    return SymCoeffs(grid, 1, np.arange(grid.n) == k - 1)
+    return SymCoeffs(grid, 1, np.arange(grid.n) == grid.check_cell(k) - 1)
 
 
 def ones(grid: TimeGrid, degree: int) -> SymCoeffs:
@@ -265,8 +263,7 @@ def block_weight(grid: TimeGrid, multiset: Multiset) -> float:
 
 
 def _check_pair(f: SymCoeffs, g: SymCoeffs, same_degree: bool):
-    if f.grid != g.grid:
-        raise ShapeMismatchError("operands live on different grids")
+    f.grid.check_same(g.grid)
     if same_degree and f.degree != g.degree:
         raise ShapeMismatchError(f"degree mismatch: {f.degree} vs {g.degree}")
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ def test_verify_all_passes_and_writes_report(tmp_path, capsys):
     assert all(c["pass"] for c in obj["checks"])
     err = capsys.readouterr().err
     assert "PASS" in err
+    # the CLI times the suite call it makes
+    assert re.fullmatch(r"all: PASS in \d+\.\d{3}s", err.strip().splitlines()[0])
 
 
 def test_verify_stdout_when_no_out(capsys):
@@ -88,6 +91,25 @@ def test_mc_poisson_mean_that_underflows_is_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines()[-1].startswith("stochint: error: per-cell Poisson mean")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--model", "poisson", "--cells", "1", "--intensity", "0.001", "--paths", "1000", "--seed", "3"],
+        ["mc", "--model", "poisson", "--cells", "1", "--paths", "2", "--seed", "1"],
+    ],
+)
+def test_mc_degenerate_sample_is_usage_error(argv, capsys):
+    # every sample is equal, so four standard errors of round-off cannot
+    # judge the check: a usage error, not a failed identity
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert re.fullmatch(r"stochint: error: \w+: all \d+ samples are equal, .*", captured.err.strip().splitlines()[-1])
 
 
 def test_refine_usage_errors_exit_2():
