@@ -195,7 +195,6 @@ class ClassicalRealization:
     """
 
     space: BernoulliSpace
-    measure: ProjectorMeasure
     martingale: VectorMartingale
     scale: float
 
@@ -221,10 +220,9 @@ def classical_realization(space: BernoulliSpace) -> ClassicalRealization:
         cond_mats.append(np.kron(np.full((m, m), 1.0 / m), np.eye(1 << k)).astype(complex))
     atom = cond_mats[0]
     cells = tuple(cond_mats[k] - cond_mats[k - 1] for k in range(1, n + 1))
-    measure = ProjectorMeasure(space.grid, atom, cells)
     scale = 1.0 / np.sqrt(size)
-    martingale = VectorMartingale(measure, space.walk_at(n).values * scale)
-    return ClassicalRealization(space, measure, martingale, scale)
+    martingale = VectorMartingale(ProjectorMeasure(space.grid, atom, cells), space.walk_at(n).values * scale)
+    return ClassicalRealization(space, martingale, scale)
 
 
 @dataclass(frozen=True)

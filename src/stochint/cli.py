@@ -137,11 +137,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report = run()
-    except ValueError as exc:  # a size limit, an argument an ensemble refuses, or a degenerate sample
+        seconds = time.perf_counter() - started
+        report.checks += input_checks
+        return _emit(report, args.out, seconds)
+    except (ValueError, OSError) as exc:  # size limits, refused arguments, degenerate samples, unwritable output paths
         parser.error(str(exc))
-    seconds = time.perf_counter() - started
-    report.checks += input_checks
-    return _emit(report, args.out, seconds)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from .errors import NotAdaptedError, ShapeMismatchError, TruncationOverflowError
 from .grid import TimeGrid
 from . import fock, symtensor
 from .fock import FockVector
-from .operator_integral import OperatorStepProcess, ProjectorMeasure, VectorMartingale
+from .operator_integral import LabelMeasure, OperatorStepProcess, VectorMartingale
 from .symtensor import SymCoeffs
 
 
@@ -174,14 +174,13 @@ class FockOperatorRealization:
 
     Coordinates are taken in the orthonormalized multiset basis (each
     indicator scaled by sqrt(d! * block weight)), so plain numpy inner
-    products agree with the Fock inner product and the time projections
-    become diagonal 0/1 matrices.
+    products agree with the Fock inner product and each time projection
+    keeps a set of coordinates: the martingale's measure is a LabelMeasure.
     """
 
     grid: TimeGrid
     truncation: int
     scales: np.ndarray
-    measure: ProjectorMeasure
     martingale: VectorMartingale
     process: OperatorStepProcess
 
@@ -196,37 +195,39 @@ class FockOperatorRealization:
 
 
 def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
-    """Materialize g -> value_k (Wick) g as matrices, plus the measure and vector.
+    """Materialize g -> value_k (Wick) g as matrices, plus the martingale.
 
     The realization truncation is the process's own, proc.truncation, and
     the coordinates follow :func:`fock_basis`.  Requires one degree of
     headroom: max nonzero degree of the process plus one must fit inside
     the truncation.  Wick products above the truncation are dropped (the
-    matrices act on the truncated space).
+    matrices act on the truncated space).  An operator matrix past
+    symtensor.MAX_ENTRIES entries raises ValueError before any allocation.
     """
     _require_adapted(proc)
     grid = proc.grid
     n_trunc = proc.truncation
     if proc.max_degree() + 1 > n_trunc:
         raise TruncationOverflowError(proc.max_degree() + 1)
+    sizes = [symtensor.size(grid.n, d) for d in range(n_trunc + 1)]
+    dim = sum(sizes)
+    if dim * dim > symtensor.MAX_ENTRIES:
+        message = f"a Wick operator matrix on {grid.n} cells at truncation {n_trunc} has {dim}^2 entries"
+        raise ValueError(f"{message}, over the limit {symtensor.MAX_ENTRIES}")
 
     # coordinates: the degrees one after another, each in rank order
-    ranks = [np.arange(symtensor.size(grid.n, d)) for d in range(n_trunc + 1)]
-    starts = np.cumsum([0] + [len(r) for r in ranks])
-    degrees = np.repeat(np.arange(n_trunc + 1), [len(r) for r in ranks])
+    ranks = [np.arange(size) for size in sizes]
+    starts = np.cumsum([0] + sizes)
+    degrees = np.repeat(np.arange(n_trunc + 1), sizes)
     scales = np.sqrt(
         np.concatenate([factorial(d) * symtensor.block_weights(grid, d, r) for d, r in enumerate(ranks)])
     )
-    dim = len(scales)
 
-    # diagonal time projections: a multiset belongs to the increment of the
-    # last cell it touches; the empty multiset is the atom at t = 0
+    # time projections: a multiset belongs to the increment of the last cell
+    # it touches; the empty multiset is the atom at t = 0
     last = np.concatenate([[0]] + [symtensor.multisets(grid.n, d)[:, -1] for d in range(1, n_trunc + 1)])
-    atom = np.diag(last == 0).astype(complex)
-    cells = tuple(np.diag(last == k).astype(complex) for k in range(1, grid.n + 1))
-    measure = ProjectorMeasure(grid, atom, cells, validate=False)
     # the indicator of [0, T] is 1 on every degree-1 multiset
-    martingale = VectorMartingale(measure, np.where(degrees == 1, scales, 0.0).astype(complex))
+    martingale = VectorMartingale(LabelMeasure(grid, last), np.where(degrees == 1, scales, 0.0).astype(complex))
 
     # column b of degree q holds the Wick product of value_k with the basis
     # indicator of the multiset of rank b, dropped above the truncation:
@@ -245,4 +246,4 @@ def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
         operators.append(mat)
     process = OperatorStepProcess(grid, tuple(operators))
 
-    return FockOperatorRealization(grid, n_trunc, scales, measure, martingale, process)
+    return FockOperatorRealization(grid, n_trunc, scales, martingale, process)

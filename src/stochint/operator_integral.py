@@ -25,7 +25,7 @@ measurable at the *left* boundary k-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class ProjectorMeasure:
     grid: TimeGrid
     atom: np.ndarray
     cells: tuple[np.ndarray, ...]
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         atom = _as_matrix(self.atom)
@@ -75,8 +74,7 @@ class ProjectorMeasure:
         object.__setattr__(self, "cells", cells)
         if len(cells) != self.grid.n:
             raise ShapeMismatchError(f"expected {self.grid.n} cell projections, got {len(cells)}")
-        if self.validate:
-            self._check_projections()
+        self._check_projections()
 
     def _check_projections(self):
         parts = (self.atom,) + self.cells
@@ -97,8 +95,9 @@ class ProjectorMeasure:
     def dim(self) -> int:
         return self.atom.shape[0]
 
-    def cell_projection(self, k: int) -> np.ndarray:
-        return self.cells[self.grid.check_cell(k) - 1]
+    def project(self, k: int, x: np.ndarray) -> np.ndarray:
+        """P_k x for a vector or a block of columns."""
+        return self.cells[self.grid.check_cell(k) - 1] @ x
 
     def boundary_projection(self, j: int) -> np.ndarray:
         """E at boundary j: atom plus the first j cell projections, summed per call."""
@@ -121,6 +120,24 @@ class ProjectorMeasure:
 
 
 @dataclass(frozen=True, eq=False)
+class LabelMeasure:
+    """Step measure whose parts are coordinate projections: coordinate i lies
+    in part labels[i], 0 for the atom and k for cell k, so P_k is a row mask."""
+
+    grid: TimeGrid
+    labels: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
+
+    def project(self, k: int, x: np.ndarray) -> np.ndarray:
+        """P_k x for a vector or a block of columns."""
+        mask = self.labels == self.grid.check_cell(k)
+        return np.where(mask.reshape((-1,) + (1,) * (np.ndim(x) - 1)), x, 0)
+
+
+@dataclass(frozen=True, eq=False)
 class VectorMartingale:
     """A fixed vector transported by a projector measure: t -> E_t M.
 
@@ -128,7 +145,7 @@ class VectorMartingale:
     not degenerate: the cells of the :func:`future_increment_span` columns.
     """
 
-    measure: ProjectorMeasure
+    measure: ProjectorMeasure | LabelMeasure
     vector: np.ndarray
 
     def __post_init__(self):
@@ -138,7 +155,7 @@ class VectorMartingale:
         if np.linalg.norm(v) == 0.0:
             raise ValueError("the martingale vector must be nonzero")
         object.__setattr__(self, "vector", v)
-        incs = tuple(p @ v for p in self.measure.cells)
+        incs = tuple(self.measure.project(k, v) for k in range(1, self.grid.n + 1))
         object.__setattr__(self, "_increments", incs)
         # the normalized non-degenerate increments as columns, and their
         # cells; future_increment_span hands out read-only column suffixes
@@ -298,7 +315,7 @@ def check_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> Measurabi
     if len(cells):
         below = image.copy()
         for l in range(n - 1, j - 1, -1):
-            below -= mart.measure.cells[l] @ image
+            below -= mart.measure.project(l + 1, image)
             comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max()))
 
     roundoff = float(4 * a.shape[0] * np.finfo(float).eps * np.linalg.norm(a))

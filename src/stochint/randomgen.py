@@ -92,7 +92,7 @@ def random_measurable_process(
                 if scalar_action:
                     a += c * np.outer(q, q.conj())
                 else:
-                    w = mart.measure.cell_projection(i) @ random_complex(rng, dim)
+                    w = mart.measure.project(i, random_complex(rng, dim))
                     nw = np.linalg.norm(w)
                     if nw < DEGENERATE_TOL:
                         w = q

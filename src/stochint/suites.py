@@ -447,13 +447,16 @@ def verify_bernoulli_suite(
 def _mean_check(report: SuiteReport, name: str, samples: np.ndarray, target: float, allowance: float = 0.0) -> None:
     """Add the check that the sample mean is within four standard errors,
     plus `allowance`, of `target`.  Samples that are all equal have no
-    spread to judge by, so one that misses its target raises ValueError (a
-    usage error) instead of failing the check."""
+    spread to judge by: a check on them that would pass is left out with a
+    note, one that would fail raises ValueError (a usage error)."""
     mean, se = montecarlo.mean_and_stderr(samples)
     check = equality(name, mean, target, 4.0 * se + allowance)
-    if not check.passed and np.ptp(samples) == 0:
+    if np.ptp(samples) != 0:
+        report.add(check)
+    elif check.passed:
+        report.notes.append(f"{name}: all {len(samples)} samples are equal, so the check was not run")
+    else:
         raise ValueError(f"{name}: all {len(samples)} samples are equal, so their standard error cannot judge the check")
-    report.add(check)
 
 
 def mc_suite(

@@ -21,7 +21,7 @@ from stochint.errors import TruncationOverflowError
 from stochint.fock import FockVector, cell_increment
 from stochint.fock_ito import FockStepProcess
 from stochint.grid import TimeGrid
-from stochint.operator_integral import COMMUTE_TOL, DEGENERATE_TOL, NORM_RTOL, VectorMartingale
+from stochint.operator_integral import COMMUTE_TOL, DEGENERATE_TOL, NORM_RTOL, LabelMeasure, VectorMartingale
 from stochint.symtensor import SymCoeffs, zero
 
 
@@ -228,6 +228,14 @@ def future_increment_span(mart: VectorMartingale, j: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def dense_parts(measure) -> np.ndarray:
+    """P_0..P_n as dense matrices; a label measure's are the 0/1 diagonals
+    of its labels, built here rather than through its ``project``."""
+    if isinstance(measure, LabelMeasure):
+        return np.array([np.diag(measure.labels == k).astype(complex) for k in range(measure.grid.n + 1)])
+    return np.array([measure.atom, *measure.cells])
+
+
 def measurability_deviations(a: np.ndarray, mart: VectorMartingale, j: int) -> tuple[list, float, float]:
     """(restricted norms, norm deviation, commutator deviation) at boundary j < n."""
     n = mart.grid.n
@@ -237,7 +245,7 @@ def measurability_deviations(a: np.ndarray, mart: VectorMartingale, j: int) -> t
         if basis_l.shape[1]:
             norms.append(float(np.linalg.norm(a @ basis_l, 2)))
     basis = future_increment_span(mart, j)
-    parts = np.array([mart.measure.atom, *mart.measure.cells])
+    parts = dense_parts(mart.measure)
     comm_dev = 0.0
     for l in range(j, n + 1):
         e = parts[: l + 1].sum(axis=0)

@@ -136,9 +136,9 @@ def test_classical_realization_matches_column_by_column_construction():
         sp = BernoulliSpace(random_grid(generator(62, n), n))
         real = classical_realization(sp)
         cond = oracle.classical_conditional_expectations(sp)
-        assert np.array_equal(real.measure.atom, cond[0])
+        assert np.array_equal(real.martingale.measure.atom, cond[0])
         for k in range(1, n + 1):
-            assert np.array_equal(real.measure.cell_projection(k), cond[k] - cond[k - 1])
+            assert np.array_equal(real.martingale.measure.cells[k - 1], cond[k] - cond[k - 1])
 
 
 def test_measurability_equivalence_examples():

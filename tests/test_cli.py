@@ -112,6 +112,48 @@ def test_mc_degenerate_sample_is_usage_error(argv, capsys):
     assert re.fullmatch(r"stochint: error: \w+: all \d+ samples are equal, .*", captured.err.strip().splitlines()[-1])
 
 
+def test_mc_sample_without_spread_is_noted_not_passed(capsys):
+    # on one cell the strict square and the strict off-diagonal function
+    # vanish, so both second-moment samples are all zeros
+    assert run(["mc", "--cells", "1", "--paths", "200", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    names = {c["name"] for c in report["checks"]}
+    assert not names & {"power_second_moment", "offdiagonal_second_moment"}
+    assert {"order2_mean_diff", "linear_isometry"} <= names
+    for name in ("power_second_moment", "offdiagonal_second_moment"):
+        assert f"{name}: all 200 samples are equal, so the check was not run" in report["notes"]
+
+
+def test_wick_bridge_past_the_size_limit_is_usage_error(capsys):
+    # the first bridge trial draws 13 cells at truncation 4
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "fock-ito", "--cells", "13", "--trials", "1", "--seed", "9"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1].startswith("stochint: error: a Wick operator matrix on 13 cells")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "hstoch", "--trials", "2", "--seed", "1"], "--out"),
+        (["mc", "--cells", "2", "--paths", "10", "--seed", "1"], "--csv"),
+    ],
+)
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, argv, flag):
+    path = tmp_path / "missing" / "r.out"
+    with pytest.raises(SystemExit) as err:
+        run(argv + [flag, str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    message = captured.err.strip().splitlines()[-1]
+    assert message.startswith("stochint: error: ") and str(path) in message
+
+
 def test_refine_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["refine", "--levels", "1"])

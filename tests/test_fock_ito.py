@@ -209,6 +209,15 @@ def test_wick_operator_needs_headroom():
         wick_operator_process(proc)
 
 
+def test_wick_operator_process_refuses_matrices_past_the_size_limit():
+    # 13 cells at truncation 4 have C(17, 4) = 2380 coordinates, and each
+    # operator matrix 2380^2 entries: refused before anything is allocated
+    proc = random_adapted_process(generator(9), uniform_grid(1.0, 13), 4, 3)
+    message = r"^a Wick operator matrix on 13 cells at truncation 4 has 2380\^2 entries, over the limit 4194304$"
+    with pytest.raises(ValueError, match=message):
+        wick_operator_process(proc)
+
+
 def test_process_json_roundtrip():
     rng = generator(37)
     grid = random_grid(rng, 4)

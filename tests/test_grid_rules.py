@@ -19,6 +19,7 @@ OTHER = TimeGrid((0.0, 0.25, 0.5, 1.0))  # as many cells, other boundaries
 
 SPACE = bernoulli.BernoulliSpace(GRID)
 MART = random_martingale(generator(0, 0, 0), GRID, 4)
+LABELS = operator_integral.LabelMeasure(GRID, np.arange(4))
 PROC = operator_integral.OperatorStepProcess(GRID, (np.eye(4),) * 3)
 OTHER_PROC = operator_integral.OperatorStepProcess(OTHER, (np.eye(4),) * 3)
 VEC, OTHER_VEC = fock.vacuum(GRID, 1), fock.vacuum(OTHER, 1)
@@ -33,7 +34,8 @@ INDEX_CASES = {
     "TimeGrid.cell": (lambda k: GRID.cell(k), CELL),
     "BernoulliSpace.xi": (lambda k: SPACE.xi(k), CELL),
     "BernoulliSpace.increment": (lambda k: SPACE.increment(k), CELL),
-    "ProjectorMeasure.cell_projection": (lambda k: MART.measure.cell_projection(k), CELL),
+    "ProjectorMeasure.project": (lambda k: MART.measure.project(k, np.ones(4)), CELL),
+    "LabelMeasure.project": (lambda k: LABELS.project(k, np.ones(4)), CELL),
     "VectorMartingale.increment": (lambda k: MART.increment(k), CELL),
     "OperatorStepProcess.operator": (lambda k: PROC.operator(k), CELL),
     "FockStepProcess.value": (lambda k: FOCK_PROC.value(k), CELL),

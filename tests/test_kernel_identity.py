@@ -1,9 +1,12 @@
-"""The in-place Wick merge, the per-boundary measurability check and the
-cached Bernoulli increments against the plain kernels in tests/oracle.py.
+"""The in-place Wick merge, the per-boundary measurability check, the
+cached Bernoulli increments and the label form of the Fock realization's
+measure against the plain kernels in tests/oracle.py.
 
 Values must agree bit for bit (compared through float.hex, so the sign of a
 zero counts, and in dict order), overflow errors at the same degree, and
-measurability verdicts exactly.
+measurability verdicts exactly.  A row mask and the product with a 0/1
+diagonal differ only in the sign of zeros, so the label form is compared
+with == and array_equal instead.
 """
 
 import numpy as np
@@ -22,7 +25,13 @@ from stochint.bernoulli import (
 from stochint.errors import TruncationOverflowError
 from stochint.fock import FockVector
 from stochint.fock_ito import FockStepProcess, wick_operator_process
-from stochint.operator_integral import check_measurable, future_increment_span
+from stochint.operator_integral import (
+    ProjectorMeasure,
+    VectorMartingale,
+    check_measurable,
+    future_increment_span,
+    stochastic_integral,
+)
 from stochint.randomgen import (
     generator,
     random_adapted_process,
@@ -140,6 +149,31 @@ def test_future_increment_span_is_a_read_only_cache():
                 with pytest.raises(ValueError):
                     span[0, 0] = 7.0
         assert np.array_equal(future_increment_span(mart, 0), oracle.future_increment_span(mart, 0))
+
+
+def test_label_measure_matches_its_dense_diagonal_parts():
+    # a second martingale on the dense 0/1 parts rebuilt from the labels
+    for trial in range(30):
+        rng = generator(4900, trial)
+        grid = random_grid(rng, int(rng.integers(1, 5)))
+        max_deg = int(rng.integers(0, 4))
+        proc = random_adapted_process(rng, grid, int(rng.integers(max_deg + 1, 5)), max_deg, off_diagonal=trial % 2 == 0)
+        real = wick_operator_process(proc)
+        labels, parts = real.martingale.measure, oracle.dense_parts(real.martingale.measure)
+        dense = VectorMartingale(ProjectorMeasure(grid, parts[0], tuple(parts[1:])), real.martingale.vector)
+        block = random_complex(rng, labels.dim, 3)
+        for k in range(1, grid.n + 1):
+            assert np.array_equal(labels.project(k, block[:, 0]), parts[k] @ block[:, 0])
+            assert np.array_equal(labels.project(k, block), parts[k] @ block)
+            assert np.array_equal(real.martingale.increment(k), dense.increment(k))
+        for j in range(grid.n + 1):
+            assert np.array_equal(future_increment_span(real.martingale, j), future_increment_span(dense, j))
+            for a in real.process.operators:
+                assert check_measurable(a, real.martingale, j) == check_measurable(a, dense, j)
+        assert np.array_equal(
+            stochastic_integral(real.process, real.martingale, enforce=False),
+            stochastic_integral(real.process, dense, enforce=False),
+        )
 
 
 def test_bernoulli_increments_and_chaos_map_match_rebuilt_ones():

@@ -8,6 +8,7 @@ from stochint.errors import MeasurabilityError, ShapeMismatchError
 from stochint.fock_ito import wick_operator_process
 from stochint.grid import uniform_grid
 from stochint.operator_integral import (
+    LabelMeasure,
     OperatorStepProcess,
     ProjectorMeasure,
     VectorMartingale,
@@ -51,18 +52,20 @@ def test_measure_invariants_enforced():
         ProjectorMeasure(G2, np.zeros((2, 2), complex), (p, p))
 
 
-def _three_measures() -> tuple[ProjectorMeasure, ...]:
-    """A random measure, a Fock realization's and a Bernoulli realization's."""
+def _three_measures() -> tuple:
+    """A random dense measure, a Fock realization's label measure and a
+    Bernoulli realization's dense measure."""
     rng = generator(4800)
     return (
         random_martingale(rng, random_grid(rng, 4), 7).measure,
-        wick_operator_process(random_adapted_process(rng, random_grid(rng, 3), 3, 2)).measure,
-        classical_realization(BernoulliSpace(random_grid(rng, 3))).measure,
+        wick_operator_process(random_adapted_process(rng, random_grid(rng, 3), 3, 2)).martingale.measure,
+        classical_realization(BernoulliSpace(random_grid(rng, 3))).martingale.measure,
     )
 
 
 def test_boundary_projection_is_the_running_sum_of_the_parts():
-    for measure in _three_measures():
+    dense, _, bernoulli = _three_measures()
+    for measure in (dense, bernoulli):
         running = measure.atom
         assert np.array_equal(measure.boundary_projection(0), running)
         for j, cell in enumerate(measure.cells, start=1):
@@ -70,11 +73,18 @@ def test_boundary_projection_is_the_running_sum_of_the_parts():
             assert np.array_equal(measure.boundary_projection(j), running)
 
 
+def _stored_arrays(measure) -> list:
+    values = vars(measure).values()
+    return [a for v in values for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+
+
 def test_measure_stores_each_projection_once():
-    for measure in _three_measures():
-        values = vars(measure).values()
-        arrays = [a for v in values for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
-        assert sum(a.nbytes for a in arrays) == (measure.grid.n + 1) * measure.dim**2 * 16
+    dense, labels, bernoulli = _three_measures()
+    for measure in (dense, bernoulli):
+        assert sum(a.nbytes for a in _stored_arrays(measure)) == (measure.grid.n + 1) * measure.dim**2 * 16
+    # the label form stores one part index per coordinate and nothing else
+    assert isinstance(labels, LabelMeasure)
+    assert [a.size for a in _stored_arrays(labels)] == [labels.dim]
 
 
 def test_martingale_mass_splits():
@@ -313,9 +323,7 @@ def test_json_roundtrips():
     np.testing.assert_allclose(back.vector, mart.vector, atol=0)
     np.testing.assert_allclose(back.measure.atom, mart.measure.atom, atol=0)
     for k in range(1, 4):
-        np.testing.assert_allclose(
-            back.measure.cell_projection(k), mart.measure.cell_projection(k), atol=0
-        )
+        np.testing.assert_allclose(back.measure.cells[k - 1], mart.measure.cells[k - 1], atol=0)
     proc = random_measurable_process(rng, mart)
     proc_back = OperatorStepProcess.from_json(proc.to_json())
     for k in range(1, 4):

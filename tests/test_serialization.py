@@ -64,9 +64,7 @@ def test_measure_and_martingale_file_roundtrip():
     np.testing.assert_array_equal(back.vector, mart.vector)
     np.testing.assert_array_equal(back.measure.atom, mart.measure.atom)
     for k in range(1, 4):
-        np.testing.assert_array_equal(
-            back.measure.cell_projection(k), mart.measure.cell_projection(k)
-        )
+        np.testing.assert_array_equal(back.measure.cells[k - 1], mart.measure.cells[k - 1])
     # validation runs on load
     assert ProjectorMeasure.from_json(through_json(mart.measure.to_json())).dim == 6
 
