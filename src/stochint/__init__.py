@@ -76,6 +76,7 @@ from .montecarlo import (
     PathEnsemble,
     brownian_ensemble,
     hermite_reference,
+    iterated_ones,
     iterated_samples,
     poisson_ensemble,
 )

@@ -6,6 +6,12 @@ the SplitMix64 finalizer of (master seed + (p+1)*golden), and its word j
 from words 2k-1 and 2k by Box-Muller, Poisson cell k from word k by inverse
 CDF.
 
+Path ranges: `brownian_ensemble(grid, m, seed, start=s)` (and the Poisson
+generator alike) draws paths s..s+m-1 of the seed's ensemble, bit for bit
+rows s..s+m-1 of the ensemble that starts at path 0, so a caller can stream
+any number of paths through blocks of fixed size (the Monte Carlo suite
+does).  The block remembers its first path index in `PathEnsemble.start`.
+
 Block layout: the generators fill the (paths x cells) increment array in
 consecutive blocks of whole rows.  A block's scratch arrays (raw words,
 shift scratch and uniforms) together hold about _BLOCK_DOUBLES values, and
@@ -17,7 +23,10 @@ or the numpy version's own generator internals.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,10 +75,11 @@ def _seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     return seeds[0]
 
 
-def _uniform_blocks(seed: int, paths: int, ctrs: tuple[np.ndarray, ...]):
-    """Yield (rows, uniforms) for consecutive blocks of paths: rows is the
-    block's slice of the ensemble, and uniforms[i][p, k] the uniform of word
-    j of path rows.start + p's stream, where ctrs[i][k] = j*golden.
+def _uniform_blocks(seed: int, paths: int, start: int, ctrs: tuple[np.ndarray, ...]):
+    """Yield (rows, uniforms) for consecutive blocks of the paths start..
+    start+paths-1: rows is the block's slice of the output, and
+    uniforms[i][p, k] the uniform of word j of path start + rows.start + p's
+    stream, where ctrs[i][k] = j*golden.
 
     The two uint64 scratch arrays and the uniforms hold about _BLOCK_DOUBLES
     values together; the next block overwrites the uniforms."""
@@ -78,9 +88,9 @@ def _uniform_blocks(seed: int, paths: int, ctrs: tuple[np.ndarray, ...]):
     bits = np.empty((block, n), dtype=np.uint64)
     tmp = np.empty_like(bits)
     uniforms = np.empty((len(ctrs), block, n))
-    for start in range(0, paths, block):
-        rows = slice(start, min(start + block, paths))
-        seeds = _seeds(seed, rows.start, rows.stop)
+    for first in range(0, paths, block):
+        rows = slice(first, min(first + block, paths))
+        seeds = _seeds(seed, start + rows.start, start + rows.stop)
         m = len(seeds)
         for ctr, u in zip(ctrs, uniforms):
             _splitmix_block(seeds, ctr, bits[:m], tmp[:m], u[:m])
@@ -89,10 +99,12 @@ def _uniform_blocks(seed: int, paths: int, ctrs: tuple[np.ndarray, ...]):
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Independent martingale increments, one row per path, one column per cell."""
+    """Independent martingale increments, one row per path, one column per
+    cell; row i holds path start + i of the seed's ensemble."""
 
     grid: TimeGrid
     increments: np.ndarray
+    start: int = 0
 
     @property
     def paths(self) -> int:
@@ -102,17 +114,33 @@ class PathEnsemble:
         return self.increments.sum(axis=1)
 
 
-def brownian_ensemble(grid: TimeGrid, paths: int, seed: int) -> PathEnsemble:
-    """Gaussian increments with variance equal to the cell lengths: cell k
-    is sqrt(-2 log u1) * cos(2 pi u2) * sqrt(len_k), with u1 and u2 the
-    uniforms of words 2k-1 and 2k of the path's stream."""
+def _check_range(paths: int, start: int) -> None:
     if paths < 1:
         raise ValueError("need at least one path")
+    if start < 0:
+        raise ValueError("the first path index must be non-negative")
+
+
+@lru_cache(maxsize=8)
+def _brownian_scale(grid: TimeGrid) -> np.ndarray:
+    """sqrt(len_k) per cell, read-only; cached, so a stream of blocks on one
+    grid builds it once."""
+    scale = np.sqrt(np.asarray(grid.lengths))
+    scale.setflags(write=False)
+    return scale
+
+
+def brownian_ensemble(grid: TimeGrid, paths: int, seed: int, start: int = 0) -> PathEnsemble:
+    """Gaussian increments with variance equal to the cell lengths, for the
+    paths start..start+paths-1: cell k is sqrt(-2 log u1) * cos(2 pi u2) *
+    sqrt(len_k), with u1 and u2 the uniforms of words 2k-1 and 2k of the
+    path's stream."""
+    _check_range(paths, start)
     n = grid.n
     ctr = np.arange(1, 2 * n + 1, dtype=np.uint64) * _GOLDEN
-    scale = np.sqrt(np.asarray(grid.lengths))
+    scale = _brownian_scale(grid)
     inc = np.empty((paths, n))
-    for rows, (r, c) in _uniform_blocks(seed, paths, (ctr[0::2], ctr[1::2])):
+    for rows, (r, c) in _uniform_blocks(seed, paths, start, (ctr[0::2], ctr[1::2])):
         np.log(r, out=r)
         r *= -2.0
         np.sqrt(r, out=r)
@@ -120,23 +148,17 @@ def brownian_ensemble(grid: TimeGrid, paths: int, seed: int) -> PathEnsemble:
         np.cos(c, out=c)
         r *= c
         np.multiply(r, scale, out=inc[rows])
-    return PathEnsemble(grid, inc)
+    return PathEnsemble(grid, inc, start)
 
 
-def poisson_ensemble(grid: TimeGrid, paths: int, seed: int, intensity: float = 1.0) -> PathEnsemble:
-    """Compensated Poisson increments (N_k - rate*len_k) / sqrt(rate).
-
-    N_k is the inverse CDF of the uniform u of word k of the path's stream:
-    #{i < cap : u > cdf_i}.  The table is nondecreasing, so a block counts
-    level by level, straight into its rows, until no uniform exceeds the
-    level.  A per-cell mean above about 708.4 is refused: exp(-mean), the first
-    table entry, would fall below the smallest normal double and the table
-    would lose its precision or underflow to 0."""
-    if paths < 1:
-        raise ValueError("need at least one path")
+@lru_cache(maxsize=8)
+def _poisson_table(grid: TimeGrid, intensity: float) -> tuple[np.ndarray, np.ndarray]:
+    """(means, cdf), read-only: the per-cell means intensity * len_k and
+    cdf[i] = P(N <= i) per cell, for i below a cap some 40 standard
+    deviations past the largest mean.  Cached, so a stream of blocks on one
+    grid builds the table once."""
     if not 0.0 < intensity < np.inf:
         raise ValueError("intensity must be positive and finite")
-    n = grid.n
     means = intensity * np.asarray(grid.lengths)
     pmf = np.exp(-means)
     if pmf.min() < np.finfo(float).tiny:
@@ -145,15 +167,33 @@ def poisson_ensemble(grid: TimeGrid, paths: int, seed: int, intensity: float = 1
             "exp(-mean) underflows"
         )
     cap = int(np.ceil(means.max() + 40.0 * np.sqrt(means.max()) + 30.0))
-    # cdf[i] = P(N <= i) per cell, by pmf_i = pmf_{i-1} * (means / i)
-    cdf = np.empty((cap, n))
+    # pmf_i = pmf_{i-1} * (means / i)
+    cdf = np.empty((cap, grid.n))
     cdf[0] = pmf
     for i in range(1, cap):
         pmf = pmf * (means / i)
         cdf[i] = cdf[i - 1] + pmf
+    means.setflags(write=False)
+    cdf.setflags(write=False)
+    return means, cdf
+
+
+def poisson_ensemble(grid: TimeGrid, paths: int, seed: int, intensity: float = 1.0, start: int = 0) -> PathEnsemble:
+    """Compensated Poisson increments (N_k - rate*len_k) / sqrt(rate), for
+    the paths start..start+paths-1.
+
+    N_k is the inverse CDF of the uniform u of word k of the path's stream:
+    #{i < cap : u > cdf_i}.  The table is nondecreasing, so a block counts
+    level by level, straight into its rows, until no uniform exceeds the
+    level.  A per-cell mean above about 708.4 is refused: exp(-mean), the first
+    table entry, would fall below the smallest normal double and the table
+    would lose its precision or underflow to 0."""
+    _check_range(paths, start)
+    means, cdf = _poisson_table(grid, float(intensity))
+    n = grid.n
     root = np.sqrt(intensity)
     inc = np.empty((paths, n))
-    for rows, (u,) in _uniform_blocks(seed, paths, (np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN,)):
+    for rows, (u,) in _uniform_blocks(seed, paths, start, (np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN,)):
         count = inc[rows]
         count[...] = 0.0
         for level in cdf:
@@ -163,7 +203,7 @@ def poisson_ensemble(grid: TimeGrid, paths: int, seed: int, intensity: float = 1
             count += above
         count -= means
         count /= root
-    return PathEnsemble(grid, inc)
+    return PathEnsemble(grid, inc, start)
 
 
 def iterated_samples(coeffs: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
@@ -234,6 +274,31 @@ def iterated_samples(coeffs: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
     return out
 
 
+def iterated_ones(ensemble: PathEnsemble, degree: int) -> np.ndarray:
+    """Per-path iterated integrals of the constant 1 of every degree up to
+    d, as a (d+1, paths) array whose row j is the sum
+    iterated_samples(symtensor.ones(grid, j), ensemble) without its
+    C(n+j-1, j) coefficient vector: j! * e_j(dB_1, ..., dB_n), with e_j the
+    elementary symmetric polynomial of the path's increments.
+
+    The e_j come from the recursion e_j += e_{j-1} * dB_k over the cells k
+    (e_0 = 1, j from high to low), O(cells * d) per path, on a transposed
+    (cells x paths) copy so that every step adds contiguous rows.  Each
+    output depends only on its own path's increments."""
+    if degree < 0:
+        raise ValueError("degree must be non-negative")
+    cols = ensemble.increments.T.copy()
+    e = np.zeros((degree + 1, ensemble.paths))
+    e[0] = 1.0
+    term = np.empty(ensemble.paths)
+    for k, x in enumerate(cols):
+        for j in range(min(k + 1, degree), 0, -1):
+            np.multiply(e[j - 1], x, out=term)
+            e[j] += term
+    e *= np.array([math.factorial(j) for j in range(degree + 1)], dtype=float)[:, None]
+    return e
+
+
 def hermite_polynomial(order: int, x: np.ndarray) -> np.ndarray:
     """Monic (probabilists') Hermite polynomial He_order evaluated elementwise."""
     if order < 0:
@@ -247,12 +312,13 @@ def hermite_polynomial(order: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def hermite_reference(g: SymCoeffs, order: int, ensemble: PathEnsemble) -> np.ndarray:
+def hermite_reference(g: SymCoeffs, order: int, ensemble: PathEnsemble, linear: np.ndarray | None = None) -> np.ndarray:
     """Closed-form sample of the order-d iterated integral of g^(x d):
     ||g||^d * He_d(W(g)/||g||), with W(g) = sum_c g_c dB_c per path.
 
     Needs a real degree-1 g; this is the independent reference the discrete
-    sums are checked against.
+    sums are checked against.  `linear` is W(g) of the ensemble, when the
+    caller has formed it already (:func:`linear_samples`, real part).
     """
     if g.degree != 1:
         raise ValueError("reference needs a degree-1 integrand")
@@ -261,7 +327,7 @@ def hermite_reference(g: SymCoeffs, order: int, ensemble: PathEnsemble) -> np.nd
     gnorm = float(np.sqrt(sym_norm2(g)))
     if gnorm == 0.0:
         return np.zeros(ensemble.paths)
-    w = linear_samples(g, ensemble).real
+    w = linear_samples(g, ensemble).real if linear is None else linear
     return gnorm ** order * hermite_polynomial(order, w / gnorm)
 
 
@@ -281,22 +347,79 @@ def linear_samples(g: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
     return w[0] + 1j * w[1]
 
 
-def export_csv(ensemble: PathEnsemble, path) -> None:
-    """Write the ensemble as rows (path, cell, increment), in the bytes of a
-    csv.writer: comma-separated, CRLF-terminated, floats in repr form."""
-    cells = [f",{k}," for k in range(1, ensemble.grid.n + 1)]
+@contextmanager
+def csv_writer(path):
+    """Open `path` for an ensemble in CSV and yield a function that appends
+    the rows (path, cell, increment) of one block, path numbered from the
+    block's `start`.  The bytes are a csv.writer's: comma-separated,
+    CRLF-terminated, floats in repr form."""
     with open(path, "w", newline="") as handle:
         handle.write("path,cell,increment\r\n")
-        for p, row in enumerate(ensemble.increments.tolist()):
-            prefix = str(p)
-            handle.write("".join([prefix + cell + repr(v) + "\r\n" for cell, v in zip(cells, row)]))
+
+        def write(ensemble: PathEnsemble) -> None:
+            cells = [f",{k}," for k in range(1, ensemble.grid.n + 1)]
+            for p, row in enumerate(ensemble.increments.tolist(), ensemble.start):
+                prefix = str(p)
+                handle.write("".join([prefix + cell + repr(v) + "\r\n" for cell, v in zip(cells, row)]))
+
+        yield write
+
+
+def export_csv(ensemble: PathEnsemble, path) -> None:
+    """Write the ensemble as rows (path, cell, increment) (:func:`csv_writer`)."""
+    with csv_writer(path) as write:
+        write(ensemble)
+
+
+@dataclass
+class Moments:
+    """Count, mean, sum of squared deviations from the mean (M2), minimum and
+    maximum of a stream of real samples, added one block at a time.
+
+    A block's own mean and M2 are numpy's (pairwise sums, as np.mean and
+    np.var compute them), so one block gives np.mean and
+    np.std(ddof=1) / sqrt(n) bit for bit; blocks merge by the pairwise
+    update of Chan, Golub and LeVeque (1979)."""
+
+    count: int = 0
+    mean: float = 0.0
+    m2: float = 0.0
+    low: float = math.inf
+    high: float = -math.inf
+
+    def add(self, samples: np.ndarray) -> None:
+        """Merge the real part of a 1-d block of samples."""
+        x = np.asarray(samples)
+        if np.iscomplexobj(x):
+            x = x.real
+        n = len(x)
+        if n == 0:
+            return
+        mean = float(x.mean())
+        dev = x - mean
+        dev *= dev
+        m2 = float(dev.sum())
+        if self.count == 0:
+            self.mean, self.m2 = mean, m2
+        else:
+            total = self.count + n
+            delta = mean - self.mean
+            self.mean += delta * n / total
+            self.m2 += m2 + delta * delta * self.count * n / total
+        self.count += n
+        self.low = float(np.minimum(self.low, x.min()))
+        self.high = float(np.maximum(self.high, x.max()))
+
+    def stderr(self) -> float:
+        """Standard error of the mean, sqrt(M2 / (count - 1) / count)."""
+        if self.count < 2:
+            raise ValueError("a standard error needs at least two samples")
+        return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
 def mean_and_stderr(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error of the mean (real part)."""
-    x = np.asarray(samples)
-    if np.iscomplexobj(x):
-        x = x.real
-    if len(x) < 2:
-        raise ValueError("a standard error needs at least two samples")
-    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x)))
+    """Sample mean and standard error of the mean (real part): one block of
+    :class:`Moments`."""
+    moments = Moments()
+    moments.add(samples)
+    return moments.mean, moments.stderr()

@@ -10,6 +10,8 @@ depend on execution order.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from contextlib import nullcontext
 from functools import partial
 from itertools import chain, combinations
 
@@ -20,7 +22,7 @@ from . import fock, fock_ito, montecarlo, symtensor
 from .errors import NotAdaptedError, TruncationOverflowError
 from .fock import FockVector
 from .fock_ito import FockStepProcess
-from .grid import TimeGrid, uniform_grid
+from .grid import uniform_grid
 from .operator_integral import (
     OperatorStepProcess,
     VectorMartingale,
@@ -444,19 +446,49 @@ def verify_bernoulli_suite(
 # --------------------------------------------------------------------------
 
 
-def _mean_check(report: SuiteReport, name: str, samples: np.ndarray, target: float, allowance: float = 0.0) -> None:
+#: whole paths per block of the Monte Carlo suite hold about this many
+#: increments (1 MiB), so its memory does not grow with the number of paths
+_MC_BLOCK_DOUBLES = 1 << 17
+
+
+def _mean_check(
+    report: SuiteReport, name: str, moments: montecarlo.Moments, target: float, allowance: float = 0.0
+) -> None:
     """Add the check that the sample mean is within four standard errors,
     plus `allowance`, of `target`.  Samples that are all equal have no
     spread to judge by: a check on them that would pass is left out with a
     note, one that would fail raises ValueError (a usage error)."""
-    mean, se = montecarlo.mean_and_stderr(samples)
-    check = equality(name, mean, target, 4.0 * se + allowance)
-    if np.ptp(samples) != 0:
+    check = equality(name, moments.mean, target, 4.0 * moments.stderr() + allowance)
+    if moments.high != moments.low:
         report.add(check)
     elif check.passed:
-        report.notes.append(f"{name}: all {len(samples)} samples are equal, so the check was not run")
+        report.notes.append(f"{name}: all {moments.count} samples are equal, so the check was not run")
     else:
-        raise ValueError(f"{name}: all {len(samples)} samples are equal, so their standard error cannot judge the check")
+        raise ValueError(f"{name}: all {moments.count} samples are equal, so their standard error cannot judge the check")
+
+
+def _brownian_samples(block: montecarlo.PathEnsemble, g: symtensor.SymCoeffs, f2: symtensor.SymCoeffs) -> dict:
+    """The per-path samples of the Brownian checks on one block of paths."""
+    w = montecarlo.linear_samples(g, block).real
+    order1 = montecarlo.iterated_samples(g, block).real - montecarlo.hermite_reference(g, 1, block, w)
+    _, _, square, cube = montecarlo.iterated_ones(block, 3)  # of g's symmetric powers
+    return {
+        "order1_reference_max_dev": np.abs(order1),
+        "order2_mean_diff": square - montecarlo.hermite_reference(g, 2, block, w),
+        "order3_mean_diff": cube - montecarlo.hermite_reference(g, 3, block, w),
+        "power_second_moment": square**2,
+        "offdiagonal_second_moment": np.abs(montecarlo.iterated_samples(f2, block)) ** 2,
+        "linear_isometry": w**2,
+    }
+
+
+def _poisson_samples(block: montecarlo.PathEnsemble, g: symtensor.SymCoeffs) -> dict:
+    """The per-path (per-increment for the mean) samples of the Poisson checks on one block."""
+    return {
+        "increment_mean": block.increments.reshape(-1),
+        "linear_isometry": montecarlo.linear_samples(g, block).real ** 2,
+        "terminal_second_moment": block.terminal() ** 2,
+    }
 
 
 def mc_suite(
@@ -469,58 +501,59 @@ def mc_suite(
 ) -> SuiteReport:
     """Statistical checks at four standard errors against closed-form
     references; the Gaussian model also checks the iterated-sum second
-    moments with an O(max cell length) discretization allowance.  With
-    `csv`, the ensemble the checks ran on is also written there
-    (:func:`montecarlo.export_csv`)."""
+    moments with an O(max cell length) discretization allowance.
+
+    The paths stream through blocks of about _MC_BLOCK_DOUBLES increments:
+    each block is drawn, drawn again for `ensemble_deterministic` and
+    compared, and its samples are merged into one :class:`montecarlo.Moments`
+    per check, so memory does not grow with `paths`.  With `csv`, each block
+    is also written there (:func:`montecarlo.csv_writer`): the file holds the
+    ensemble the checks ran on."""
     grid = uniform_grid(1.0, cells)
     report = SuiteReport(f"mc-{model}", seed, f"uniform grid, cells={cells}, paths={paths}")
-    max_len = max(grid.lengths)
+    g = symtensor.ones(grid, 1)
+    isometry = ("linear_isometry", symtensor.norm2(g), 0.0)
 
+    # (check, target, allowance) of every mean check, in report order
     if model == "brownian":
-        generate = partial(montecarlo.brownian_ensemble, grid, paths, seed)
+        generate = montecarlo.brownian_ensemble
+        f2 = random_sym_coeffs(generator(seed, _MC, 0), grid, 2, strict=True, entries=6)
+        samples = partial(_brownian_samples, g=g, f2=f2)
+        allowance = 4.0 * max(grid.lengths)  # per unit of a second-moment target
+        power = 2.0 * symtensor.norm2(symtensor.ones(grid, 2))
+        offdiagonal = 2.0 * symtensor.norm2(f2)
+        means = [
+            ("order2_mean_diff", 0.0, 0.0),
+            ("order3_mean_diff", 0.0, 0.0),
+            ("power_second_moment", power, allowance * power),
+            ("offdiagonal_second_moment", offdiagonal, allowance * offdiagonal),
+            isometry,
+        ]
     elif model == "poisson":
-        generate = partial(montecarlo.poisson_ensemble, grid, paths, seed, intensity=intensity)
+        generate = partial(montecarlo.poisson_ensemble, intensity=intensity)
+        samples = partial(_poisson_samples, g=g)
+        means = [("increment_mean", 0.0, 0.0), isometry, ("terminal_second_moment", grid.horizon, 0.0)]
     else:
         raise ValueError(f"unknown model {model!r}")
-    ens = generate()
-    report.add(count_zero("ensemble_deterministic", int(not np.array_equal(ens.increments, generate().increments))))
-    g = symtensor.ones(grid, 1)
-    w2 = np.abs(montecarlo.linear_samples(g, ens)) ** 2
 
+    step = max(1, _MC_BLOCK_DOUBLES // cells)
+    moments = defaultdict(montecarlo.Moments)
+    differ = 0
+    with montecarlo.csv_writer(csv) if csv else nullcontext() as write:
+        for start in range(0, paths, step):
+            size = min(step, paths - start)
+            block = generate(grid, size, seed, start=start)
+            differ += not np.array_equal(block.increments, generate(grid, size, seed, start=start).increments)
+            for name, values in samples(block).items():
+                moments[name].add(values)
+            if write:
+                write(block)
+
+    report.add(count_zero("ensemble_deterministic", differ))
     if model == "brownian":
-        d1 = montecarlo.iterated_samples(g, ens).real - montecarlo.hermite_reference(g, 1, ens)
-        report.add(equality("order1_reference_max_dev", float(np.abs(d1).max()), 0.0, 1e-12))
-
-        square = symtensor.ones(grid, 2)  # the symmetric square of g
-        square_samples = montecarlo.iterated_samples(square, ens).real
-        _mean_check(report, "order2_mean_diff", square_samples - montecarlo.hermite_reference(g, 2, ens), 0.0)
-
-        # order 3 on the sub-grid of a prefix window keeps the coefficient
-        # vector at C(window + 2, 3) entries, whatever the number of cells
-        window = min(cells, 24)
-        head = montecarlo.PathEnsemble(TimeGrid(grid.boundaries[: window + 1]), ens.increments[:, :window])
-        g3 = symtensor.ones(head.grid, 1)
-        cube = symtensor.ones(head.grid, 3)
-        diff = montecarlo.iterated_samples(cube, head).real - montecarlo.hermite_reference(g3, 3, head)
-        _mean_check(report, "order3_mean_diff", diff, 0.0)
-
-        target = 2.0 * symtensor.norm2(square)
-        _mean_check(report, "power_second_moment", square_samples**2, target, 4.0 * max_len * target)
-
-        rng = generator(seed, _MC, 0)
-        f2 = random_sym_coeffs(rng, grid, 2, strict=True, entries=6)
-        samples = np.abs(montecarlo.iterated_samples(f2, ens)) ** 2
-        target = 2.0 * symtensor.norm2(f2)
-        _mean_check(report, "offdiagonal_second_moment", samples, target, 4.0 * max_len * target)
-
-        _mean_check(report, "linear_isometry", w2, symtensor.norm2(g))
-    else:
-        _mean_check(report, "increment_mean", ens.increments.reshape(-1), 0.0)
-        _mean_check(report, "linear_isometry", w2, symtensor.norm2(g))
-        _mean_check(report, "terminal_second_moment", ens.terminal() ** 2, grid.horizon)
-
-    if csv:
-        montecarlo.export_csv(ens, csv)
+        report.add(equality("order1_reference_max_dev", moments["order1_reference_max_dev"].high, 0.0, 1e-12))
+    for name, target, allowance in means:
+        _mean_check(report, name, moments[name], target, allowance)
     return report
 
 

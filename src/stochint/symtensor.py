@@ -98,14 +98,27 @@ def _rank(n: int, rows: np.ndarray) -> np.ndarray:
 @cache
 def _insertions(n: int, degree: int) -> np.ndarray:
     """Read-only (C(n+d-1, d), n) table: entry [r, c-1] is the rank of the
-    degree-(d+1) multiset made of the multiset of rank r and cell c."""
+    degree-(d+1) multiset made of the multiset m of rank r and cell c.
+
+    Cell c goes in at position p = #{i : m_i < c}, so with T the degree-(d+1)
+    rank terms the rank is sum_{i<p} T[i, m_i] + T[p, c] + sum_{i>=p}
+    T[i+1, m_i].  The two sums, taken for every p, do not depend on c: the
+    table is built one cell at a time from them, with temporaries of
+    O(C(n+d-1, d) * d) entries."""
     size(n, degree + 1)
     cells = _table(n, degree)[0]
-    rows = np.empty((len(cells), n, degree + 1), dtype=np.intp)
-    rows[..., :degree] = cells[:, None]
-    rows[..., degree] = np.arange(1, n + 1)
-    rows.sort(axis=2)
-    ranks = _rank(n, rows.reshape(len(cells) * n, degree + 1)).reshape(len(cells), n)
+    terms = _rank_terms(n, degree + 1)
+    at = np.arange(degree)
+    # around[r, p] = sum_{i<p} T[i, m_i] + sum_{i>=p} T[i+1, m_i]
+    around = np.zeros((len(cells), degree + 1), dtype=np.intp)
+    np.cumsum(terms[at, cells], axis=1, out=around[:, 1:])
+    around[:, :degree] += np.cumsum(terms[at + 1, cells][:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty((len(cells), n), dtype=np.intp)
+    position = np.zeros(len(cells), dtype=np.intp)
+    rows = np.arange(len(cells))
+    for c in range(1, n + 1):
+        ranks[:, c - 1] = around[rows, position] + terms[position, c]
+        position += np.count_nonzero(cells == c, axis=1)
     ranks.setflags(write=False)
     return ranks
 

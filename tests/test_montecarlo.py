@@ -1,6 +1,7 @@
 import csv
 import tracemalloc
 from itertools import combinations
+from functools import partial
 from math import factorial, prod
 
 import numpy as np
@@ -14,6 +15,8 @@ from stochint.montecarlo import (
     export_csv,
     hermite_polynomial,
     hermite_reference,
+    Moments,
+    iterated_ones,
     iterated_samples,
     linear_samples,
     mean_and_stderr,
@@ -76,6 +79,21 @@ def test_ensembles_match_whole_array_reference(grid, seed, block_doubles, monkey
     for intensity in (0.3, 1.0, 2.5, 50.0):
         got = poisson_ensemble(grid, paths, seed, intensity=intensity).increments
         assert np.array_equal(got, oracle.poisson_increments(grid, paths, seed, intensity))
+
+
+@pytest.mark.parametrize("block_doubles", [None, 200])
+@pytest.mark.parametrize("grid", [G8, ORACLE_GRIDS[-1]], ids=lambda g: f"{g.n}cells")
+def test_path_range_is_a_slice_of_the_ensemble(grid, block_doubles, monkeypatch):
+    if block_doubles is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", block_doubles)
+    for make in (brownian_ensemble, partial(poisson_ensemble, intensity=2.5)):
+        full = make(grid, 700, 5).increments
+        for start, paths in ((0, 700), (1, 1), (123, 456), (699, 1)):
+            part = make(grid, paths, 5, start=start)
+            assert part.start == start
+            assert np.array_equal(part.increments, full[start : start + paths])
+        with pytest.raises(ValueError):
+            make(grid, 10, 5, start=-1)
 
 
 def test_poisson_large_means_exact_or_refused():
@@ -193,6 +211,20 @@ def test_iterated_matches_brute_force_across_path_blocks(n, monkeypatch):
             assert np.array_equal(iterated_samples(coeffs, small), got[: small.paths])
 
 
+@pytest.mark.parametrize("grid", [uniform_grid(1.0, 24), ORACLE_GRIDS[-1]], ids=lambda g: f"{g.n}cells")
+def test_iterated_ones_is_the_sum_against_ones(grid):
+    ens = brownian_ensemble(grid, 3000, 23)
+    got = iterated_ones(ens, 3)
+    assert got.shape == (4, ens.paths)
+    assert np.array_equal(got[0], np.ones(ens.paths))
+    for d in (1, 2, 3):
+        want = iterated_samples(symtensor.ones(grid, d), ens).real
+        assert float(np.abs(got[d] - want).max()) <= 1e-14 * float(np.abs(want).max())
+    # more factors than cells: no strict multiset, the sum is empty
+    one = brownian_ensemble(uniform_grid(1.0, 1), 5, 23)
+    assert np.array_equal(iterated_ones(one, 2)[2], np.zeros(5))
+
+
 def test_iterated_skips_diagonal_entries():
     ens = brownian_ensemble(G8, 100, 5)
     diag = symtensor.SymCoeffs(G8, 2, {(1, 1): 3.0})
@@ -216,6 +248,33 @@ def test_linear_samples_isometry():
     w2 = np.abs(linear_samples(g, ens)) ** 2
     mean, se = mean_and_stderr(w2)
     assert abs(mean - 1.0) < 5 * se
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        np.random.default_rng(3).standard_normal(100_000) + 2.0,
+        np.random.default_rng(4).exponential(size=777) * 3.0,
+        np.arange(5.0),
+        np.array([1.5, 1.5]),
+    ],
+    ids=["normal", "exponential", "range", "equal"],
+)
+def test_moments_one_block_is_numpy_and_blocks_merge(samples):
+    mean, se = mean_and_stderr(samples)
+    assert mean == float(samples.mean())
+    assert se == float(samples.std(ddof=1) / np.sqrt(len(samples)))
+    # each merge rounds the mean once more; up to 100 blocks (the suite's
+    # default run has 49) stay within 1e-15
+    for blocks in (7, 49, 100):
+        block = -(-len(samples) // blocks)
+        merged = Moments()
+        for start in range(0, len(samples), block):
+            merged.add(samples[start : start + block])
+        assert merged.count == len(samples)
+        assert (merged.low, merged.high) == (samples.min(), samples.max())
+        assert abs(merged.mean - mean) <= 1e-15 * abs(mean)
+        assert abs(merged.stderr() - se) <= 1e-15 * se
 
 
 def test_csv_export(tmp_path):

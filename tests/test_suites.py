@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
-from stochint import bernoulli, fock_ito, suites
+from stochint import bernoulli, fock_ito, montecarlo, suites
+from stochint.grid import uniform_grid
 from stochint.errors import NotAdaptedError
 from stochint.fock import FockVector
 from stochint.symtensor import SymCoeffs
@@ -53,6 +56,38 @@ def test_mc_suite_brownian_small():
 def test_mc_suite_poisson_small():
     rep = suites.mc_suite(model="poisson", cells=16, paths=20_000, seed=7)
     assert rep.passed, [(c.name, c.lhs, c.rhs, c.tolerance) for c in rep.failures()]
+
+
+@pytest.mark.parametrize("model", ["brownian", "poisson"])
+def test_mc_suite_memory_stays_below_one_ensemble(model):
+    cells, paths = 64, 20_000
+    suites.mc_suite(model=model, cells=cells, paths=200, seed=7)  # fill the table caches
+    tracemalloc.start()
+    try:
+        rep = suites.mc_suite(model=model, cells=cells, paths=paths, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < paths * cells * 8
+
+
+@pytest.mark.parametrize("model", ["brownian", "poisson"])
+def test_mc_suite_streams_blocks(model, tmp_path, monkeypatch):
+    # 7-path blocks: the CSV is the whole ensemble, and only the last bits
+    # of the merged statistics depend on the block size
+    args = dict(model=model, cells=5, paths=300, seed=9)
+    whole = suites.mc_suite(**args)
+    monkeypatch.setattr(suites, "_MC_BLOCK_DOUBLES", 35)
+    streamed = suites.mc_suite(**args, csv=str(tmp_path / "paths.csv"))
+    reference = tmp_path / "reference.csv"
+    make = getattr(montecarlo, f"{model}_ensemble")
+    montecarlo.export_csv(make(uniform_grid(1.0, 5), 300, 9), reference)
+    assert (tmp_path / "paths.csv").read_bytes() == reference.read_bytes()
+    assert [(c.name, c.passed) for c in streamed.checks] == [(c.name, c.passed) for c in whole.checks]
+    for a, b in zip(streamed.checks, whole.checks):
+        assert a.lhs == pytest.approx(b.lhs, rel=1e-12, abs=1e-15)
+        assert a.tolerance == pytest.approx(b.tolerance, rel=1e-12)
 
 
 def test_mc_suite_unknown_model():

@@ -214,6 +214,40 @@ def test_rank_order_is_combinations_with_replacement_order():
                 assert f[ms] == f.vector[r]
 
 
+def _insertions_by_sorting(n: int, d: int) -> np.ndarray:
+    """The insertion table as first built: every (multiset, cell) pair as a
+    sorted (d+1)-row, ranked through the rank terms."""
+    cells = symtensor.multisets(n, d)
+    rows = np.empty((len(cells), n, d + 1), dtype=np.intp)
+    rows[..., :d] = cells[:, None]
+    rows[..., d] = np.arange(1, n + 1)
+    rows.sort(axis=2)
+    return symtensor._rank(n, rows.reshape(len(cells) * n, d + 1)).reshape(len(cells), n)
+
+
+def test_insertion_table_matches_the_sorting_construction():
+    for n in range(1, 9):
+        for d in range(6):
+            table = symtensor._insertions(n, d)
+            assert np.array_equal(table, _insertions_by_sorting(n, d))
+            assert not table.flags.writeable
+            assert symtensor._insertions(n, d) is table
+
+
+def test_insertion_table_builds_without_a_per_cell_temporary():
+    # the sorting construction holds (d+1) int rows per (multiset, cell)
+    # pair, 11 times the table at n=20, d=4
+    symtensor.multisets(20, 4)
+    symtensor._insertions.cache_clear()
+    tracemalloc.start()
+    try:
+        table = symtensor._insertions(20, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table.nbytes
+
+
 def test_values_view_is_read_only_and_holds_stored_entries():
     f = SymCoeffs(G2, 2, {(2, 1): 0.5 + 0.25j, (2, 2): 0.0})
     assert dict(f.values) == {(1, 2): 0.5 + 0.25j}
