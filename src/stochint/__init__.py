@@ -13,6 +13,7 @@ from .errors import (
     MeasurabilityError,
     NotAdaptedError,
     NotRepresentableError,
+    RefusalError,
     ShapeMismatchError,
     TruncationOverflowError,
     UnsupportedPointError,

@@ -18,6 +18,7 @@ import time
 from functools import partial
 
 from . import suites
+from .errors import RefusalError
 from .reports import SuiteReport, render_json
 
 SUITES = suites.VERIFY_SUITES
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
         seconds = time.perf_counter() - started
         report.checks += input_checks
         return _emit(report, args.out, seconds)
-    except (ValueError, OSError) as exc:  # size limits, refused arguments, degenerate samples, unwritable output paths
+    except (RefusalError, OSError) as exc:  # deliberate refusals and unwritable output paths; faults keep their traceback
         parser.error(str(exc))
 
 

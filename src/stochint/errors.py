@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 
+class RefusalError(ValueError):
+    """A request refused on purpose, such as one past a size limit: a usage error (exit 2)."""
+
+
 class ShapeMismatchError(ValueError):
     """Operands disagree on grid, degree, or matrix dimension."""
 

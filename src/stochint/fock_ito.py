@@ -26,7 +26,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import NotAdaptedError, ShapeMismatchError, TruncationOverflowError
+from .errors import NotAdaptedError, RefusalError, ShapeMismatchError, TruncationOverflowError
 from .grid import TimeGrid
 from . import fock, symtensor
 from .fock import FockVector
@@ -202,7 +202,7 @@ def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
     headroom: max nonzero degree of the process plus one must fit inside
     the truncation.  Wick products above the truncation are dropped (the
     matrices act on the truncated space).  An operator matrix past
-    symtensor.MAX_ENTRIES entries raises ValueError before any allocation.
+    symtensor.MAX_ENTRIES entries raises RefusalError before any allocation.
     """
     _require_adapted(proc)
     grid = proc.grid
@@ -213,7 +213,7 @@ def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
     dim = sum(sizes)
     if dim * dim > symtensor.MAX_ENTRIES:
         message = f"a Wick operator matrix on {grid.n} cells at truncation {n_trunc} has {dim}^2 entries"
-        raise ValueError(f"{message}, over the limit {symtensor.MAX_ENTRIES}")
+        raise RefusalError(f"{message}, over the limit {symtensor.MAX_ENTRIES}")
 
     # coordinates: the degrees one after another, each in rank order
     ranks = [np.arange(size) for size in sizes]

@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import RefusalError
 from .grid import TimeGrid
 from . import symtensor
 from .symtensor import SymCoeffs, norm2 as sym_norm2
@@ -38,9 +39,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
-#: path blocks keep their working set near this many doubles (1 MiB), so it
-#: stays in a core's L2 cache: all scratch arrays together in the ensemble
-#: generators, each temporary in iterated_samples
+#: path blocks keep their working set near this many doubles (1 MiB), so it stays in a
+#: core's L2 cache: generator scratch, iterated_samples' arrays, a block of suites.mc_suite
 _BLOCK_DOUBLES = 1 << 17
 
 
@@ -162,7 +162,7 @@ def _poisson_table(grid: TimeGrid, intensity: float) -> tuple[np.ndarray, np.nda
     means = intensity * np.asarray(grid.lengths)
     pmf = np.exp(-means)
     if pmf.min() < np.finfo(float).tiny:
-        raise ValueError(
+        raise RefusalError(
             f"per-cell Poisson mean intensity * cell length = {means.max():g} is above about 708.4: "
             "exp(-mean) underflows"
         )
@@ -210,66 +210,30 @@ def iterated_samples(coeffs: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:
     """Per-path discrete iterated integral:
     d! * sum over strict multisets {c_1<...<c_d} of v * prod_i dB_{c_i}.
 
-    Diagonal entries of `coeffs` (repeated cells) do not enter the sum.  The
-    sum is evaluated as the Ito recursion I_d(f) = d * sum_k I_{d-1}(f(., k)
-    1_{<k}) dB_k: each strict multiset splits into a prefix (c_1..c_{d-1})
-    and a last cell c_d, the coefficients are scattered once into a
-    (prefixes x last cells) matrix C, and per path
-
-        out_p = sum_prefix prefprod[prefix, p] * (C @ dB[lasts, p])[prefix]
-
-    with prefprod the product of the prefix's increments (1 for the empty
-    prefix of degree 1).  Prefix products are built level by level over the
-    prefix tree, one gather per node, so a shared prefix is multiplied once
-    rather than once per term.  Paths go in blocks that keep every temporary
-    near _BLOCK_DOUBLES doubles, so memory does not grow with the ensemble;
-    each output depends only on its own path's increments, whatever the
-    block it falls in.
+    Diagonal entries do not enter the sum.  Per block of paths, each strict
+    term multiplies its rows c_1..c_d, in order, of the increments copied as
+    (cells x paths) plus a row of ones (the empty product at degree 0); one
+    matrix product with the (2 x terms) real-over-imaginary d! * v sums the
+    terms.  Arrays stay near _BLOCK_DOUBLES doubles; no output depends on its block.
     """
-    from math import factorial
-
     coeffs.grid.check_same(ensemble.grid)
-    d = coeffs.degree
-    fac = factorial(d)
-    if d == 0:
-        value = fac * coeffs[()]
-        return np.full(ensemble.paths, value, dtype=complex)
+    n, d = coeffs.grid.n, coeffs.degree
     ranks = coeffs.stored()
-    ranks = ranks[symtensor.strict(coeffs.grid.n, d)[ranks]]
-    if not len(ranks):
-        return np.zeros(ensemble.paths, dtype=complex)
-
-    cells = symtensor.multisets(coeffs.grid.n, d)[ranks] - 1
-    vals = fac * coeffs.vector[ranks]
-    inc = ensemble.increments
-    prefixes, prefix_of = np.unique(cells[:, :-1], axis=0, return_inverse=True)
-    lasts, last_of = np.unique(cells[:, -1], return_inverse=True)
-    npre = len(prefixes)
-    coef = np.zeros((2 * npre, len(lasts)))  # Re C stacked over Im C
-    coef[prefix_of, last_of] = vals.real
-    coef[npre + prefix_of, last_of] = vals.imag
-
-    # prefix tree below the empty prefix (product 1), one level per step:
-    # each node's parent on the level above and the cell it adds
-    steps = []
-    nodes = prefixes
-    while nodes.shape[1] > 0:
-        parents, parent_of = np.unique(nodes[:, :-1], axis=0, return_inverse=True)
-        steps.append((parent_of, nodes[:, -1]))
-        nodes = parents
-    steps.reverse()
-
-    # cells x paths layout: every gather below copies contiguous rows
+    ranks = ranks[symtensor.strict(n, d)[ranks]]
+    cells = symtensor.multisets(n, d)[ranks] - 1
+    first = cells.min(axis=1, initial=n)  # c_1, or row n of ones at degree 0
+    vals = math.factorial(d) * coeffs.vector[ranks]
+    coef = np.stack([vals.real, vals.imag])
     out = np.empty(ensemble.paths, dtype=complex)
-    block = max(1, _BLOCK_DOUBLES // max(inc.shape[1], *coef.shape))
+    block = max(1, _BLOCK_DOUBLES // max(n, len(cells)))
     for start in range(0, ensemble.paths, block):
-        cols = inc[start : start + block].T.copy()
-        prefprod = np.ones((1, cols.shape[1]))
-        for parent_of, cell in steps:
-            prefprod = prefprod[parent_of] * cols[cell]
-        tail = (coef @ cols[lasts]).reshape(2, npre, -1)
-        tail *= prefprod
-        part = tail.sum(axis=1)
+        rows = ensemble.increments[start : start + block]
+        cols = np.ones((n + 1, len(rows)))
+        cols[:n] = rows.T
+        prod = cols[first]
+        for c in cells.T[1:]:
+            prod *= cols[c]
+        part = coef @ prod
         out[start : start + block] = part[0] + 1j * part[1]
     return out
 

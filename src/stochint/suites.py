@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bernoulli as brn
 from . import fock, fock_ito, montecarlo, symtensor
-from .errors import NotAdaptedError, TruncationOverflowError
+from .errors import NotAdaptedError, RefusalError, TruncationOverflowError
 from .fock import FockVector
 from .fock_ito import FockStepProcess
 from .grid import uniform_grid
@@ -446,25 +446,20 @@ def verify_bernoulli_suite(
 # --------------------------------------------------------------------------
 
 
-#: whole paths per block of the Monte Carlo suite hold about this many
-#: increments (1 MiB), so its memory does not grow with the number of paths
-_MC_BLOCK_DOUBLES = 1 << 17
-
-
 def _mean_check(
     report: SuiteReport, name: str, moments: montecarlo.Moments, target: float, allowance: float = 0.0
 ) -> None:
     """Add the check that the sample mean is within four standard errors,
     plus `allowance`, of `target`.  Samples that are all equal have no
     spread to judge by: a check on them that would pass is left out with a
-    note, one that would fail raises ValueError (a usage error)."""
+    note, one that would fail raises RefusalError (a usage error)."""
     check = equality(name, moments.mean, target, 4.0 * moments.stderr() + allowance)
     if moments.high != moments.low:
         report.add(check)
     elif check.passed:
         report.notes.append(f"{name}: all {moments.count} samples are equal, so the check was not run")
     else:
-        raise ValueError(f"{name}: all {moments.count} samples are equal, so their standard error cannot judge the check")
+        raise RefusalError(f"{name}: all {moments.count} samples are equal, so their standard error cannot judge the check")
 
 
 def _brownian_samples(block: montecarlo.PathEnsemble, g: symtensor.SymCoeffs, f2: symtensor.SymCoeffs) -> dict:
@@ -503,9 +498,9 @@ def mc_suite(
     references; the Gaussian model also checks the iterated-sum second
     moments with an O(max cell length) discretization allowance.
 
-    The paths stream through blocks of about _MC_BLOCK_DOUBLES increments:
-    each block is drawn, drawn again for `ensemble_deterministic` and
-    compared, and its samples are merged into one :class:`montecarlo.Moments`
+    The paths stream through blocks of about montecarlo._BLOCK_DOUBLES
+    increments: each block is drawn, drawn again for `ensemble_deterministic`
+    and compared, and its samples merge into one :class:`montecarlo.Moments`
     per check, so memory does not grow with `paths`.  With `csv`, each block
     is also written there (:func:`montecarlo.csv_writer`): the file holds the
     ensemble the checks ran on."""
@@ -536,7 +531,7 @@ def mc_suite(
     else:
         raise ValueError(f"unknown model {model!r}")
 
-    step = max(1, _MC_BLOCK_DOUBLES // cells)
+    step = max(1, montecarlo._BLOCK_DOUBLES // cells)
     moments = defaultdict(montecarlo.Moments)
     differ = 0
     with montecarlo.csv_writer(csv) if csv else nullcontext() as write:

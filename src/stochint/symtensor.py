@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import RefusalError, ShapeMismatchError
 from .grid import TimeGrid, refine
 
 #: entries with |value| below this are not stored: they are set to 0
@@ -42,10 +42,10 @@ Multiset = tuple[int, ...]
 
 def size(n: int, degree: int) -> int:
     """C(n+d-1, d), the entries of a degree-d vector on n cells; raises
-    ValueError past MAX_ENTRIES, before anything is allocated."""
+    RefusalError past MAX_ENTRIES, before anything is allocated."""
     count = comb(n + degree - 1, degree)
     if count > MAX_ENTRIES:
-        raise ValueError(f"a degree-{degree} vector on {n} cells has {count} entries, over the limit {MAX_ENTRIES}")
+        raise RefusalError(f"a degree-{degree} vector on {n} cells has {count} entries, over the limit {MAX_ENTRIES}")
     return count
 
 

@@ -135,6 +135,16 @@ def test_wick_bridge_past_the_size_limit_is_usage_error(capsys):
     assert captured.err.strip().splitlines()[-1].startswith("stochint: error: a Wick operator matrix on 13 cells")
 
 
+def test_fault_inside_a_suite_is_not_a_usage_error(monkeypatch):
+    # only deliberate refusals exit 2; a plain ValueError is a program fault
+    def broken(coeffs, ensemble):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(montecarlo, "iterated_samples", broken)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        run(["mc", "--cells", "2", "--paths", "10", "--seed", "1"])
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -225,6 +225,21 @@ def test_iterated_ones_is_the_sum_against_ones(grid):
     assert np.array_equal(iterated_ones(one, 2)[2], np.zeros(5))
 
 
+def test_iterated_memory_stays_near_the_block_budget():
+    # 2024 strict degree-3 terms: without path blocks the (terms x paths) product alone takes 49 MB
+    grid = uniform_grid(1.0, 24)
+    coeffs = symtensor.ones(grid, 3)
+    ens = brownian_ensemble(grid, 3000, 5)
+    iterated_samples(coeffs, brownian_ensemble(grid, 2, 5))  # fill the table caches
+    tracemalloc.start()
+    try:
+        out = iterated_samples(coeffs, ens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * montecarlo._BLOCK_DOUBLES * 8 + out.nbytes
+
+
 def test_iterated_skips_diagonal_entries():
     ens = brownian_ensemble(G8, 100, 5)
     diag = symtensor.SymCoeffs(G8, 2, {(1, 1): 3.0})

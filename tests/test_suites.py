@@ -78,7 +78,7 @@ def test_mc_suite_streams_blocks(model, tmp_path, monkeypatch):
     # of the merged statistics depend on the block size
     args = dict(model=model, cells=5, paths=300, seed=9)
     whole = suites.mc_suite(**args)
-    monkeypatch.setattr(suites, "_MC_BLOCK_DOUBLES", 35)
+    monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 35)
     streamed = suites.mc_suite(**args, csv=str(tmp_path / "paths.csv"))
     reference = tmp_path / "reference.csv"
     make = getattr(montecarlo, f"{model}_ensemble")
