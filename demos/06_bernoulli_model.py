@@ -9,6 +9,7 @@ from stochint import (
     cell_increment,
     chaos_integral_pair,
     chaos_map,
+    classical_realization,
     cond_expect,
     measurability_equivalence,
     multiplication_integral_pair,
@@ -20,6 +21,7 @@ from stochint.randomgen import generator, random_adapted_process, random_fock_ve
 
 g = uniform_grid(1.0, 3)
 sp = BernoulliSpace(g)
+real = classical_realization(sp)
 print("sample points:", sp.size, " cells:", sp.n)
 
 print()
@@ -34,14 +36,14 @@ print()
 print("== measurability is filtration measurability ==")
 xi1, xi2 = sp.xi(1), sp.xi(2)
 for f, name, k in [(xi1, "xi1", 1), (xi2, "xi2", 1), (xi1 * xi2, "xi1*xi2", 2)]:
-    v = measurability_equivalence(f, k)
+    v = measurability_equivalence(f, k, real)
     print(f"{name} at boundary {k}: classical={v.classical} operator={v.operator} "
           f"norms={tuple(round(x, 12) for x in v.restricted_norms)}")
 
 print()
 print("== two integration routes agree pointwise ==")
 integrands = [sp.constant(0.0), sp.increment(1), sp.increment(2)]
-via_ops, via_incs = multiplication_integral_pair(sp, integrands)
+via_ops, via_incs = multiplication_integral_pair(integrands, real)
 print("max pointwise difference:", max_abs(via_ops - via_incs))
 
 print()

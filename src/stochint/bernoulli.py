@@ -239,29 +239,25 @@ class MeasurabilityEquivalence:
         return self.classical == self.operator
 
 
-def measurability_equivalence(
-    f: RandomVariable, k: int, realization: ClassicalRealization | None = None
-) -> MeasurabilityEquivalence:
+def measurability_equivalence(f: RandomVariable, k: int, realization: ClassicalRealization) -> MeasurabilityEquivalence:
     """Check that multiplication by f is operator-measurable at boundary k
     exactly when f is a function of the first k coordinates; when it is, the
-    restricted norms at boundaries >= k all equal ||f||."""
-    real = classical_realization(f.space) if realization is None else realization
+    restricted norms at boundaries >= k all equal ||f||.  `realization` is
+    the classical realization of f's space."""
     classical = is_measurable_at(f, k)
-    report = check_measurable(multiplication_operator(f), real.martingale, k)
+    report = check_measurable(multiplication_operator(f), realization.martingale, k)
     return MeasurabilityEquivalence(classical, report.ok, float(np.sqrt(f.norm2())), report.restricted_norms)
 
 
 def multiplication_integral_pair(
-    space: BernoulliSpace,
-    integrands: Sequence[RandomVariable],
-    realization: ClassicalRealization | None = None,
+    integrands: Sequence[RandomVariable], realization: ClassicalRealization
 ) -> tuple[RandomVariable, RandomVariable]:
-    """Integrate a predictable family two ways: as multiplication operators
-    through the operator integral, and directly against the increments.
-    The two random variables agree pointwise."""
-    real = classical_realization(space) if realization is None else realization
+    """Integrate a predictable family on realization.space two ways: as
+    multiplication operators through the operator integral, and directly
+    against the increments.  The two random variables agree pointwise."""
+    space = realization.space
     proc = OperatorStepProcess(space.grid, tuple(multiplication_operator(f) for f in integrands))
-    via_operators = real.to_random_variable(stochastic_integral(proc, real.martingale))
+    via_operators = realization.to_random_variable(stochastic_integral(proc, realization.martingale))
     via_increments = discrete_ito(space, integrands)
     return via_operators, via_increments
 

@@ -121,15 +121,6 @@ def _check_range(paths: int, start: int) -> None:
         raise ValueError("the first path index must be non-negative")
 
 
-@lru_cache(maxsize=8)
-def _brownian_scale(grid: TimeGrid) -> np.ndarray:
-    """sqrt(len_k) per cell, read-only; cached, so a stream of blocks on one
-    grid builds it once."""
-    scale = np.sqrt(np.asarray(grid.lengths))
-    scale.setflags(write=False)
-    return scale
-
-
 def brownian_ensemble(grid: TimeGrid, paths: int, seed: int, start: int = 0) -> PathEnsemble:
     """Gaussian increments with variance equal to the cell lengths, for the
     paths start..start+paths-1: cell k is sqrt(-2 log u1) * cos(2 pi u2) *
@@ -138,7 +129,7 @@ def brownian_ensemble(grid: TimeGrid, paths: int, seed: int, start: int = 0) -> 
     _check_range(paths, start)
     n = grid.n
     ctr = np.arange(1, 2 * n + 1, dtype=np.uint64) * _GOLDEN
-    scale = _brownian_scale(grid)
+    scale = np.sqrt(np.asarray(grid.lengths))
     inc = np.empty((paths, n))
     for rows, (r, c) in _uniform_blocks(seed, paths, start, (ctr[0::2], ctr[1::2])):
         np.log(r, out=r)
@@ -276,13 +267,13 @@ def hermite_polynomial(order: int, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def hermite_reference(g: SymCoeffs, order: int, ensemble: PathEnsemble, linear: np.ndarray | None = None) -> np.ndarray:
+def hermite_reference(g: SymCoeffs, order: int, linear: np.ndarray) -> np.ndarray:
     """Closed-form sample of the order-d iterated integral of g^(x d):
-    ||g||^d * He_d(W(g)/||g||), with W(g) = sum_c g_c dB_c per path.
+    ||g||^d * He_d(W(g)/||g||), with `linear` the per-path W(g) = sum_c g_c
+    dB_c (the real part of :func:`linear_samples`).
 
     Needs a real degree-1 g; this is the independent reference the discrete
-    sums are checked against.  `linear` is W(g) of the ensemble, when the
-    caller has formed it already (:func:`linear_samples`, real part).
+    sums are checked against.
     """
     if g.degree != 1:
         raise ValueError("reference needs a degree-1 integrand")
@@ -290,9 +281,8 @@ def hermite_reference(g: SymCoeffs, order: int, ensemble: PathEnsemble, linear: 
         raise ValueError("reference needs a real-valued integrand")
     gnorm = float(np.sqrt(sym_norm2(g)))
     if gnorm == 0.0:
-        return np.zeros(ensemble.paths)
-    w = linear_samples(g, ensemble).real if linear is None else linear
-    return gnorm ** order * hermite_polynomial(order, w / gnorm)
+        return np.zeros_like(linear)
+    return gnorm ** order * hermite_polynomial(order, linear / gnorm)
 
 
 def linear_samples(g: SymCoeffs, ensemble: PathEnsemble) -> np.ndarray:

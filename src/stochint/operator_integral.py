@@ -50,6 +50,18 @@ def _as_matrix(a, dim: int | None = None) -> np.ndarray:
     return m
 
 
+def _check_finite(what: str, arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} holds a non-finite number")
+
+
+def _dense(mart: "VectorMartingale", operation: str) -> "ProjectorMeasure":
+    """The martingale's measure, refused unless it is the dense form."""
+    if not isinstance(mart.measure, ProjectorMeasure):
+        raise TypeError(f"{operation} needs a dense ProjectorMeasure, not a {type(mart.measure).__name__}")
+    return mart.measure
+
+
 def _matrix_json(m: np.ndarray) -> list:
     return [[[v.real, v.imag] for v in row] for row in m]
 
@@ -74,6 +86,7 @@ class ProjectorMeasure:
         object.__setattr__(self, "cells", cells)
         if len(cells) != self.grid.n:
             raise ShapeMismatchError(f"expected {self.grid.n} cell projections, got {len(cells)}")
+        _check_finite("the measure", (atom, *cells))
         self._check_projections()
 
     def _check_projections(self):
@@ -152,6 +165,7 @@ class VectorMartingale:
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
         if v.shape[0] != self.measure.dim:
             raise ShapeMismatchError("vector dimension does not match the measure")
+        _check_finite("the martingale vector", (v,))
         if np.linalg.norm(v) == 0.0:
             raise ValueError("the martingale vector must be nonzero")
         object.__setattr__(self, "vector", v)
@@ -193,7 +207,7 @@ class VectorMartingale:
 
     def to_json(self) -> dict:
         return {
-            "measure": self.measure.to_json(),
+            "measure": _dense(self, "to_json").to_json(),
             "vector": [[v.real, v.imag] for v in self.vector],
         }
 
@@ -218,6 +232,7 @@ class OperatorStepProcess:
         dims = {a.shape[0] for a in ops}
         if len(dims) > 1:
             raise ShapeMismatchError("operators have mixed dimensions")
+        _check_finite("the process", ops)
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -364,16 +379,13 @@ def unitary_transport(
     u: np.ndarray, proc: OperatorStepProcess, mart: VectorMartingale, enforce: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compare U(integral) with the integral of {U A_k U^-1} against (UEU^-1, UM)."""
+    dense = _dense(mart, "unitary_transport")
     u = _as_matrix(u, mart.dim)
     if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) >= 1e-10:
         raise ValueError("matrix is not unitary")
     left = u @ stochastic_integral(proc, mart, enforce=enforce)
     uh = u.conj().T
-    measure = ProjectorMeasure(
-        mart.grid,
-        u @ mart.measure.atom @ uh,
-        tuple(u @ p @ uh for p in mart.measure.cells),
-    )
+    measure = ProjectorMeasure(mart.grid, u @ dense.atom @ uh, tuple(u @ p @ uh for p in dense.cells))
     transported = VectorMartingale(measure, u @ mart.vector)
     conj_proc = OperatorStepProcess(proc.grid, tuple(u @ a @ uh for a in proc.operators))
     right = stochastic_integral(conj_proc, transported, enforce=enforce)

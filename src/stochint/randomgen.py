@@ -28,12 +28,12 @@ def generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
 
-def random_grid(rng: np.random.Generator, cells: int, horizon: float = 1.0) -> TimeGrid:
-    """Random partition with the given number of cells (interior points uniform)."""
+def random_grid(rng: np.random.Generator, cells: int) -> TimeGrid:
+    """Random partition of [0, 1] with the given number of cells (interior points uniform)."""
     if cells == 1:
-        return uniform_grid(horizon, 1)
-    interior = np.sort(rng.uniform(0.05, 0.95, size=cells - 1)) * horizon
-    return TimeGrid((0.0, *interior, horizon))
+        return uniform_grid(1.0, 1)
+    interior = np.sort(rng.uniform(0.05, 0.95, size=cells - 1))
+    return TimeGrid((0.0, *interior, 1.0))
 
 
 def random_complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -135,14 +135,8 @@ def random_sym_coeffs(
     return SymCoeffs(grid, degree, values)
 
 
-def random_fock_vector(
-    rng: np.random.Generator,
-    grid: TimeGrid,
-    truncation: int,
-    max_cell: int | None = None,
-    strict: bool = False,
-) -> FockVector:
-    comps = [random_sym_coeffs(rng, grid, d, max_cell=max_cell, strict=strict) for d in range(truncation + 1)]
+def random_fock_vector(rng: np.random.Generator, grid: TimeGrid, truncation: int, strict: bool = False) -> FockVector:
+    comps = [random_sym_coeffs(rng, grid, d, strict=strict) for d in range(truncation + 1)]
     return FockVector(grid, tuple(comps))
 
 

@@ -66,6 +66,9 @@ DEFAULT_TOLERANCES = {
 # suite ids keep the per-trial seed streams of different suites disjoint
 _OPERATOR, _FOCK_ITO, _BERNOULLI, _MC, _BRIDGE, _WICK, _TRANSPORT = range(7)
 
+#: the operator suite draws martingales in C^2..C^_MAX_DIM
+_MAX_DIM = 8
+
 
 def _tolerances(overrides: dict | None) -> dict:
     return {**DEFAULT_TOLERANCES, **(overrides or {})}
@@ -76,17 +79,11 @@ def _tolerances(overrides: dict | None) -> dict:
 # --------------------------------------------------------------------------
 
 
-def verify_operator_suite(
-    cells: int = 6,
-    dim: int = 8,
-    trials: int = 1000,
-    transport_trials: int = 200,
-    seed: int = 0,
-    tolerances: dict | None = None,
-) -> SuiteReport:
-    """Norm bound, linearity, measurability and transport on random data."""
+def verify_operator_suite(cells: int, trials: int, seed: int, tolerances: dict | None = None) -> SuiteReport:
+    """Norm bound, linearity, measurability and transport on random data;
+    the transport section runs min(200, trials) trials."""
     report = SuiteReport(
-        "hstoch", seed, f"random grids, cells<={cells}, dim<={dim}, trials={trials}"
+        "hstoch", seed, f"random grids, cells<={cells}, dim<={_MAX_DIM}, trials={trials}"
     )
     tracker = Tracker(_tolerances(tolerances))
     self_check_failures = tracker.count("measurability_self_check_failures")
@@ -101,7 +98,7 @@ def verify_operator_suite(
     for t in range(trials):
         rng = generator(seed, _OPERATOR, t)
         n = int(rng.integers(1, cells + 1))
-        d = int(rng.integers(2, dim + 1))
+        d = int(rng.integers(2, _MAX_DIM + 1))
         grid = random_grid(rng, n)
         mart = random_martingale(rng, grid, d)
         scalar = t % 2 == 1
@@ -142,10 +139,10 @@ def verify_operator_suite(
             expected = mart.vector - mart.measure.atom @ mart.vector
             telescoping_dev.observe(float(np.linalg.norm(tele - expected)))
 
-    for t in range(transport_trials):
+    for t in range(min(200, trials)):
         rng = generator(seed, _TRANSPORT, t)
         n = int(rng.integers(1, cells + 1))
-        d = int(rng.integers(2, dim + 1))
+        d = int(rng.integers(2, _MAX_DIM + 1))
         mart = random_martingale(rng, random_grid(rng, n), d)
         proc = random_measurable_process(rng, mart, scalar_action=t % 2 == 0)
         left, right = unitary_transport(random_unitary(rng, d), proc, mart, enforce=False)
@@ -165,9 +162,6 @@ def verify_input_file(data: dict, tolerances: dict | None = None) -> list[CheckR
     """
     mart = VectorMartingale.from_json(data["martingale"])
     proc = OperatorStepProcess.from_json(data["process"])
-    arrays = (mart.vector, mart.measure.atom, *mart.measure.cells, *proc.operators)
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("the input holds a non-finite number")
     failures = sum(not check_measurable(proc.operator(k), mart, k - 1) for k in range(1, proc.grid.n + 1))
     lhs, rhs = integral_norm_bound(proc, mart, enforce=False)
     return [
@@ -182,15 +176,11 @@ def verify_input_file(data: dict, tolerances: dict | None = None) -> list[CheckR
 
 
 def verify_fock_ito_suite(
-    cells: int = 6,
-    degree: int = 3,
-    trials: int = 500,
-    bridge_trials: int = 100,
-    seed: int = 0,
-    tolerances: dict | None = None,
+    cells: int, degree: int, trials: int, seed: int, tolerances: dict | None = None
 ) -> SuiteReport:
     """Two-route equality, isometry, Skorohod extension, Wick algebra,
-    projection family, and the operator realization of Wick multiplication."""
+    projection family, and the operator realization of Wick multiplication
+    (min(100, trials) bridge trials)."""
     report = SuiteReport(
         "fock-ito",
         seed,
@@ -280,7 +270,7 @@ def verify_fock_ito_suite(
             lebesgue_dev.observe(abs(fock.norm2(fock.resolution_project(z, j)) - grid.boundaries[j]))
 
     # dense-matrix realization of Wick multiplication
-    for t in range(bridge_trials):
+    for t in range(min(100, trials)):
         rng = generator(seed, _BRIDGE, t)
         n = int(rng.integers(2, max(2, cells) + 1))
         grid = random_grid(rng, n)
@@ -325,14 +315,11 @@ def verify_fock_ito_suite(
 # --------------------------------------------------------------------------
 
 
-def verify_bernoulli_suite(
-    cells: int = 5,
-    trials: int = 200,
-    seed: int = 0,
-    tolerances: dict | None = None,
-) -> SuiteReport:
+def verify_bernoulli_suite(cells: int, trials: int, seed: int, tolerances: dict | None = None) -> SuiteReport:
     """Exact identities on the sign space: martingale structure, the
-    measurability equivalence, both integral transports, and the chaos map."""
+    measurability equivalence, both integral transports, and the chaos map.
+    Sign spaces have at most 5 cells: the realization is dense, 2^n x 2^n."""
+    cells = min(cells, 5)
     report = SuiteReport("bernoulli", seed, f"sign spaces, cells<={cells}, trials={trials}")
     tracker = Tracker(_tolerances(tolerances))
     mart_mean = tracker.eq("martingale_mean_max", "martingale_exact")
@@ -393,7 +380,7 @@ def verify_bernoulli_suite(
         n = int(rng.integers(1, cells + 1))
         sp = spaces[n]
         integrands = random_predictable(rng, sp)
-        via_ops, via_incs = brn.multiplication_integral_pair(sp, integrands, realizations[n])
+        via_ops, via_incs = brn.multiplication_integral_pair(integrands, realizations[n])
         route_dev.observe(brn.max_abs(via_ops - via_incs))
 
     # chaos map: isometry on off-diagonal pairs
@@ -465,12 +452,12 @@ def _mean_check(
 def _brownian_samples(block: montecarlo.PathEnsemble, g: symtensor.SymCoeffs, f2: symtensor.SymCoeffs) -> dict:
     """The per-path samples of the Brownian checks on one block of paths."""
     w = montecarlo.linear_samples(g, block).real
-    order1 = montecarlo.iterated_samples(g, block).real - montecarlo.hermite_reference(g, 1, block, w)
+    order1 = montecarlo.iterated_samples(g, block).real - montecarlo.hermite_reference(g, 1, w)
     _, _, square, cube = montecarlo.iterated_ones(block, 3)  # of g's symmetric powers
     return {
         "order1_reference_max_dev": np.abs(order1),
-        "order2_mean_diff": square - montecarlo.hermite_reference(g, 2, block, w),
-        "order3_mean_diff": cube - montecarlo.hermite_reference(g, 3, block, w),
+        "order2_mean_diff": square - montecarlo.hermite_reference(g, 2, w),
+        "order3_mean_diff": cube - montecarlo.hermite_reference(g, 3, w),
         "power_second_moment": square**2,
         "offdiagonal_second_moment": np.abs(montecarlo.iterated_samples(f2, block)) ** 2,
         "linear_isometry": w**2,
@@ -515,7 +502,7 @@ def mc_suite(
         f2 = random_sym_coeffs(generator(seed, _MC, 0), grid, 2, strict=True, entries=6)
         samples = partial(_brownian_samples, g=g, f2=f2)
         allowance = 4.0 * max(grid.lengths)  # per unit of a second-moment target
-        power = 2.0 * symtensor.norm2(symtensor.ones(grid, 2))
+        power = 2.0 * grid.horizon**2  # E[I_2(1)^2] = 2 ||ones(grid, 2)||^2 = 2 T^2
         offdiagonal = 2.0 * symtensor.norm2(f2)
         means = [
             ("order2_mean_diff", 0.0, 0.0),
@@ -613,23 +600,16 @@ def refinement_study(start_cells: int = 2, levels: int = 6, seed: int = 0) -> Su
     return report
 
 
-def verify(
-    suite: str,
-    cells: int = 4,
-    degree: int = 3,
-    trials: int = 200,
-    seed: int = 0,
-    tolerances: dict | None = None,
-) -> SuiteReport:
-    """Run one of :data:`VERIFY_SUITES` as the command line does: transport
-    and bridge trials capped at 200 and 100, Bernoulli spaces at 5 cells."""
-    common = dict(trials=trials, seed=seed, tolerances=tolerances)
+def verify(suite: str, cells: int, degree: int, trials: int, seed: int, tolerances: dict | None = None) -> SuiteReport:
+    """Run one of :data:`VERIFY_SUITES` as the command line does; the CLI
+    owns the default values.  Each suite caps its own sections: the
+    transport and bridge trials, and the size of the Bernoulli sign spaces."""
     if suite == "hstoch":
-        return verify_operator_suite(cells=cells, transport_trials=min(200, trials), **common)
+        return verify_operator_suite(cells, trials, seed, tolerances)
     if suite == "fock-ito":
-        return verify_fock_ito_suite(cells=cells, degree=degree, bridge_trials=min(100, trials), **common)
+        return verify_fock_ito_suite(cells, degree, trials, seed, tolerances)
     if suite == "bernoulli":
-        return verify_bernoulli_suite(cells=min(cells, 5), **common)
+        return verify_bernoulli_suite(cells, trials, seed, tolerances)
     if suite == "all":
         return verify_all(cells, degree, trials, seed, tolerances)
     raise ValueError(f"unknown suite {suite!r}")
@@ -639,13 +619,7 @@ def verify(
 VERIFY_SUITES = ("hstoch", "fock-ito", "bernoulli", "all")
 
 
-def verify_all(
-    cells: int = 4,
-    degree: int = 3,
-    trials: int = 200,
-    seed: int = 0,
-    tolerances: dict | None = None,
-) -> SuiteReport:
+def verify_all(cells: int, degree: int, trials: int, seed: int, tolerances: dict | None = None) -> SuiteReport:
     """Run the three verification suites and flatten them into one report."""
     parts = [verify(suite, cells, degree, trials, seed, tolerances) for suite in VERIFY_SUITES[:-1]]
     return merge_reports("all", seed, f"cells<={cells}, degree<={degree}, trials={trials}", parts)

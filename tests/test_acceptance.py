@@ -121,7 +121,7 @@ def test_criterion_05_multiplication_route_200_integrands():
         n = int(rng.integers(1, 6))
         sp = spaces[n]
         fs = random_predictable(rng, sp)
-        via_ops, via_incs = multiplication_integral_pair(sp, fs, realizations[n])
+        via_ops, via_incs = multiplication_integral_pair(fs, realizations[n])
         assert max_abs(via_ops - via_incs) <= 1e-12
     report("criterion 5: operator route equals increment route on 200 integrands")
 

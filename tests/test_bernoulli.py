@@ -33,6 +33,7 @@ from stochint.symtensor import SymCoeffs
 
 G2 = uniform_grid(1.0, 2)
 SP2 = BernoulliSpace(G2)
+REAL2 = classical_realization(SP2)
 
 
 def test_space_basics():
@@ -143,16 +144,16 @@ def test_classical_realization_matches_column_by_column_construction():
 
 def test_measurability_equivalence_examples():
     xi1, xi2 = SP2.xi(1), SP2.xi(2)
-    v = measurability_equivalence(xi1, 1)
+    v = measurability_equivalence(xi1, 1, REAL2)
     assert v.classical and v.operator and v.agree
     assert v.restricted_norms == pytest.approx((1.0,), abs=1e-10)
     assert v.function_norm == pytest.approx(1.0)
 
-    v = measurability_equivalence(xi2, 1)
+    v = measurability_equivalence(xi2, 1, REAL2)
     assert not v.classical and not v.operator and v.agree
 
     for k in range(3):
-        v = measurability_equivalence(SP2.constant(2.5), k)
+        v = measurability_equivalence(SP2.constant(2.5), k, REAL2)
         assert v.classical and v.operator
         for nu in v.restricted_norms:
             assert nu == pytest.approx(2.5, abs=1e-10)
@@ -178,11 +179,11 @@ def test_measurability_equivalence_exhaustive_small():
 
 
 def test_multiplication_route_examples_and_random():
-    ops, incs = multiplication_integral_pair(SP2, [SP2.constant(1.0)] * 2)
+    ops, incs = multiplication_integral_pair([SP2.constant(1.0)] * 2, REAL2)
     assert max_abs(ops - SP2.walk_at(2)) < 1e-14
     assert max_abs(ops - incs) < 1e-14
 
-    ops, incs = multiplication_integral_pair(SP2, [SP2.constant(0.0), SP2.increment(1)])
+    ops, incs = multiplication_integral_pair([SP2.constant(0.0), SP2.increment(1)], REAL2)
     assert max_abs(ops - 0.5 * SP2.xi(1) * SP2.xi(2)) < 1e-14
 
     for seed in range(30):
@@ -190,7 +191,7 @@ def test_multiplication_route_examples_and_random():
         sp = BernoulliSpace(random_grid(rng, int(rng.integers(1, 6))))
         real = classical_realization(sp)
         fs = random_predictable(rng, sp)
-        ops, incs = multiplication_integral_pair(sp, fs, real)
+        ops, incs = multiplication_integral_pair(fs, real)
         assert max_abs(ops - incs) < 1e-12
 
 

@@ -52,6 +52,28 @@ def test_measure_invariants_enforced():
         ProjectorMeasure(G2, np.zeros((2, 2), complex), (p, p))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_measure_rejects_non_finite_entries(bad):
+    p1 = np.diag([1.0, 0.0]).astype(complex)
+    p1[1, 1] = bad  # NaN compares False against every tolerance
+    with pytest.raises(ValueError, match="non-finite"):
+        ProjectorMeasure(G2, np.zeros((2, 2), complex), (p1, np.diag([0.0, 1.0]).astype(complex)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_martingale_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        VectorMartingale(example_martingale().measure, np.array([1.0, bad, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_process_rejects_non_finite_entries(bad):
+    a = np.eye(3, dtype=complex)
+    a[0, 2] = complex(0.0, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        OperatorStepProcess(G2, (np.eye(3, dtype=complex), a))
+
+
 def _three_measures() -> tuple:
     """A random dense measure, a Fock realization's label measure and a
     Bernoulli realization's dense measure."""
@@ -328,3 +350,13 @@ def test_json_roundtrips():
     proc_back = OperatorStepProcess.from_json(proc.to_json())
     for k in range(1, 4):
         np.testing.assert_allclose(proc_back.operator(k), proc.operator(k), atol=0)
+
+
+def test_label_measure_refuses_transport_and_json():
+    rng = generator(4801)
+    real = wick_operator_process(random_adapted_process(rng, random_grid(rng, 3), 3, 2))
+    u = random_unitary(rng, real.martingale.dim)
+    for call in (lambda: unitary_transport(u, real.process, real.martingale), real.martingale.to_json):
+        with pytest.raises(TypeError, match="needs a dense ProjectorMeasure, not a LabelMeasure") as err:
+            call()
+        assert "\n" not in str(err.value)

@@ -10,7 +10,7 @@ from stochint.symtensor import SymCoeffs
 
 
 def test_operator_suite_small():
-    rep = suites.verify_operator_suite(cells=4, dim=6, trials=60, transport_trials=20, seed=5)
+    rep = suites.verify_operator_suite(cells=4, trials=60, seed=5)
     assert rep.passed, [c.name for c in rep.failures()]
     names = {c.name for c in rep.checks}
     assert "isometry_bound_max_violation" in names
@@ -18,12 +18,12 @@ def test_operator_suite_small():
 
 
 def test_operator_suite_handles_zero_trials():
-    rep = suites.verify_operator_suite(cells=3, trials=0, transport_trials=0, seed=1)
+    rep = suites.verify_operator_suite(cells=3, trials=0, seed=1)
     assert rep.passed
 
 
 def test_fock_ito_suite_small():
-    rep = suites.verify_fock_ito_suite(cells=4, degree=2, trials=40, bridge_trials=10, seed=5)
+    rep = suites.verify_fock_ito_suite(cells=4, degree=2, trials=40, seed=5)
     assert rep.passed, [c.name for c in rep.failures()]
     assert any("bridge" in c.name for c in rep.checks)
     assert rep.notes  # the bridge evidence note
@@ -38,9 +38,7 @@ def test_bernoulli_suite_small():
 
 
 def test_tolerance_override_fails_checks():
-    rep = suites.verify_operator_suite(
-        cells=3, trials=5, transport_trials=0, seed=5, tolerances={"scalar_equality": -1.0}
-    )
+    rep = suites.verify_operator_suite(cells=3, trials=5, seed=5, tolerances={"scalar_equality": -1.0})
     assert not rep.passed
     assert any(c.name == "scalar_family_max_equality_dev" for c in rep.failures())
 
@@ -124,7 +122,7 @@ def test_skorohod_check_compares_with_the_wick_route(monkeypatch):
         return FockVector(out.grid, tuple(comps))
 
     monkeypatch.setattr(fock_ito, "ito_wick", perturbed)
-    rep = suites.verify_fock_ito_suite(cells=3, degree=2, trials=10, bridge_trials=0, seed=5)
+    rep = suites.verify_fock_ito_suite(cells=3, degree=2, trials=10, seed=5)
     checks = {c.name: c for c in rep.checks}
     assert checks["skorohod_extends_ito_max_dev"].lhs > 0
     assert checks["route_equivalence_max_dev"].lhs > 0
