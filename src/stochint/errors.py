@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type pickles with its own fields, so an error raised in a worker
+process of ``suites.verify_all`` reaches the caller with its type and message.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +26,9 @@ class TruncationOverflowError(RuntimeError):
         self.degree = degree
         super().__init__(message or f"nonzero component at degree {degree} exceeds the truncation")
 
+    def __reduce__(self):
+        return type(self), (self.degree, str(self))
+
 
 class NotAdaptedError(ValueError):
     """A step process violates the support/predictability condition."""
@@ -35,6 +42,9 @@ class NotAdaptedError(ValueError):
             detail += f", degree {degree}, multiset {multiset}"
         super().__init__(f"process is not adapted at {detail}")
 
+    def __reduce__(self):
+        return type(self), (self.cell, self.degree, self.multiset)
+
 
 class MeasurabilityError(RuntimeError):
     """Integration was requested for an operator that fails the measurability check."""
@@ -44,6 +54,9 @@ class MeasurabilityError(RuntimeError):
         self.report = report
         super().__init__(f"operator on cell {cell} is not measurable at boundary {cell - 1}")
 
+    def __reduce__(self):
+        return type(self), (self.cell, self.report)
+
 
 class NotRepresentableError(ValueError):
     """A Fock vector with diagonal support has no discrete chaos expansion."""
@@ -51,3 +64,6 @@ class NotRepresentableError(ValueError):
     def __init__(self, multiset: tuple[int, ...]):
         self.multiset = multiset
         super().__init__(f"multiset {multiset} has a repeated cell; not representable")
+
+    def __reduce__(self):
+        return type(self), (self.multiset,)

@@ -140,6 +140,14 @@ class LabelMeasure:
     grid: TimeGrid
     labels: np.ndarray
 
+    def __post_init__(self):
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be a 1-d integer array, got {labels.dtype} of shape {labels.shape}")
+        if not 0 <= labels.min() <= labels.max() <= self.grid.n:
+            raise ValueError(f"labels must lie in 0..{self.grid.n}, got {labels.min()}..{labels.max()}")
+        object.__setattr__(self, "labels", labels)
+
     @property
     def dim(self) -> int:
         return len(self.labels)

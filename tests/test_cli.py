@@ -1,10 +1,15 @@
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochint import montecarlo
+from stochint import bernoulli, montecarlo
 from stochint.cli import main
 from stochint.grid import uniform_grid
 from stochint.randomgen import generator, random_grid, random_martingale, random_measurable_process
@@ -143,6 +148,40 @@ def test_fault_inside_a_suite_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(montecarlo, "iterated_samples", broken)
     with pytest.raises(ValueError, match="could not be broadcast"):
         run(["mc", "--cells", "2", "--paths", "10", "--seed", "1"])
+
+
+def test_verify_all_refusal_in_a_worker_is_usage_error(capsys):
+    # the fock-ito worker refuses a 19-cell bridge trial; the other workers still finish
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "all", "--cells", "30", "--trials", "5", "--seed", "1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1] == (
+        "stochint: error: a Wick operator matrix on 19 cells at truncation 4 has 8855^2 entries, over the limit 4194304"
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_fault_inside_a_verify_all_worker_is_not_a_usage_error(monkeypatch):
+    # the workers are forked, so they run the patched bernoulli module
+    def broken(x, j):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(bernoulli, "cond_expect", broken)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        run(["verify", "all", "--trials", "2", "--seed", "1"])
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, stochint.cli; print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

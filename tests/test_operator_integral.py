@@ -352,6 +352,23 @@ def test_json_roundtrips():
         np.testing.assert_allclose(proc_back.operator(k), proc.operator(k), atol=0)
 
 
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (np.array([0, 1, 7]), r"labels must lie in 0\.\.2, got 0\.\.7"),
+        (np.array([-1, 1, 2]), r"labels must lie in 0\.\.2, got -1\.\.2"),
+        (np.array([0.0, 1.0, 2.0]), "1-d integer array"),
+        (np.array([[0, 1], [2, 2]]), "1-d integer array"),
+        (np.array([True, False, True]), "1-d integer array"),
+    ],
+)
+def test_label_measure_rejects_labels_outside_its_parts(labels, message):
+    # labels outside 0..n would make parts that do not sum to the identity:
+    # the integral of the identity process would drop coordinate 2
+    with pytest.raises(ValueError, match=message):
+        LabelMeasure(uniform_grid(1.0, 2), labels)
+
+
 def test_label_measure_refuses_transport_and_json():
     rng = generator(4801)
     real = wick_operator_process(random_adapted_process(rng, random_grid(rng, 3), 3, 2))

@@ -1,11 +1,20 @@
+import multiprocessing
+import pickle
 import tracemalloc
 
 import pytest
 
 from stochint import bernoulli, fock_ito, montecarlo, suites
 from stochint.grid import uniform_grid
-from stochint.errors import NotAdaptedError
+from stochint.errors import (
+    MeasurabilityError,
+    NotAdaptedError,
+    NotRepresentableError,
+    RefusalError,
+    TruncationOverflowError,
+)
 from stochint.fock import FockVector
+from stochint.reports import merge_reports, render_json
 from stochint.symtensor import SymCoeffs
 
 
@@ -108,6 +117,48 @@ def test_verify_all_has_thirty_checks():
     rep = suites.verify_all(cells=3, degree=2, trials=12, seed=3)
     assert rep.passed, [c.name for c in rep.failures()]
     assert len(rep.checks) >= 30
+
+
+@pytest.mark.parametrize("tolerances", [None, {"transport": 1e-30}])
+def test_verify_all_matches_the_suites_run_one_after_another(tolerances):
+    cells, degree, trials, seed = 3, 2, 12, 3
+    pooled = suites.verify_all(cells, degree, trials, seed, tolerances)
+    assert multiprocessing.active_children() == []
+    parts = [suites.verify(name, cells, degree, trials, seed, tolerances) for name in suites.VERIFY_SUITES[:-1]]
+    in_process = merge_reports("all", seed, f"cells<={cells}, degree<={degree}, trials={trials}", parts)
+    assert render_json(pooled) == render_json(in_process)
+    failed = [] if tolerances is None else ["hstoch/unitary_transport_max_dev"]
+    assert [c.name for c in pooled.failures()] == failed
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RefusalError("too large"),
+        TruncationOverflowError(3),
+        NotAdaptedError(2, 1, (0, 1)),
+        MeasurabilityError(3),
+        NotRepresentableError((1, 1)),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_errors_pickle_with_their_fields(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error)
+    assert str(back) == str(error)
+    assert vars(back) == vars(error)
+
+
+def test_verify_all_raises_a_worker_error_with_its_fields(monkeypatch):
+    # the workers are forked, so they run the patched fock_ito module
+    def broken(proc):
+        raise MeasurabilityError(3)
+
+    monkeypatch.setattr(fock_ito, "ito_wick", broken)
+    with pytest.raises(MeasurabilityError, match="not measurable at boundary 2") as err:
+        suites.verify_all(cells=3, degree=2, trials=4, seed=1)
+    assert err.value.cell == 3
+    assert multiprocessing.active_children() == []
 
 
 def test_skorohod_check_compares_with_the_wick_route(monkeypatch):
