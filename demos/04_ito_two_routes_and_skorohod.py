@@ -13,7 +13,6 @@ from stochint import (
     ito_symmetrize,
     ito_wick,
     skorohod_integral,
-    skorohod_norm,
     uniform_grid,
     vacuum,
 )
@@ -57,7 +56,7 @@ bad = FockStepProcess(g, (cell_increment(g, 1), zero_vector(g, 1)))
 print("adapted:", check_adapted(bad).ok, "->", check_adapted(bad))
 sk = skorohod_integral(bad)
 print("Skorohod integral hits the diagonal: value at {1,1} =", sk.component(2)[(1, 1)])
-print("Skorohod norm^2:", skorohod_norm(bad) ** 2)
+print("Skorohod norm^2:", fock.norm2(sk))
 # on adapted inputs the extension coincides with the Ito integral
 print("on adapted input, distance to the Ito routes:",
       fock.entrywise_distance(skorohod_integral(proc), via_sym))

@@ -10,7 +10,7 @@ from stochint.montecarlo import (
     hermite_reference,
     iterated_samples,
     linear_samples,
-    mean_and_stderr,
+    Moments,
     poisson_ensemble,
 )
 
@@ -26,20 +26,24 @@ w = linear_samples(g, ens).real
 for order in (1, 2, 3):
     coeffs = symtensor.ones(grid, order)
     diff = iterated_samples(coeffs, ens).real - hermite_reference(g, order, w)
-    mean, se = mean_and_stderr(diff)
-    print(f"order {order}: mean(discrete - reference) = {mean:+.2e}  (4se = {4*se:.2e})")
+    m = Moments()
+    m.add(diff)
+    print(f"order {order}: mean(discrete - reference) = {m.mean:+.2e}  (4se = {4*m.stderr():.2e})")
 
 w2 = np.abs(linear_samples(g, ens)) ** 2
-mean, se = mean_and_stderr(w2)
-print(f"first-order isometry: E|W(g)|^2 = {mean:.4f} vs ||g||^2 = 1  (4se = {4*se:.2e})")
+m = Moments()
+m.add(w2)
+print(f"first-order isometry: E|W(g)|^2 = {m.mean:.4f} vs ||g||^2 = 1  (4se = {4*m.stderr():.2e})")
 
 print()
 print("== compensated Poisson increments ==")
 pens = poisson_ensemble(grid, paths, seed, intensity=1.0)
-mean, se = mean_and_stderr(pens.increments.reshape(-1))
-print(f"increment mean {mean:+.2e} (4se = {4*se:.2e})")
-mean, se = mean_and_stderr(pens.terminal() ** 2)
-print(f"terminal second moment {mean:.4f} vs horizon 1.0 (4se = {4*se:.2e})")
+m = Moments()
+m.add(pens.increments.reshape(-1))
+print(f"increment mean {m.mean:+.2e} (4se = {4*m.stderr():.2e})")
+m = Moments()
+m.add(pens.terminal() ** 2)
+print(f"terminal second moment {m.mean:.4f} vs horizon 1.0 (4se = {4*m.stderr():.2e})")
 
 print()
 print("== refinement study: integrating the running indicator ==")

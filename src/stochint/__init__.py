@@ -16,9 +16,8 @@ from .errors import (
     RefusalError,
     ShapeMismatchError,
     TruncationOverflowError,
-    UnsupportedPointError,
 )
-from .grid import ORIGIN, TimeGrid, boundary_index, locate, refine, uniform_grid
+from .grid import ORIGIN, TimeGrid, locate, refine, uniform_grid
 from .symtensor import (
     SymCoeffs,
     block_weight,
@@ -58,7 +57,6 @@ from .fock_ito import (
     ito_symmetrize,
     ito_wick,
     skorohod_integral,
-    skorohod_norm,
     wick_operator_process,
 )
 from .bernoulli import (

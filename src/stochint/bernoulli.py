@@ -198,9 +198,6 @@ class ClassicalRealization:
     martingale: VectorMartingale
     scale: float
 
-    def to_vector(self, x: RandomVariable) -> np.ndarray:
-        return x.values * self.scale
-
     def to_random_variable(self, vec: np.ndarray) -> RandomVariable:
         return RandomVariable(self.space, np.asarray(vec, dtype=complex) / self.scale)
 

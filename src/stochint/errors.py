@@ -15,10 +15,6 @@ class ShapeMismatchError(ValueError):
     """Operands disagree on grid, degree, or matrix dimension."""
 
 
-class UnsupportedPointError(ValueError):
-    """A time point that is not a grid boundary was requested."""
-
-
 class TruncationOverflowError(RuntimeError):
     """A strict-policy operation produced a nonzero component above the truncation."""
 

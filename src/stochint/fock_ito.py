@@ -144,10 +144,6 @@ def skorohod_integral(proc: FockStepProcess) -> FockVector:
     return _insert_all_degrees(proc)
 
 
-def skorohod_norm(proc: FockStepProcess) -> float:
-    return float(np.sqrt(fock.norm2(skorohod_integral(proc))))
-
-
 def ito_isometry(proc: FockStepProcess) -> tuple[float, float]:
     """(||ito_wick||^2, sum_k ||value_k||^2 * len_k); exact identity on a grid."""
     lhs = fock.norm2(ito_wick(proc))
@@ -158,14 +154,6 @@ def ito_isometry(proc: FockStepProcess) -> tuple[float, float]:
 
 
 # --- matrix realization on the truncated Fock basis -------------------------
-
-
-def fock_basis(grid: TimeGrid, truncation: int) -> tuple[tuple[int, ...], ...]:
-    """All cell multisets of size 0..truncation, ordered by degree then
-    lexicographically: the concatenated rank orders of the degrees."""
-    return tuple(
-        tuple(ms) for d in range(truncation + 1) for ms in symtensor.multisets(grid.n, d).tolist()
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +186,10 @@ def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
     """Materialize g -> value_k (Wick) g as matrices, plus the martingale.
 
     The realization truncation is the process's own, proc.truncation, and
-    the coordinates follow :func:`fock_basis`.  Requires one degree of
-    headroom: max nonzero degree of the process plus one must fit inside
-    the truncation.  Wick products above the truncation are dropped (the
-    matrices act on the truncated space).  An operator matrix past
+    the coordinates run by degree, then by rank within a degree.  Requires
+    one degree of headroom: max nonzero degree of the process plus one must
+    fit inside the truncation.  Wick products above the truncation are
+    dropped (the matrices act on the truncated space).  An operator matrix past
     symtensor.MAX_ENTRIES entries raises RefusalError before any allocation.
     """
     _require_adapted(proc)

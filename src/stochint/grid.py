@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ShapeMismatchError, UnsupportedPointError
+from .errors import ShapeMismatchError
 
 #: marker returned by :func:`locate` for t == 0 (cell indices start at 1)
 ORIGIN = 0
@@ -115,15 +115,3 @@ def locate(grid: TimeGrid, t: float) -> int:
     if t == 0:
         return ORIGIN
     return bisect_left(grid.boundaries, t)
-
-
-def boundary_index(grid: TimeGrid, t: float) -> int:
-    """Index j with t == t_j exactly; raises for interior points.
-
-    Projections and resolutions are only offered at grid boundaries; refine
-    the grid to reach other times.
-    """
-    try:
-        return grid.boundaries.index(float(t))
-    except ValueError:
-        raise UnsupportedPointError(f"t={t} is not a boundary of the grid") from None

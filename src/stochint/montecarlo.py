@@ -62,11 +62,6 @@ def _splitmix_block(seeds: np.ndarray, ctr: np.ndarray, bits: np.ndarray, tmp: n
         out *= 2.0 ** -53
 
 
-def path_seeds(master_seed: int, paths: int) -> np.ndarray:
-    """One derived 64-bit seed per path index 0..paths-1."""
-    return _seeds(master_seed, 0, paths)
-
-
 def _seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
     """The derived seeds of path indices start..stop-1."""
     master = np.array([master_seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
@@ -319,12 +314,6 @@ def csv_writer(path):
         yield write
 
 
-def export_csv(ensemble: PathEnsemble, path) -> None:
-    """Write the ensemble as rows (path, cell, increment) (:func:`csv_writer`)."""
-    with csv_writer(path) as write:
-        write(ensemble)
-
-
 @dataclass
 class Moments:
     """Count, mean, sum of squared deviations from the mean (M2), minimum and
@@ -369,11 +358,3 @@ class Moments:
         if self.count < 2:
             raise ValueError("a standard error needs at least two samples")
         return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
-
-
-def mean_and_stderr(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and standard error of the mean (real part): one block of
-    :class:`Moments`."""
-    moments = Moments()
-    moments.add(samples)
-    return moments.mean, moments.stderr()

@@ -112,10 +112,6 @@ class ProjectorMeasure:
         """P_k x for a vector or a block of columns."""
         return self.cells[self.grid.check_cell(k) - 1] @ x
 
-    def boundary_projection(self, j: int) -> np.ndarray:
-        """E at boundary j: atom plus the first j cell projections, summed per call."""
-        return sum(self.cells[: self.grid.check_boundary(j)], self.atom)
-
     def to_json(self) -> dict:
         return {
             "boundaries": self.grid.to_json(),
@@ -209,9 +205,6 @@ class VectorMartingale:
     def mu(self, k: int) -> float:
         """Scalar measure of cell k: squared norm of the increment."""
         return float(np.linalg.norm(self.increment(k)) ** 2)
-
-    def mu_total(self) -> float:
-        return sum(self.mu(k) for k in range(1, self.grid.n + 1))
 
     def to_json(self) -> dict:
         return {

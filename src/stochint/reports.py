@@ -57,8 +57,11 @@ class Running:
     value: float = 0.0
 
     def observe(self, value: float) -> None:
-        """Keep the larger of the two values, as ``max`` does."""
-        if value > self.value:
+        """Keep the larger of the two values, as ``max`` does; a NaN raises
+        FloatingPointError naming the check, since no comparison would keep it."""
+        if not value <= self.value:
+            if math.isnan(value):
+                raise FloatingPointError(f"check {self.name} observed NaN")
             self.value = value
 
     def count(self, violated) -> None:

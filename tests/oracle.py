@@ -4,12 +4,13 @@ A degree-d function is held as a full n^d array of block values.  Products,
 symmetrization, and integrals are computed by direct enumeration over ordered
 tuples and permutations, independently of the sparse multiset implementation
 under test.  The Monte Carlo path ensembles have a whole-array reference too,
-and the Wick, measurability and Bernoulli kernels a straightforward one, at
-the end of this module.
+their CSV export a csv.writer one, and the Wick, measurability and Bernoulli
+kernels a straightforward one, at the end of this module.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 from itertools import permutations, product
 from math import comb, factorial, prod
@@ -145,6 +146,17 @@ def poisson_increments(grid: TimeGrid, paths: int, seed: int, intensity: float) 
         pmf = pmf * (means / j)
         cdf = cdf + pmf
     return (counts - means) / np.sqrt(intensity)
+
+
+def export_csv(increments: np.ndarray, path) -> None:
+    """A (paths x cells) increment array as csv.writer rows (path, cell,
+    increment), one row per (path, cell), paths numbered from 0."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["path", "cell", "increment"])
+        for p, row in enumerate(increments):
+            for k, value in enumerate(row, start=1):
+                writer.writerow([p, k, repr(float(value))])
 
 
 # --------------------------------------------------------------------------

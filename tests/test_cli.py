@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from stochint import bernoulli, montecarlo
 from stochint.cli import main
 from stochint.grid import uniform_grid
@@ -148,6 +149,13 @@ def test_fault_inside_a_suite_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(montecarlo, "iterated_samples", broken)
     with pytest.raises(ValueError, match="could not be broadcast"):
         run(["mc", "--cells", "2", "--paths", "10", "--seed", "1"])
+
+
+def test_nan_inside_a_suite_is_a_fault_not_a_pass(monkeypatch):
+    # a NaN deviation raises out of main with its traceback (exit 1), not as a usage error
+    monkeypatch.setattr(bernoulli, "max_abs", lambda x: float("nan"))
+    with pytest.raises(FloatingPointError, match="check martingale_mean_max observed NaN"):
+        run(["verify", "bernoulli", "--trials", "2", "--seed", "1"])
 
 
 def test_verify_all_refusal_in_a_worker_is_usage_error(capsys):
@@ -292,7 +300,7 @@ def test_mc_csv_exports_the_ensemble_the_report_used(tmp_path, monkeypatch, mode
     args = ["mc", "--model", model, "--cells", "5", "--paths", "300", "--seed", "9"]
     assert run(args + ["--csv", str(csv_path), "--out", str(tmp_path / "r.json")]) == 0
     assert calls == {"brownian": 0, "poisson": 0, model: 2}
-    montecarlo.export_csv(getattr(montecarlo, f"{model}_ensemble")(uniform_grid(1.0, 5), 300, 9), fresh)
+    oracle.export_csv(getattr(montecarlo, f"{model}_ensemble")(uniform_grid(1.0, 5), 300, 9).increments, fresh)
     assert csv_path.read_bytes() == fresh.read_bytes()
 
 

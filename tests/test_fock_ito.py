@@ -14,12 +14,10 @@ from stochint.fock import (
 from stochint.fock_ito import (
     FockStepProcess,
     check_adapted,
-    fock_basis,
     ito_isometry,
     ito_symmetrize,
     ito_wick,
     skorohod_integral,
-    skorohod_norm,
     wick_operator_process,
 )
 from stochint.grid import uniform_grid
@@ -141,12 +139,12 @@ def test_skorohod_diagonal_example():
     out = skorohod_integral(proc)
     assert out.component(2)[(1, 1)] == pytest.approx(1.0)
     assert out.component(2)[(1, 2)] == 0.0
-    assert skorohod_norm(proc) ** 2 == pytest.approx(0.5)
+    assert fock.norm2(out) == pytest.approx(0.5)
 
 
 def test_skorohod_zero():
     proc = constant_process(G2, zero_vector(G2, 1))
-    assert skorohod_norm(proc) == 0.0
+    assert fock.norm2(skorohod_integral(proc)) == 0.0
 
 
 def test_adapted_off_diagonal_gives_off_diagonal_integral():
@@ -156,14 +154,6 @@ def test_adapted_off_diagonal_gives_off_diagonal_integral():
         proc = random_adapted_process(rng, grid, 4, 3, off_diagonal=True)
         out = ito_wick(proc)
         assert all(c.is_off_diagonal() for c in out.components)
-
-
-def test_fock_basis_size():
-    from math import comb
-
-    grid = uniform_grid(1.0, 6)
-    basis = fock_basis(grid, 4)
-    assert len(basis) == sum(comb(6 + d - 1, d) for d in range(5))  # 210
 
 
 def test_wick_operator_identity_for_vacuum():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from stochint.errors import UnsupportedPointError
-from stochint.grid import ORIGIN, TimeGrid, boundary_index, locate, refine, uniform_grid
+from stochint.grid import ORIGIN, TimeGrid, locate, refine, uniform_grid
 
 
 def test_uniform_split():
@@ -89,13 +88,6 @@ def test_locate_out_of_range():
         locate(g, -0.1)
     with pytest.raises(ValueError):
         locate(g, 1.1)
-
-
-def test_boundary_index():
-    g = uniform_grid(1.0, 4)
-    assert boundary_index(g, 0.5) == 2
-    with pytest.raises(UnsupportedPointError):
-        boundary_index(g, 0.3)
 
 
 def test_json_roundtrip():

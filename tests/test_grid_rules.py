@@ -44,7 +44,6 @@ INDEX_CASES = {
     "cond_expect": (lambda j: bernoulli.cond_expect(SPACE.xi(1), j), BOUNDARY),
     "indicator_vector": (lambda j: fock.indicator_vector(GRID, j), BOUNDARY),
     "resolution_project": (lambda j: fock.resolution_project(VEC, j), BOUNDARY),
-    "ProjectorMeasure.boundary_projection": (lambda j: MART.measure.boundary_projection(j), BOUNDARY),
     "future_increment_span": (lambda j: operator_integral.future_increment_span(MART, j), BOUNDARY),
     "check_measurable": (lambda j: operator_integral.check_measurable(np.eye(4), MART, j), BOUNDARY),
 }

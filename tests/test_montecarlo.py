@@ -12,15 +12,12 @@ from stochint import montecarlo
 from stochint.grid import TimeGrid, uniform_grid
 from stochint.montecarlo import (
     brownian_ensemble,
-    export_csv,
     hermite_polynomial,
     hermite_reference,
     Moments,
     iterated_ones,
     iterated_samples,
     linear_samples,
-    mean_and_stderr,
-    path_seeds,
     poisson_ensemble,
 )
 from stochint.randomgen import generator, random_sym_coeffs
@@ -52,10 +49,11 @@ def test_paths_are_order_independent():
 
 
 def test_path_seed_mix_spreads():
-    seeds = path_seeds(0, 1000)
+    seeds = montecarlo._seeds(0, 0, 1000)
     assert len(np.unique(seeds)) == 1000
     assert np.array_equal(seeds, oracle.path_seeds(0, 1000))
-    assert np.array_equal(path_seeds(-5, 3), oracle.path_seeds(-5, 3))
+    assert np.array_equal(montecarlo._seeds(-5, 0, 3), oracle.path_seeds(-5, 3))
+    assert np.array_equal(montecarlo._seeds(-5, 400, 1000), oracle.path_seeds(-5, 1000)[400:])
 
 
 ORACLE_GRIDS = [uniform_grid(1.0, n) for n in (1, 5, 17, 64)] + [TimeGrid((0.0, 0.05, 0.3, 0.31, 1.2, 2.0, 3.5))]
@@ -146,7 +144,7 @@ def test_invalid_arguments():
         with pytest.raises(ValueError):
             poisson_ensemble(G8, 10, 1, intensity=intensity)
     with pytest.raises(ValueError):
-        mean_and_stderr(np.ones(1))
+        one_block(np.ones(1)).stderr()
 
 
 def test_hermite_values():
@@ -246,6 +244,12 @@ def test_iterated_skips_diagonal_entries():
     assert np.abs(iterated_samples(diag, ens)).max() == 0.0
 
 
+def one_block(samples: np.ndarray) -> Moments:
+    moments = Moments()
+    moments.add(samples)
+    return moments
+
+
 def test_iterated_second_moment_matches_weighted_norm():
     rng = generator(77)
     grid = uniform_grid(1.0, 16)
@@ -253,16 +257,16 @@ def test_iterated_second_moment_matches_weighted_norm():
     f2 = random_sym_coeffs(rng, grid, 2, strict=True, entries=6)
     samples = np.abs(iterated_samples(f2, ens)) ** 2
     target = 2.0 * symtensor.norm2(f2)
-    mean, se = mean_and_stderr(samples)
-    assert abs(mean - target) < 5 * se
+    moments = one_block(samples)
+    assert abs(moments.mean - target) < 5 * moments.stderr()
 
 
 def test_linear_samples_isometry():
     ens = brownian_ensemble(uniform_grid(1.0, 8), 200_000, 17)
     g = symtensor.ones(G8, 1)
     w2 = np.abs(linear_samples(g, ens)) ** 2
-    mean, se = mean_and_stderr(w2)
-    assert abs(mean - 1.0) < 5 * se
+    moments = one_block(w2)
+    assert abs(moments.mean - 1.0) < 5 * moments.stderr()
 
 
 @pytest.mark.parametrize(
@@ -276,7 +280,8 @@ def test_linear_samples_isometry():
     ids=["normal", "exponential", "range", "equal"],
 )
 def test_moments_one_block_is_numpy_and_blocks_merge(samples):
-    mean, se = mean_and_stderr(samples)
+    moments = one_block(samples)
+    mean, se = moments.mean, moments.stderr()
     assert mean == float(samples.mean())
     assert se == float(samples.std(ddof=1) / np.sqrt(len(samples)))
     # each merge rounds the mean once more; up to 100 blocks (the suite's
@@ -295,7 +300,8 @@ def test_moments_one_block_is_numpy_and_blocks_merge(samples):
 def test_csv_export(tmp_path):
     ens = brownian_ensemble(uniform_grid(1.0, 3), 4, 19)
     out = tmp_path / "paths.csv"
-    export_csv(ens, out)
+    with montecarlo.csv_writer(out) as write:
+        write(ens)
     with open(out) as handle:
         rows = list(csv.reader(handle))
     assert rows[0] == ["path", "cell", "increment"]
@@ -305,12 +311,8 @@ def test_csv_export(tmp_path):
     # the same bytes as one csv.writer row per (path, cell)
     ens = poisson_ensemble(uniform_grid(2.0, 5), 12, 3, intensity=0.7)
     assert (ens.increments < 0).any() and (ens.increments > 0).any()
-    export_csv(ens, out)
+    with montecarlo.csv_writer(out) as write:
+        write(ens)
     reference = tmp_path / "reference.csv"
-    with open(reference, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["path", "cell", "increment"])
-        for p in range(ens.paths):
-            for k in range(1, ens.grid.n + 1):
-                writer.writerow([p, k, repr(float(ens.increments[p, k - 1]))])
+    oracle.export_csv(ens.increments, reference)
     assert out.read_bytes() == reference.read_bytes()

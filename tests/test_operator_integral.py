@@ -85,16 +85,6 @@ def _three_measures() -> tuple:
     )
 
 
-def test_boundary_projection_is_the_running_sum_of_the_parts():
-    dense, _, bernoulli = _three_measures()
-    for measure in (dense, bernoulli):
-        running = measure.atom
-        assert np.array_equal(measure.boundary_projection(0), running)
-        for j, cell in enumerate(measure.cells, start=1):
-            running = running + cell
-            assert np.array_equal(measure.boundary_projection(j), running)
-
-
 def _stored_arrays(measure) -> list:
     values = vars(measure).values()
     return [a for v in values for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
@@ -291,7 +281,7 @@ def test_scalar_equality_identity_case():
     identity = OperatorStepProcess(G2, (np.eye(3, dtype=complex),) * 2)
     lhs, rhs = integral_norm_bound(identity, mart)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-    assert rhs == pytest.approx(mart.mu_total(), abs=1e-12)
+    assert rhs == pytest.approx(sum(mart.mu(k) for k in (1, 2)), abs=1e-12)
 
 
 def test_quasinorm_zero_process():

@@ -51,6 +51,19 @@ def test_tracker_emits_declared_checks_in_order():
     ]
 
 
+@pytest.mark.parametrize("values", [(float("nan"),), (3e-13, float("nan")), (-2.0, 5.0, float("nan"))])
+def test_nan_observation_raises_naming_the_check(values):
+    # NaN compares False with everything, so a plain maximum would keep 0 and pass
+    tracker = Tracker({"tight": 1e-12})
+    dev = tracker.eq("dev", "tight")
+    *finite, nan = values
+    for value in finite:
+        dev.observe(value)
+    with pytest.raises(FloatingPointError, match="check dev observed NaN"):
+        dev.observe(nan)
+    assert dev.value == max([0.0, *finite])
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         CheckResult("x", "approx", 0.0, 0.0, 0.0)

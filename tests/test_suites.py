@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import oracle
 from stochint import bernoulli, fock_ito, montecarlo, suites
 from stochint.grid import uniform_grid
 from stochint.errors import (
@@ -89,7 +90,7 @@ def test_mc_suite_streams_blocks(model, tmp_path, monkeypatch):
     streamed = suites.mc_suite(**args, csv=str(tmp_path / "paths.csv"))
     reference = tmp_path / "reference.csv"
     make = getattr(montecarlo, f"{model}_ensemble")
-    montecarlo.export_csv(make(uniform_grid(1.0, 5), 300, 9), reference)
+    oracle.export_csv(make(uniform_grid(1.0, 5), 300, 9).increments, reference)
     assert (tmp_path / "paths.csv").read_bytes() == reference.read_bytes()
     assert [(c.name, c.passed) for c in streamed.checks] == [(c.name, c.passed) for c in whole.checks]
     for a, b in zip(streamed.checks, whole.checks):
