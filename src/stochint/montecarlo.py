@@ -335,23 +335,30 @@ class Moments:
         x = np.asarray(samples)
         if np.iscomplexobj(x):
             x = x.real
-        n = len(x)
-        if n == 0:
+        if len(x) == 0:
             return
         mean = float(x.mean())
         dev = x - mean
         dev *= dev
-        m2 = float(dev.sum())
+        self.merge(Moments(len(x), mean, float(dev.sum()), float(x.min()), float(x.max())))
+
+    def merge(self, other: "Moments") -> None:
+        """Merge the moments of another stream into these; an empty `other`
+        changes nothing.  Merging the Moments of single blocks one after
+        another gives the bits of adding the blocks in that order."""
+        if other.count == 0:
+            return
         if self.count == 0:
-            self.mean, self.m2 = mean, m2
+            self.mean, self.m2 = other.mean, other.m2
         else:
+            n = other.count
             total = self.count + n
-            delta = mean - self.mean
+            delta = other.mean - self.mean
             self.mean += delta * n / total
-            self.m2 += m2 + delta * delta * self.count * n / total
-        self.count += n
-        self.low = float(np.minimum(self.low, x.min()))
-        self.high = float(np.maximum(self.high, x.max()))
+            self.m2 += other.m2 + delta * delta * self.count * n / total
+        self.count += other.count
+        self.low = float(np.minimum(self.low, other.low))
+        self.high = float(np.maximum(self.high, other.high))
 
     def stderr(self) -> float:
         """Standard error of the mean, sqrt(M2 / (count - 1) / count)."""

@@ -10,7 +10,9 @@ depend on execution order.
 
 from __future__ import annotations
 
+import os
 from collections import defaultdict
+from collections.abc import Sequence
 from contextlib import nullcontext
 from functools import partial
 from itertools import chain, combinations
@@ -68,6 +70,39 @@ _OPERATOR, _FOCK_ITO, _BERNOULLI, _MC, _BRIDGE, _WICK, _TRANSPORT = range(7)
 
 #: the operator suite draws martingales in C^2..C^_MAX_DIM
 _MAX_DIM = 8
+
+
+def _in_workers(fn, items: Sequence) -> list:
+    """[fn(item) for item in items], one worker process per item; a single
+    item runs in this process.
+
+    Results come back in item order.  The error of the first item that
+    raised, in item order, is raised here with its type.  Every worker is
+    joined before this returns or raises.  The workers share this process's
+    pages until they write to them, so the peak resident memory of a run is
+    that of its largest process."""
+    if len(items) == 1:
+        return [fn(items[0])]
+    # imported here, so that importing the package loads no multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(len(items)) as pool:
+        return list(pool.map(fn, items))
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on (all of the machine's
+    where the platform cannot restrict that)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _contiguous(n: int, count: int) -> list[range]:
+    """range(n) cut into `count` consecutive ranges whose lengths differ by at most one."""
+    size, extra = divmod(n, count)
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _tolerances(overrides: dict | None) -> dict:
@@ -473,6 +508,29 @@ def _poisson_samples(block: montecarlo.PathEnsemble, g: symtensor.SymCoeffs) -> 
     }
 
 
+def _mc_blocks(blocks: range, generate, samples, grid, paths: int, seed: int, step: int, csv: str | None):
+    """Draw the path blocks in `blocks` (block i holds paths i*step..
+    i*step+step-1, up to paths), draw each again for the determinism check,
+    and return one Moments per block and check, in block order, with the
+    number of blocks whose two draws differ.  With `csv`, the blocks are
+    also written there (:func:`montecarlo.csv_writer`)."""
+    per_block = []
+    differ = 0
+    with montecarlo.csv_writer(csv) if csv else nullcontext() as write:
+        for i in blocks:
+            start = i * step
+            size = min(step, paths - start)
+            block = generate(grid, size, seed, start=start)
+            differ += not np.array_equal(block.increments, generate(grid, size, seed, start=start).increments)
+            moments = defaultdict(montecarlo.Moments)
+            for name, values in samples(block).items():
+                moments[name].add(values)
+            per_block.append(moments)
+            if write:
+                write(block)
+    return per_block, differ
+
+
 def mc_suite(
     model: str = "brownian",
     cells: int = 64,
@@ -487,9 +545,14 @@ def mc_suite(
 
     The paths stream through blocks of about montecarlo._BLOCK_DOUBLES
     increments: each block is drawn, drawn again for `ensemble_deterministic`
-    and compared, and its samples merge into one :class:`montecarlo.Moments`
-    per check, so memory does not grow with `paths`.  With `csv`, each block
-    is also written there (:func:`montecarlo.csv_writer`): the file holds the
+    and compared, and its samples give one :class:`montecarlo.Moments` per
+    check, so memory does not grow with `paths`.  The blocks are split into
+    contiguous ranges, one worker process per available CPU and at most one
+    per block (:func:`_in_workers`; the peak resident memory of the run is
+    that of its largest process).  The per-block Moments are merged here in
+    block order, the serial sequence of updates, so the report does not
+    depend on the number of workers.  With `csv`, all blocks run as one
+    range in this process and are also written there: the file holds the
     ensemble the checks ran on."""
     grid = uniform_grid(1.0, cells)
     report = SuiteReport(f"mc-{model}", seed, f"uniform grid, cells={cells}, paths={paths}")
@@ -519,17 +582,18 @@ def mc_suite(
         raise ValueError(f"unknown model {model!r}")
 
     step = max(1, montecarlo._BLOCK_DOUBLES // cells)
+    blocks = -(-paths // step)
+    ranges = _contiguous(blocks, 1 if csv else min(_cpus(), blocks))
+    run = partial(_mc_blocks, generate=generate, samples=samples, grid=grid, paths=paths, seed=seed, step=step, csv=csv)
+    results = _in_workers(run, ranges)
+
     moments = defaultdict(montecarlo.Moments)
     differ = 0
-    with montecarlo.csv_writer(csv) if csv else nullcontext() as write:
-        for start in range(0, paths, step):
-            size = min(step, paths - start)
-            block = generate(grid, size, seed, start=start)
-            differ += not np.array_equal(block.increments, generate(grid, size, seed, start=start).increments)
-            for name, values in samples(block).items():
-                moments[name].add(values)
-            if write:
-                write(block)
+    for per_block, range_differ in results:
+        differ += range_differ
+        for block in per_block:
+            for name, part in block.items():
+                moments[name].merge(part)
 
     report.add(count_zero("ensemble_deterministic", differ))
     if model == "brownian":
@@ -625,16 +689,9 @@ def verify_all(cells: int, degree: int, trials: int, seed: int, tolerances: dict
 
     The suites share no random state, so the merged report is byte-identical
     to running them one after another in this process.  An error raised in a
-    worker is raised here, the first in suite order.  Every worker is joined
-    before this returns or raises.  The workers share this process's pages
-    until they write to them, so the peak resident memory of the run is that
-    of its largest process.
+    worker is raised here, the first in suite order.  The peak resident
+    memory of the run is that of its largest process (see :func:`_in_workers`).
     """
-    # imported here, so that importing the package loads no multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    names = VERIFY_SUITES[:-1]
     run = partial(verify, cells=cells, degree=degree, trials=trials, seed=seed, tolerances=tolerances)
-    with ProcessPoolExecutor(len(names)) as pool:
-        parts = list(pool.map(run, names))
+    parts = _in_workers(run, VERIFY_SUITES[:-1])
     return merge_reports("all", seed, f"cells<={cells}, degree<={degree}, trials={trials}", parts)

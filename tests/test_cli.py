@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracle
-from stochint import bernoulli, montecarlo
+from stochint import bernoulli, montecarlo, suites
 from stochint.cli import main
 from stochint.grid import uniform_grid
 from stochint.randomgen import generator, random_grid, random_martingale, random_measurable_process
@@ -181,6 +181,49 @@ def test_fault_inside_a_verify_all_worker_is_not_a_usage_error(monkeypatch):
     with pytest.raises(ValueError, match="could not be broadcast"):
         run(["verify", "all", "--trials", "2", "--seed", "1"])
     assert multiprocessing.active_children() == []
+
+
+def test_mc_refusal_in_a_worker_is_usage_error(capsys, monkeypatch):
+    # three path blocks of one cell over two worker processes, each refusing the table
+    monkeypatch.setattr(suites, "_cpus", lambda: 2)
+    with pytest.raises(SystemExit) as err:
+        run(["mc", "--model", "poisson", "--cells", "1", "--intensity", "760", "--paths", "300000", "--seed", "1"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1] == (
+        "stochint: error: per-cell Poisson mean intensity * cell length = 760 is above about 708.4: "
+        "exp(-mean) underflows"
+    )
+    assert multiprocessing.active_children() == []
+
+
+def test_fault_inside_an_mc_worker_is_not_a_usage_error(monkeypatch):
+    # four path blocks of two cells over two forked workers, which run the patched module
+    def broken(coeffs, ensemble):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(suites, "_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "iterated_samples", broken)
+    with pytest.raises(ValueError, match="could not be broadcast"):
+        run(["mc", "--cells", "2", "--paths", "200000", "--seed", "1"])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_mc_csv_to_a_directory_that_takes_no_new_entry(tmp_path, monkeypatch):
+    # /dev/fd/N names an open file, and no process can create anything beside it;
+    # the run has 12 blocks and 2 CPUs, so only the export keeps it to one range
+    monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 240)
+    monkeypatch.setattr(suites, "_cpus", lambda: 2)
+    target, fresh = tmp_path / "paths.csv", tmp_path / "fresh.csv"
+    args = ["mc", "--cells", "6", "--paths", "401", "--seed", "3", "--out", str(tmp_path / "r.json")]
+    with open(target, "w") as handle:
+        assert run(args + ["--csv", f"/dev/fd/{handle.fileno()}"]) == 0
+    oracle.export_csv(montecarlo.brownian_ensemble(uniform_grid(1.0, 6), 401, 3).increments, fresh)
+    assert target.read_bytes() == fresh.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "paths.csv", "r.json"]
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -297,6 +297,56 @@ def test_moments_one_block_is_numpy_and_blocks_merge(samples):
         assert abs(merged.stderr() - se) <= 1e-15 * se
 
 
+def serial_moments(blocks) -> tuple:
+    """(count, mean, m2, low, high) of blocks added one after another by
+    Chan's update, written out as the suite's serial loop computed it."""
+    count, mean, m2, low, high = 0, 0.0, 0.0, np.inf, -np.inf
+    for x in blocks:
+        n = len(x)
+        block_mean = float(x.mean())
+        block_m2 = float(((x - block_mean) ** 2).sum())
+        if count == 0:
+            mean, m2 = block_mean, block_m2
+        else:
+            total = count + n
+            delta = block_mean - mean
+            mean += delta * n / total
+            m2 += block_m2 + delta * delta * count * n / total
+        count += n
+        low, high = float(np.minimum(low, x.min())), float(np.maximum(high, x.max()))
+    return count, mean, m2, low, high
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_moments_merged_block_by_block_are_the_serial_bits(seed):
+    # uneven splits, one-sample blocks included: folding each block's own
+    # Moments in block order gives the serial add loop's bits
+    rng = np.random.default_rng(seed)
+    samples = rng.standard_normal(5000) * 3.0 + 1.0
+    for _ in range(20):
+        cuts = np.sort(rng.choice(np.arange(1, len(samples)), size=int(rng.integers(1, 60)), replace=False))
+        blocks = np.split(samples, cuts)
+        added, merged = Moments(), Moments()
+        for block in blocks:
+            added.add(block)
+            merged.merge(one_block(block))
+        count, *values = serial_moments(blocks)
+        assert merged.count == added.count == count == len(samples)
+        for moments in (merged, added):
+            got = [moments.mean, moments.m2, moments.low, moments.high]
+            assert [v.hex() for v in got] == [v.hex() for v in values]
+
+
+def test_merging_empty_moments_changes_nothing():
+    moments = one_block(np.array([1.0, -2.0, 0.5]))
+    before = vars(moments).copy()
+    moments.merge(Moments())
+    assert vars(moments) == before
+    empty = Moments()
+    empty.merge(Moments())
+    assert vars(empty) == vars(Moments())
+
+
 def test_csv_export(tmp_path):
     ens = brownian_ensemble(uniform_grid(1.0, 3), 4, 19)
     out = tmp_path / "paths.csv"

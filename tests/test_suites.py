@@ -67,9 +67,20 @@ def test_mc_suite_poisson_small():
 
 
 @pytest.mark.parametrize("model", ["brownian", "poisson"])
-def test_mc_suite_memory_stays_below_one_ensemble(model):
+def test_mc_suite_memory_stays_below_one_ensemble(model, monkeypatch):
+    # the path ranges run here one after another instead of in worker
+    # processes, so tracemalloc sees every block the workers would draw
+    ranges = []
+
+    def in_process(fn, items):
+        ranges.extend(items)
+        return [fn(item) for item in items]
+
+    monkeypatch.setattr(suites, "_in_workers", in_process)
+    monkeypatch.setattr(suites, "_cpus", lambda: 2)
     cells, paths = 64, 20_000
     suites.mc_suite(model=model, cells=cells, paths=200, seed=7)  # fill the table caches
+    ranges.clear()
     tracemalloc.start()
     try:
         rep = suites.mc_suite(model=model, cells=cells, paths=paths, seed=7)
@@ -78,6 +89,7 @@ def test_mc_suite_memory_stays_below_one_ensemble(model):
         tracemalloc.stop()
     assert rep.passed
     assert peak < paths * cells * 8
+    assert [len(blocks) for blocks in ranges] == [5, 5]  # 2048-path blocks
 
 
 @pytest.mark.parametrize("model", ["brownian", "poisson"])
