@@ -115,9 +115,6 @@ class RandomVariable:
     def norm2(self) -> float:
         return float(np.vdot(self.values, self.values).real / self.space.size)
 
-    def conj(self) -> "RandomVariable":
-        return RandomVariable(self.space, self.values.conj())
-
     def __add__(self, other):
         if isinstance(other, RandomVariable):
             _check_space(self, other)

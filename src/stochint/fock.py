@@ -70,14 +70,6 @@ class FockVector:
         extra = tuple(symtensor.zero(self.grid, d) for d in range(self.truncation + 1, truncation + 1))
         return FockVector(self.grid, self.components + extra)
 
-    def to_json(self) -> dict:
-        return {"truncation": self.truncation, "components": [c.to_json() for c in self.components]}
-
-    @classmethod
-    def from_json(cls, grid: TimeGrid, obj: dict) -> "FockVector":
-        comps = tuple(SymCoeffs.from_json(grid, c) for c in obj["components"])
-        return cls(grid, comps)
-
 
 def vacuum(grid: TimeGrid, truncation: int = 0) -> FockVector:
     comps = [symtensor.scalar(grid, 1.0)]

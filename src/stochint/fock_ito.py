@@ -57,13 +57,6 @@ class FockStepProcess:
     def max_degree(self) -> int:
         return max(v.max_degree() for v in self.values)
 
-    def to_json(self) -> list:
-        return [v.to_json() for v in self.values]
-
-    @classmethod
-    def from_json(cls, grid: TimeGrid, obj: list) -> "FockStepProcess":
-        return cls(grid, tuple(FockVector.from_json(grid, v) for v in obj))
-
 
 @dataclass(frozen=True)
 class AdaptednessReport:

@@ -30,6 +30,8 @@ class TimeGrid:
         object.__setattr__(self, "boundaries", b)
         if len(b) < 2:
             raise ValueError("a grid needs at least two boundaries")
+        if not np.isfinite(b).all():
+            raise ValueError("boundaries must be finite")
         if b[0] != 0.0:
             raise ValueError("first boundary must be 0")
         if any(s >= t for s, t in zip(b, b[1:])):
@@ -69,10 +71,6 @@ class TimeGrid:
         """Length of cell k, 1-based."""
         return self.boundaries[self.check_cell(k)] - self.boundaries[k - 1]
 
-    def cell(self, k: int) -> tuple[float, float]:
-        """Endpoints (t_{k-1}, t_k] of cell k."""
-        return self.boundaries[self.check_cell(k) - 1], self.boundaries[k]
-
     def to_json(self) -> list[float]:
         return list(self.boundaries)
 
@@ -83,8 +81,8 @@ class TimeGrid:
 
 def uniform_grid(horizon: float, cells: int) -> TimeGrid:
     """Uniform partition of [0, horizon] into `cells` equal cells."""
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < np.inf:
+        raise ValueError("horizon must be positive and finite")
     if cells < 1:
         raise ValueError("need at least one cell")
     return TimeGrid(tuple(np.linspace(0.0, horizon, cells + 1)))
@@ -110,7 +108,7 @@ def refine(grid: TimeGrid, factor: int) -> TimeGrid:
 
 def locate(grid: TimeGrid, t: float) -> int:
     """Cell index k with t in (t_{k-1}, t_k], or ORIGIN for t == 0."""
-    if t < 0 or t > grid.horizon:
+    if not 0 <= t <= grid.horizon:
         raise ValueError(f"t={t} outside [0, {grid.horizon}]")
     if t == 0:
         return ORIGIN

@@ -24,6 +24,8 @@ or the numpy version's own generator internals.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -301,17 +303,24 @@ def csv_writer(path):
     """Open `path` for an ensemble in CSV and yield a function that appends
     the rows (path, cell, increment) of one block, path numbered from the
     block's `start`.  The bytes are a csv.writer's: comma-separated,
-    CRLF-terminated, floats in repr form."""
+    CRLF-terminated, floats in repr form.  When the export raises, a regular
+    file at `path` is removed, so no truncated export is left behind; any
+    other target (a pipe, a symlink such as /dev/fd/N) is left alone."""
     with open(path, "w", newline="") as handle:
-        handle.write("path,cell,increment\r\n")
+        try:
+            handle.write("path,cell,increment\r\n")
 
-        def write(ensemble: PathEnsemble) -> None:
-            cells = [f",{k}," for k in range(1, ensemble.grid.n + 1)]
-            for p, row in enumerate(ensemble.increments.tolist(), ensemble.start):
-                prefix = str(p)
-                handle.write("".join([prefix + cell + repr(v) + "\r\n" for cell, v in zip(cells, row)]))
+            def write(ensemble: PathEnsemble) -> None:
+                cells = [f",{k}," for k in range(1, ensemble.grid.n + 1)]
+                for p, row in enumerate(ensemble.increments.tolist(), ensemble.start):
+                    prefix = str(p)
+                    handle.write("".join([prefix + cell + repr(v) + "\r\n" for cell, v in zip(cells, row)]))
 
-        yield write
+            yield write
+        except BaseException:
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+            raise
 
 
 @dataclass

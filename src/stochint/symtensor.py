@@ -92,7 +92,10 @@ def _rank_terms(n: int, degree: int) -> np.ndarray:
 
 def _rank(n: int, rows: np.ndarray) -> np.ndarray:
     """Ranks of the sorted multisets in the rows of an int array."""
-    return np.add.reduce(_rank_terms(n, rows.shape[1])[np.arange(rows.shape[1]), rows], axis=1)
+    ranks = np.zeros(len(rows), dtype=np.intp)
+    for terms, column in zip(_rank_terms(n, rows.shape[1]), rows.T):
+        ranks += terms[column]
+    return ranks
 
 
 @cache
@@ -100,25 +103,19 @@ def _insertions(n: int, degree: int) -> np.ndarray:
     """Read-only (C(n+d-1, d), n) table: entry [r, c-1] is the rank of the
     degree-(d+1) multiset made of the multiset m of rank r and cell c.
 
-    Cell c goes in at position p = #{i : m_i < c}, so with T the degree-(d+1)
-    rank terms the rank is sum_{i<p} T[i, m_i] + T[p, c] + sum_{i>=p}
-    T[i+1, m_i].  The two sums, taken for every p, do not depend on c: the
-    table is built one cell at a time from them, with temporaries of
+    Sorted, that multiset has entry i = max(m_{i-1}, min(c, m_i)) for
+    i = 0..d, with m_{-1} below every cell and m_d above; the table is built
+    one cell at a time, each column ranked by _rank, with temporaries of
     O(C(n+d-1, d) * d) entries."""
     size(n, degree + 1)
     cells = _table(n, degree)[0]
-    terms = _rank_terms(n, degree + 1)
-    at = np.arange(degree)
-    # around[r, p] = sum_{i<p} T[i, m_i] + sum_{i>=p} T[i+1, m_i]
-    around = np.zeros((len(cells), degree + 1), dtype=np.intp)
-    np.cumsum(terms[at, cells], axis=1, out=around[:, 1:])
-    around[:, :degree] += np.cumsum(terms[at + 1, cells][:, ::-1], axis=1)[:, ::-1]
     ranks = np.empty((len(cells), n), dtype=np.intp)
-    position = np.zeros(len(cells), dtype=np.intp)
-    rows = np.arange(len(cells))
+    rows = np.empty((len(cells), degree + 1), dtype=np.intp)
     for c in range(1, n + 1):
-        ranks[:, c - 1] = around[rows, position] + terms[position, c]
-        position += np.count_nonzero(cells == c, axis=1)
+        np.minimum(cells, c, out=rows[:, :degree])
+        rows[:, degree] = c
+        np.maximum(rows[:, 1:], cells, out=rows[:, 1:])
+        ranks[:, c - 1] = _rank(n, rows)
     ranks.setflags(write=False)
     return ranks
 
@@ -223,24 +220,12 @@ class SymCoeffs:
 
     __rmul__ = __mul__
 
-    def conj(self) -> "SymCoeffs":
-        return SymCoeffs(self.grid, self.degree, self.vector.conj())
-
     def is_zero(self) -> bool:
         return not len(self._ranks)
 
     def is_off_diagonal(self) -> bool:
         """True when no stored multiset repeats a cell."""
         return bool(strict(self.grid.n, self.degree)[self._ranks].all())
-
-    def to_json(self) -> dict:
-        entries = [[list(k), v.real, v.imag] for k, v in self.values.items()]
-        return {"degree": self.degree, "entries": entries}
-
-    @classmethod
-    def from_json(cls, grid: TimeGrid, obj: dict) -> "SymCoeffs":
-        values = {tuple(ms): complex(re, im) for ms, re, im in obj["entries"]}
-        return cls(grid, int(obj["degree"]), values)
 
 
 def zero(grid: TimeGrid, degree: int) -> SymCoeffs:

@@ -226,6 +226,50 @@ def test_mc_csv_to_a_directory_that_takes_no_new_entry(tmp_path, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "paths.csv", "r.json"]
 
 
+def test_refused_mc_csv_leaves_no_file(tmp_path, capsys):
+    # a per-cell Poisson mean of 760 is refused after the export has begun
+    target = tmp_path / "paths.csv"
+    args = ["mc", "--model", "poisson", "--cells", "1", "--intensity", "760", "--paths", "300000", "--seed", "1"]
+    with pytest.raises(SystemExit) as err:
+        run(args + ["--csv", str(target)])
+    assert err.value.code == 2
+    assert "underflows" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def _fail_on_third_draw(monkeypatch):
+    """Make the third Brownian block draw raise, after one block is exported."""
+    draws, draw = [], montecarlo.brownian_ensemble
+
+    def failing(*args, **kwargs):
+        draws.append(None)
+        if len(draws) == 3:
+            raise RuntimeError("fault in the middle of the export")
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 240)
+    monkeypatch.setattr(montecarlo, "brownian_ensemble", failing)
+
+
+def test_fault_in_the_middle_of_an_mc_csv_export_removes_the_file(tmp_path, monkeypatch):
+    _fail_on_third_draw(monkeypatch)
+    target = tmp_path / "paths.csv"
+    with pytest.raises(RuntimeError, match="middle of the export"):
+        run(["mc", "--cells", "6", "--paths", "401", "--seed", "3", "--csv", str(target)])
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_fault_in_an_mc_csv_export_leaves_a_dev_fd_target_alone(tmp_path, monkeypatch):
+    _fail_on_third_draw(monkeypatch)
+    target = tmp_path / "paths.csv"
+    with open(target, "w") as handle:
+        with pytest.raises(RuntimeError, match="middle of the export"):
+            run(["mc", "--cells", "6", "--paths", "401", "--seed", "3", "--csv", f"/dev/fd/{handle.fileno()}"])
+    assert os.listdir(tmp_path) == ["paths.csv"]
+    assert target.read_text().startswith("path,cell,increment\n0,1,")
+
+
 def test_importing_the_cli_loads_no_process_pool():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
@@ -438,6 +482,9 @@ def _break_payload(payload: dict, case: str):
         measure["atom"][0][1] = [0.5, 0.0]
     elif case == "non_finite":
         payload["martingale"]["vector"][0] = [float("nan"), 0.0]
+    elif case.startswith("non_finite_boundary"):
+        for grid in (measure, payload["process"]):
+            grid["boundaries"][-1] = float(case.rsplit("_", 1)[1])
     return json.dumps(payload)
 
 
@@ -453,6 +500,8 @@ def _break_payload(payload: dict, case: str):
         "grid_mismatch",
         "not_a_projection",
         "non_finite",
+        "non_finite_boundary_nan",
+        "non_finite_boundary_inf",
     ],
 )
 def test_bad_input_file_is_usage_error(tmp_path, capsys, case):

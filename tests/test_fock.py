@@ -145,14 +145,6 @@ def test_projection_index_range():
         resolution_project(vacuum(G2), 3)
 
 
-def test_json_roundtrip():
-    rng = generator(9)
-    f = random_fock_vector(rng, G2, 3)
-    back = FockVector.from_json(G2, f.to_json())
-    assert entrywise_distance(f, back) == 0.0
-    assert back.truncation == f.truncation
-
-
 def test_refine_preserves_norm_and_products():
     rng = generator(13)
     f = random_fock_vector(rng, G2, 2).pad(4)

@@ -206,12 +206,3 @@ def test_wick_operator_process_refuses_matrices_past_the_size_limit():
     message = r"^a Wick operator matrix on 13 cells at truncation 4 has 2380\^2 entries, over the limit 4194304$"
     with pytest.raises(ValueError, match=message):
         wick_operator_process(proc)
-
-
-def test_process_json_roundtrip():
-    rng = generator(37)
-    grid = random_grid(rng, 4)
-    proc = random_adapted_process(rng, grid, 3, 2)
-    back = FockStepProcess.from_json(grid, proc.to_json())
-    for k in range(1, grid.n + 1):
-        assert entrywise_distance(back.value(k), proc.value(k)) == 0.0

@@ -13,7 +13,8 @@ def test_uniform_split():
 
 def test_single_cell():
     g = uniform_grid(1.0, 1)
-    assert g.cell(1) == (0.0, 1.0)
+    assert g.boundaries == (0.0, 1.0)
+    assert g.length(1) == 1.0
 
 
 def test_uniform_lengths():
@@ -33,6 +34,16 @@ def test_invalid_arguments():
         TimeGrid((0.0, 0.5, 0.5, 1.0))
     with pytest.raises(ValueError):
         TimeGrid((0.1, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_boundaries_and_times_are_rejected(bad):
+    with pytest.raises(ValueError, match="^boundaries must be finite$"):
+        TimeGrid((0.0, 0.5, bad))
+    with pytest.raises(ValueError, match="^horizon must be positive and finite$"):
+        uniform_grid(bad, 2)
+    with pytest.raises(ValueError, match="outside"):
+        locate(uniform_grid(1.0, 2), bad)
 
 
 def test_refine_uniform():

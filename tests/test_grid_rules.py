@@ -31,7 +31,6 @@ BOUNDARY = "boundary index {} out of range 0..3"
 
 INDEX_CASES = {
     "TimeGrid.length": (lambda k: GRID.length(k), CELL),
-    "TimeGrid.cell": (lambda k: GRID.cell(k), CELL),
     "BernoulliSpace.xi": (lambda k: SPACE.xi(k), CELL),
     "BernoulliSpace.increment": (lambda k: SPACE.increment(k), CELL),
     "ProjectorMeasure.project": (lambda k: MART.measure.project(k, np.ones(4)), CELL),

@@ -188,19 +188,6 @@ def test_zero_dropping():
     assert f.is_zero()
 
 
-def test_json_roundtrip():
-    rng = generator(23)
-    f = random_sym_coeffs(rng, G2, 2, entries=3)
-    back = SymCoeffs.from_json(G2, f.to_json())
-    assert entrywise_distance(f, back) == 0.0
-    assert back.degree == f.degree
-
-
-def test_json_shape():
-    f = SymCoeffs(G2, 2, {(1, 2): 0.5 + 0.25j})
-    assert f.to_json() == {"degree": 2, "entries": [[[1, 2], 0.5, 0.25]]}
-
-
 def test_rank_order_is_combinations_with_replacement_order():
     for n in range(1, 6):
         for d in range(5):
@@ -215,23 +202,20 @@ def test_rank_order_is_combinations_with_replacement_order():
 
 
 def _insertions_by_sorting(n: int, d: int) -> np.ndarray:
-    """The insertion table as first built: every (multiset, cell) pair as a
-    sorted (d+1)-row, ranked through the rank terms."""
-    cells = symtensor.multisets(n, d)
-    rows = np.empty((len(cells), n, d + 1), dtype=np.intp)
-    rows[..., :d] = cells[:, None]
-    rows[..., d] = np.arange(1, n + 1)
-    rows.sort(axis=2)
-    return symtensor._rank(n, rows.reshape(len(cells) * n, d + 1)).reshape(len(cells), n)
+    """The insertion table from its definition alone: each multiset plus
+    each cell, sorted and looked up by its position in
+    combinations_with_replacement order."""
+    rank = {m: r for r, m in enumerate(combinations_with_replacement(range(1, n + 1), d + 1))}
+    rows = combinations_with_replacement(range(1, n + 1), d)
+    return np.array([[rank[tuple(sorted(m + (c,)))] for c in range(1, n + 1)] for m in rows]).reshape(-1, n)
 
 
 def test_insertion_table_matches_the_sorting_construction():
-    for n in range(1, 9):
-        for d in range(6):
-            table = symtensor._insertions(n, d)
-            assert np.array_equal(table, _insertions_by_sorting(n, d))
-            assert not table.flags.writeable
-            assert symtensor._insertions(n, d) is table
+    for n, d in [(n, d) for n in range(1, 9) for d in range(6)] + [(64, 2)]:
+        table = symtensor._insertions(n, d)
+        assert np.array_equal(table, _insertions_by_sorting(n, d)), (n, d)
+        assert not table.flags.writeable
+        assert symtensor._insertions(n, d) is table
 
 
 def test_insertion_table_builds_without_a_per_cell_temporary():
