@@ -54,7 +54,6 @@ from .fock_ito import (
     FockStepProcess,
     check_adapted,
     ito_isometry,
-    ito_symmetrize,
     ito_wick,
     skorohod_integral,
     wick_operator_process,

@@ -3,20 +3,18 @@
 A :class:`FockStepProcess` assigns a Fock vector to each grid cell.  It is
 *adapted* when, for every cell k, each degree d >= 1 component of the value on
 cell k is supported on multisets whose cells all lie strictly below k
-(degree-0 components are unconstrained).  Two independent routes compute the
-Ito integral of an adapted process:
+(degree-0 components are unconstrained).
 
-* :func:`ito_wick` sums the Wick products of each value with the degree-1
-  increment of its own cell;
-* :func:`ito_symmetrize` builds each output degree by averaging the
-  per-cell degree-(d-1) components over the d argument slots.
-
-Both give the same element, and the isometry
-||integral||^2 = sum_k ||value_k||^2 * len_k holds exactly on a grid.  The
-symmetrization route applied without the support restriction is the Skorohod
-extension.  Finally, :func:`wick_operator_process` realizes the integral as a
-matrix-valued stochastic integral on the truncated Fock basis, where Wick
-multiplication by the cell values plays the role of the operator process.
+One kernel, :func:`symtensor.symmetrize_insert`, gives both integrals: degree
+d of the output averages the per-cell degree-(d-1) components over the d
+argument slots (the creation-operator form).  :func:`ito_wick` applies it to
+an adapted process, where it equals sum_k value_k (Wick) increment_k, and the
+isometry ||integral||^2 = sum_k ||value_k||^2 * len_k holds exactly on a
+grid.  :func:`skorohod_integral` applies it without the support restriction,
+which is the Skorohod extension.  Finally, :func:`wick_operator_process`
+realizes the integral as a matrix-valued stochastic integral on the truncated
+Fock basis, where Wick multiplication by the cell values plays the role of the
+operator process.
 """
 
 from __future__ import annotations
@@ -89,52 +87,33 @@ def _require_adapted(proc: FockStepProcess):
         raise NotAdaptedError(report.cell, report.degree, report.multiset)
 
 
+def _insert_degrees(proc: FockStepProcess, top: int) -> FockVector:
+    """Degree 0 zero; degree d = 1..top symmetrizes the per-cell degree-(d-1) values."""
+    grid = proc.grid
+    out = [symtensor.zero(grid, 0)]
+    for d in range(1, top + 1):
+        out.append(symtensor.symmetrize_insert([v.component(d - 1) for v in proc.values]))
+    return FockVector(grid, tuple(out))
+
+
 def ito_wick(proc: FockStepProcess) -> FockVector:
     """sum_k value_k (Wick) increment_k, under the strict truncation policy.
 
     The increment of cell k has only the degree-1 part e_k, so the Wick
-    product maps degree d of value_k to value_k[d] (x) e_k in degree d+1; a
-    nonzero top degree overflows.  The cell terms are added into one vector
-    per degree, in order of k.
+    product maps degree d of value_k to value_k[d] (x) e_k in degree d+1,
+    and each output degree is one symmetrization over the cells.  The output
+    truncation is max(N, 1); a nonzero component of that degree overflows.
     """
     _require_adapted(proc)
-    grid = proc.grid
-    out_trunc = max(proc.truncation, 1)
-    sums = {}
-    for k in range(1, grid.n + 1):
-        increment = symtensor.cell_indicator(grid, k)
-        for d, comp in enumerate(proc.value(k).components):
-            if comp.is_zero():
-                continue
-            if d == out_trunc:
-                raise TruncationOverflowError(d + 1)
-            term = symtensor.sym_tensor(comp, increment).vector
-            if d + 1 in sums:
-                sums[d + 1] += term
-            else:
-                sums[d + 1] = np.array(term)
-    comps = (SymCoeffs(grid, d, sums[d]) if d in sums else symtensor.zero(grid, d) for d in range(out_trunc + 1))
-    return FockVector(grid, tuple(comps))
-
-
-def _insert_all_degrees(proc: FockStepProcess) -> FockVector:
-    grid = proc.grid
-    out = [symtensor.zero(grid, 0)]
-    for d in range(1, proc.truncation + 2):
-        per_cell = [proc.value(k).component(d - 1) for k in range(1, grid.n + 1)]
-        out.append(symtensor.symmetrize_insert(per_cell))
-    return FockVector(grid, tuple(out))
-
-
-def ito_symmetrize(proc: FockStepProcess) -> FockVector:
-    """Ito integral via the symmetrization formula; output truncation is N+1."""
-    _require_adapted(proc)
-    return _insert_all_degrees(proc)
+    top = max(proc.truncation, 1)
+    if proc.max_degree() == top:
+        raise TruncationOverflowError(top + 1)
+    return _insert_degrees(proc, top)
 
 
 def skorohod_integral(proc: FockStepProcess) -> FockVector:
-    """The symmetrization-formula integral without the adaptedness restriction."""
-    return _insert_all_degrees(proc)
+    """The same symmetrization without the adaptedness restriction; output truncation N+1."""
+    return _insert_degrees(proc, proc.truncation + 1)
 
 
 def ito_isometry(proc: FockStepProcess) -> tuple[float, float]:

@@ -125,7 +125,10 @@ class ProjectorMeasure:
         grid = TimeGrid.from_json(obj["boundaries"])
         atom = _matrix_from_json(obj["atom"])
         cells = tuple(_matrix_from_json(c) for c in obj["cells"])
-        return cls(grid, atom, cells)
+        measure = cls(grid, atom, cells)
+        if obj["dim"] != measure.dim:
+            raise ShapeMismatchError(f"dim is {obj['dim']}, but the projections are {measure.dim} x {measure.dim}")
+        return measure
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,9 +213,9 @@ def verify_input_file(data: dict, tolerances: dict | None = None) -> list[CheckR
 def verify_fock_ito_suite(
     cells: int, degree: int, trials: int, seed: int, tolerances: dict | None = None
 ) -> SuiteReport:
-    """Two-route equality, isometry, Skorohod extension, Wick algebra,
-    projection family, and the operator realization of Wick multiplication
-    (min(100, trials) bridge trials)."""
+    """Ito and Skorohod integrals against the Wick-product definition,
+    isometry, Wick algebra, projection family, and the operator realization
+    of Wick multiplication (min(100, trials) bridge trials)."""
     report = SuiteReport(
         "fock-ito",
         seed,
@@ -242,17 +242,21 @@ def verify_fock_ito_suite(
         off_diag = bool(rng.integers(0, 2))
         proc = random_adapted_process(rng, grid, degree + 1, max_deg, off_diagonal=off_diag)
 
-        # proc is adapted (ito_wick raises otherwise): sk is the symmetrization route
+        # each library integral against the definition, sum_k value_k (Wick)
+        # increment_k through the general Wick product
         iw = fock_ito.ito_wick(proc)
-        sk = fock_ito.skorohod_integral(proc)
-        route_dev.observe(fock.entrywise_distance(iw, sk))
+        via_wick = fock.zero_vector(grid, iw.truncation)
+        for k in range(1, n + 1):
+            via_wick += fock.wick(proc.value(k), fock.cell_increment(grid, k), "strict", iw.truncation)
+        route_dev.observe(fock.entrywise_distance(iw, via_wick))
 
         # the isometry of iw itself: fock_ito.ito_isometry would integrate again
         lhs = fock.norm2(iw)
         rhs = sum(fock.norm2(proc.value(k)) * grid.length(k) for k in range(1, n + 1))
         isometry_dev.observe(abs(lhs - rhs) / max(1.0, rhs))
 
-        skorohod_dev.observe(fock.entrywise_distance(sk, iw))
+        # on an adapted process the Skorohod extension is the Ito integral
+        skorohod_dev.observe(fock.entrywise_distance(fock_ito.skorohod_integral(proc), via_wick))
 
         if off_diag:
             for comp in iw.components:

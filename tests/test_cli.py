@@ -478,6 +478,8 @@ def _break_payload(payload: dict, case: str):
     elif case == "grid_mismatch":
         payload["process"]["boundaries"] = payload["process"]["boundaries"][:-1]
         payload["process"]["operators"].pop()
+    elif case == "wrong_dim":
+        measure["dim"] = 7
     elif case == "not_a_projection":
         measure["atom"][0][1] = [0.5, 0.0]
     elif case == "non_finite":
@@ -499,6 +501,7 @@ def _break_payload(payload: dict, case: str):
         "dimension_mismatch",
         "grid_mismatch",
         "not_a_projection",
+        "wrong_dim",
         "non_finite",
         "non_finite_boundary_nan",
         "non_finite_boundary_inf",

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import oracle
 from stochint import fock, symtensor
-from stochint.errors import NotAdaptedError, TruncationOverflowError
+from stochint.errors import NotAdaptedError, RefusalError, TruncationOverflowError
 from stochint.fock import (
     FockVector,
     cell_increment,
@@ -15,7 +16,6 @@ from stochint.fock_ito import (
     FockStepProcess,
     check_adapted,
     ito_isometry,
-    ito_symmetrize,
     ito_wick,
     skorohod_integral,
     wick_operator_process,
@@ -64,8 +64,6 @@ def test_ito_rejects_non_adapted():
     own_cell = FockStepProcess(G2, (cell_increment(G2, 1), zero_vector(G2, 1)))
     with pytest.raises(NotAdaptedError):
         ito_wick(own_cell)
-    with pytest.raises(NotAdaptedError):
-        ito_symmetrize(own_cell)
 
 
 def test_ito_overflow_without_headroom():
@@ -76,12 +74,25 @@ def test_ito_overflow_without_headroom():
         ito_wick(proc)
 
 
+def test_ito_builds_no_degree_above_its_truncation():
+    # the 512-cell indicator process of `refine --levels 9`: a degree-3
+    # vector on 512 cells would have C(514, 3) entries, past MAX_ENTRIES
+    grid = uniform_grid(1.0, 512)
+    proc = FockStepProcess(grid, tuple(indicator_vector(grid, k - 1).pad(2) for k in range(1, 513)))
+    with pytest.raises(RefusalError):
+        symtensor.size(512, 3)
+    out = ito_wick(proc)
+    assert out.truncation == 2
+    assert fock.norm2(out) == pytest.approx(0.5 - 1 / 1024, abs=1e-12)
+
+
 def test_symmetrize_route_examples():
+    # the Skorohod integral of an adapted process is its Ito integral
     proc = constant_process(G2, vacuum(G2, 1))
-    assert entrywise_distance(ito_symmetrize(proc), indicator_vector(G2)) == 0.0
+    assert entrywise_distance(skorohod_integral(proc), indicator_vector(G2)) == 0.0
 
     proc = FockStepProcess(G2, (zero_vector(G2, 2), cell_increment(G2, 1).pad(2)))
-    assert ito_symmetrize(proc).component(2)[(1, 2)] == pytest.approx(0.5)
+    assert skorohod_integral(proc).component(2)[(1, 2)] == pytest.approx(0.5)
 
 
 def test_symmetrize_shifts_degrees():
@@ -92,7 +103,7 @@ def test_symmetrize_shifts_degrees():
         (symtensor.zero(g3, 0), symtensor.zero(g3, 1), symtensor.zero(g3, 2), deg3),
     )
     proc = FockStepProcess(g3, (zero_vector(g3, 3), zero_vector(g3, 3), value))
-    out = ito_symmetrize(proc)
+    out = skorohod_integral(proc)
     assert all(out.component(d).is_zero() for d in range(4))
     assert not out.component(4).is_zero()
 
@@ -104,7 +115,8 @@ def test_route_equivalence_random():
         proc = random_adapted_process(
             rng, grid, 4, int(rng.integers(0, 4)), off_diagonal=bool(rng.integers(0, 2))
         )
-        assert entrywise_distance(ito_wick(proc), ito_symmetrize(proc)) < 1e-12
+        # the definition: sum_k value_k (Wick) increment_k
+        assert entrywise_distance(ito_wick(proc), oracle.ito_wick(proc)) < 1e-12
 
 
 def test_isometry_examples_and_random():
@@ -131,7 +143,7 @@ def test_skorohod_extends_ito():
         rng = generator(1400 + seed)
         grid = random_grid(rng, int(rng.integers(1, 6)))
         proc = random_adapted_process(rng, grid, 3, int(rng.integers(0, 3)))
-        assert entrywise_distance(skorohod_integral(proc), ito_symmetrize(proc)) <= 1e-15
+        assert entrywise_distance(skorohod_integral(proc), oracle.ito_wick(proc)) <= 1e-15
 
 
 def test_skorohod_diagonal_example():

@@ -174,8 +174,14 @@ def test_verify_all_raises_a_worker_error_with_its_fields(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_skorohod_check_compares_with_the_wick_route(monkeypatch):
-    original = fock_ito.ito_wick
+@pytest.mark.parametrize(
+    "integral, moved",
+    [("ito_wick", "route_equivalence_max_dev"), ("skorohod_integral", "skorohod_extends_ito_max_dev")],
+)
+def test_each_integral_check_reads_its_own_function(monkeypatch, integral, moved):
+    # both checks compare with the Wick-product definition, so a fault in
+    # one library integral moves its own check and not the other
+    original = getattr(fock_ito, integral)
 
     def perturbed(proc):
         out = original(proc)
@@ -185,11 +191,11 @@ def test_skorohod_check_compares_with_the_wick_route(monkeypatch):
         comps[1] = SymCoeffs(out.grid, 1, vec)
         return FockVector(out.grid, tuple(comps))
 
-    monkeypatch.setattr(fock_ito, "ito_wick", perturbed)
+    monkeypatch.setattr(fock_ito, integral, perturbed)
     rep = suites.verify_fock_ito_suite(cells=3, degree=2, trials=10, seed=5)
-    checks = {c.name: c for c in rep.checks}
-    assert checks["skorohod_extends_ito_max_dev"].lhs > 0
-    assert checks["route_equivalence_max_dev"].lhs > 0
+    checks = {c.name: c.lhs for c in rep.checks}
+    both = ("route_equivalence_max_dev", "skorohod_extends_ito_max_dev")
+    assert [checks[name] > 0 for name in both] == [name == moved for name in both]
 
 
 def test_bernoulli_suite_counts_an_unpredictable_transport(monkeypatch):
