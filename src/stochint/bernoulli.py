@@ -6,11 +6,11 @@ mean 0 and conditional variance len_k exactly, so every identity that holds
 for normal martingales holds here to machine precision, with the filtration
 realized by averaging out the later coordinates.
 
-The module bridges this model to the operator-integral machinery (conditional
-expectations become a step resolution of identity on C^{2^n}) and to the Fock
-space via the discrete chaos expansion: products of distinct scaled
-coordinates form an orthogonal basis of L^2, so off-diagonal Fock vectors of
-degree <= n map unitarily onto random variables.
+The module bridges this model to the operator-integral machinery (the space
+is its own step measure, P_k = E_k - E_{k-1}) and to the Fock space via the
+discrete chaos expansion: products of distinct scaled coordinates form an
+orthogonal basis of L^2, so off-diagonal Fock vectors of degree <= n map
+unitarily onto random variables.
 """
 
 from __future__ import annotations
@@ -26,13 +26,7 @@ from .errors import NotAdaptedError, NotRepresentableError, ShapeMismatchError
 from .grid import TimeGrid
 from .fock import FockVector
 from .fock_ito import FockStepProcess, ito_wick
-from .operator_integral import (
-    OperatorStepProcess,
-    ProjectorMeasure,
-    VectorMartingale,
-    check_measurable,
-    stochastic_integral,
-)
+from .operator_integral import OperatorStepProcess, VectorMartingale, check_measurable, stochastic_integral
 
 PREDICTABILITY_TOL = 1e-12
 
@@ -67,6 +61,15 @@ class BernoulliSpace:
     @property
     def size(self) -> int:
         return 1 << self.n
+
+    @property
+    def dim(self) -> int:
+        return self.size
+
+    def project(self, k: int, x: np.ndarray) -> np.ndarray:
+        """P_k x = E_k x - E_{k-1} x for a vector or a block of columns of
+        sample values: the space is the step measure of its own realization."""
+        return _average(x, self.n, self.grid.check_cell(k)) - _average(x, self.n, k - 1)
 
     def xi(self, i: int) -> "RandomVariable":
         """The i-th sign coordinate, i = 1..n."""
@@ -140,17 +143,22 @@ def _check_space(x: RandomVariable, y: RandomVariable):
         raise ShapeMismatchError("random variables live on different spaces")
 
 
+def _average(values: np.ndarray, n: int, k: int) -> np.ndarray:
+    """A copy of `values` (sample values, with an optional trailing column
+    axis) with coordinates k+1..n averaged out."""
+    if k == n:
+        return values.copy()
+    # C-order reshape puts coordinate i on axis n-i, so coords k+1..n are axes 0..n-k-1
+    tensor = values.reshape((2,) * n + values.shape[1:])
+    avg = tensor.mean(axis=tuple(range(n - k)), keepdims=True)
+    return np.broadcast_to(avg, tensor.shape).reshape(values.shape).copy()
+
+
 def cond_expect(x: RandomVariable, k: int) -> RandomVariable:
     """Average out coordinates k+1..n: the orthogonal projection onto the
     functions of the first k coordinates.  k = n is the identity, k = 0 the
     plain expectation."""
-    n = x.space.n
-    if x.space.grid.check_boundary(k) == n:
-        return RandomVariable(x.space, x.values.copy())
-    # C-order reshape puts coordinate i on axis n-i, so coords k+1..n are axes 0..n-k-1
-    tensor = x.values.reshape((2,) * n)
-    avg = tensor.mean(axis=tuple(range(n - k)), keepdims=True)
-    return RandomVariable(x.space, np.broadcast_to(avg, tensor.shape).reshape(-1).copy())
+    return RandomVariable(x.space, _average(x.values, x.space.n, x.space.grid.check_boundary(k)))
 
 
 def max_abs(x: RandomVariable) -> float:
@@ -182,41 +190,19 @@ def multiplication_operator(f: RandomVariable) -> np.ndarray:
     return np.diag(f.values)
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalRealization:
-    """The sign space rendered as a Hilbert space with a step resolution.
-
-    Vectors are value arrays scaled by 2^(-n/2) so that plain numpy inner
-    products agree with E[conj(x) y]; diagonal multiplication operators are
-    unchanged by that scaling.
-    """
-
-    space: BernoulliSpace
-    martingale: VectorMartingale
-    scale: float
-
-    def to_random_variable(self, vec: np.ndarray) -> RandomVariable:
-        return RandomVariable(self.space, np.asarray(vec, dtype=complex) / self.scale)
+def _scale(space: BernoulliSpace) -> float:
+    return 1.0 / np.sqrt(space.size)
 
 
-def classical_realization(space: BernoulliSpace) -> ClassicalRealization:
-    """Conditional expectations as projections on C^{2^n}, with the terminal
-    walk value as the martingale vector.  The cell measures come out as the
-    cell lengths.
+def classical_realization(space: BernoulliSpace) -> VectorMartingale:
+    """The terminal walk value as a martingale vector, transported by the
+    space itself as step measure.  The cell measures come out as the cell
+    lengths.
 
-    E_k averages over the sample points that share the first k coordinates,
-    the low k bits of the point index: with m = 2^(n-k) such points, it is
-    the Kronecker product of the constant m x m matrix 1/m with I_{2^k}."""
-    n, size = space.n, space.size
-    cond_mats = []
-    for k in range(n + 1):
-        m = 1 << (n - k)
-        cond_mats.append(np.kron(np.full((m, m), 1.0 / m), np.eye(1 << k)).astype(complex))
-    atom = cond_mats[0]
-    cells = tuple(cond_mats[k] - cond_mats[k - 1] for k in range(1, n + 1))
-    scale = 1.0 / np.sqrt(size)
-    martingale = VectorMartingale(ProjectorMeasure(space.grid, atom, cells), space.walk_at(n).values * scale)
-    return ClassicalRealization(space, martingale, scale)
+    The vector is the value array scaled by 2^(-n/2), so that plain numpy
+    inner products agree with E[conj(x) y]; diagonal multiplication
+    operators are unchanged by that scaling."""
+    return VectorMartingale(space, space.walk_at(space.n).values * _scale(space))
 
 
 @dataclass(frozen=True)
@@ -233,26 +219,29 @@ class MeasurabilityEquivalence:
         return self.classical == self.operator
 
 
-def measurability_equivalence(f: RandomVariable, k: int, realization: ClassicalRealization) -> MeasurabilityEquivalence:
+def measurability_equivalence(f: RandomVariable, k: int, realization: VectorMartingale) -> MeasurabilityEquivalence:
     """Check that multiplication by f is operator-measurable at boundary k
     exactly when f is a function of the first k coordinates; when it is, the
     restricted norms at boundaries >= k all equal ||f||.  `realization` is
     the classical realization of f's space."""
     classical = is_measurable_at(f, k)
-    report = check_measurable(multiplication_operator(f), realization.martingale, k)
+    report = check_measurable(multiplication_operator(f), realization, k)
     return MeasurabilityEquivalence(classical, report.ok, float(np.sqrt(f.norm2())), report.restricted_norms)
 
 
 def multiplication_integral_pair(
-    integrands: Sequence[RandomVariable], realization: ClassicalRealization
+    integrands: Sequence[RandomVariable], realization: VectorMartingale
 ) -> tuple[RandomVariable, RandomVariable]:
-    """Integrate a predictable family on realization.space two ways: as
-    multiplication operators through the operator integral, and directly
-    against the increments.  The two random variables agree pointwise."""
-    space = realization.space
+    """Integrate a predictable family on the classical realization's space
+    two ways: as multiplication operators through the operator integral, and
+    directly against the increments.  The two random variables agree
+    pointwise.  Predictability is checked once, by discrete_ito (it raises
+    NotAdaptedError); by the measurability equivalence it is also what the
+    operator integral needs."""
+    space = realization.measure
     proc = OperatorStepProcess(space.grid, tuple(multiplication_operator(f) for f in integrands))
-    via_operators = realization.to_random_variable(stochastic_integral(proc, realization.martingale))
     via_increments = discrete_ito(space, integrands)
+    via_operators = RandomVariable(space, stochastic_integral(proc, realization, enforce=False) / _scale(space))
     return via_operators, via_increments
 
 

@@ -47,8 +47,8 @@ def _tolerance(text: str) -> tuple[str, float]:
         known = ", ".join(sorted(suites.DEFAULT_TOLERANCES))
         raise argparse.ArgumentTypeError(f"unknown tolerance {name!r}; known: {known}")
     value = float(raw)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"tolerance {name} must be finite, got {raw}")
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance {name} must be finite and non-negative, got {raw}")
     return name, value
 
 

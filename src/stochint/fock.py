@@ -124,17 +124,21 @@ def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int |
     """Wick product: degree-n output is sum_m f_m (x) g_{n-m} (symmetric tensor).
 
     The output truncation defaults to max of the operands'.  Under "strict" a
-    nonzero component above it raises; under "drop" it is discarded.  The
-    terms of a degree are added in ascending m; only pairs of nonzero
-    components form a term.
+    nonzero component above it raises at its lowest degree; under "drop" it
+    is discarded.  The terms of a degree are added in ascending m; only pairs
+    of nonzero components form a term.  The top degree is never formed: it
+    is the one term f_top (x) g_top, nonzero because symmetric tensors form
+    an integral domain (even if it would underflow DROP_EPS).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     f.grid.check_same(g.grid)
     ft, gt = f.truncation, g.truncation
     out_trunc = max(ft, gt) if truncation is None else truncation
+    ftop, gtop = f.max_degree(), g.max_degree()
+    overflow = policy == "strict" and min(ftop, gtop) >= 0 and ftop + gtop > out_trunc
     comps = []
-    for n in range(max(out_trunc, ft + gt) + 1 if policy == "strict" else out_trunc + 1):
+    for n in range(ftop + gtop if overflow else out_trunc + 1):
         total = None
         for m in range(max(0, n - gt), min(n, ft) + 1):
             fm, gm = f.components[m], g.components[n - m]
@@ -145,6 +149,8 @@ def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int |
             comps.append(symtensor.zero(f.grid, n) if total is None else total)
         elif total is not None and not total.is_zero():
             raise TruncationOverflowError(n)
+    if overflow:
+        raise TruncationOverflowError(ftop + gtop)
     return FockVector(f.grid, tuple(comps))
 
 

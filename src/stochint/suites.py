@@ -357,7 +357,8 @@ def verify_fock_ito_suite(
 def verify_bernoulli_suite(cells: int, trials: int, seed: int, tolerances: dict | None = None) -> SuiteReport:
     """Exact identities on the sign space: martingale structure, the
     measurability equivalence, both integral transports, and the chaos map.
-    Sign spaces have at most 5 cells: the realization is dense, 2^n x 2^n."""
+    Sign spaces have at most 5 cells: the multiplication operators are
+    dense, 2^n x 2^n."""
     cells = min(cells, 5)
     report = SuiteReport("bernoulli", seed, f"sign spaces, cells<={cells}, trials={trials}")
     tracker = Tracker(_tolerances(tolerances))

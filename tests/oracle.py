@@ -241,10 +241,20 @@ def future_increment_span(mart: VectorMartingale, j: int) -> np.ndarray:
 
 
 def dense_parts(measure) -> np.ndarray:
-    """P_0..P_n as dense matrices; a label measure's are the 0/1 diagonals
-    of its labels, built here rather than through its ``project``."""
+    """P_0..P_n as dense matrices, built here rather than through the
+    measure's ``project``.  A label measure's are the 0/1 diagonals of its
+    labels.  The sign space's are P_k = E_k - E_{k-1} (P_0 = E_0): E_k
+    averages over the points that share the first k coordinates, the low k
+    bits of the point index, so with m = 2^(n-k) such points it is the
+    Kronecker product of the constant m x m matrix 1/m with I_{2^k}."""
     if isinstance(measure, LabelMeasure):
         return np.array([np.diag(measure.labels == k).astype(complex) for k in range(measure.grid.n + 1)])
+    if isinstance(measure, BernoulliSpace):
+        n, cond = measure.n, []
+        for k in range(n + 1):
+            m = 1 << (n - k)
+            cond.append(np.kron(np.full((m, m), 1.0 / m), np.eye(1 << k)))
+        return np.array([cond[0], *(cond[k] - cond[k - 1] for k in range(1, n + 1))], dtype=complex)
     return np.array([measure.atom, *measure.cells])
 
 
@@ -290,15 +300,3 @@ def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
                 w = w * bernoulli_increment(space, c).values
             out += w
     return RandomVariable(space, out)
-
-
-def classical_conditional_expectations(space: BernoulliSpace) -> list[np.ndarray]:
-    """E_0..E_n of the sign space built column by column: column p of E_k is
-    the conditional expectation of the p-th unit vector."""
-    from stochint.bernoulli import cond_expect
-
-    eye = np.eye(space.size, dtype=complex)
-    return [
-        np.column_stack([cond_expect(RandomVariable(space, eye[:, p]), k).values for p in range(space.size)])
-        for k in range(space.n + 1)
-    ]

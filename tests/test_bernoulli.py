@@ -125,21 +125,23 @@ def test_classical_realization_measures_cell_lengths():
     rng = generator(61)
     sp = BernoulliSpace(random_grid(rng, 4))
     real = classical_realization(sp)
+    assert real.measure is sp
     for k in range(1, 5):
-        assert real.martingale.mu(k) == pytest.approx(sp.grid.length(k), abs=1e-12)
-    # terminal vector round-trips through the scaling
-    back = real.to_random_variable(sp.walk_at(4).values * real.scale)
-    assert max_abs(back - sp.walk_at(4)) < 1e-15
+        assert real.mu(k) == pytest.approx(sp.grid.length(k), abs=1e-12)
+    # the terminal walk value scaled by 2^(-n/2), so that E[|W|^2] = ||vector||^2
+    assert np.array_equal(real.vector * 4, sp.walk_at(4).values)
 
 
 def test_classical_realization_matches_column_by_column_construction():
+    # P_k applied to the identity block, and to one column of it, against
+    # the Kronecker-product parts of tests/oracle.py
     for n in range(1, 8):
         sp = BernoulliSpace(random_grid(generator(62, n), n))
-        real = classical_realization(sp)
-        cond = oracle.classical_conditional_expectations(sp)
-        assert np.array_equal(real.martingale.measure.atom, cond[0])
+        eye = np.eye(sp.size, dtype=complex)
+        parts = oracle.dense_parts(sp)
         for k in range(1, n + 1):
-            assert np.array_equal(real.martingale.measure.cells[k - 1], cond[k] - cond[k - 1])
+            assert np.array_equal(sp.project(k, eye), parts[k])
+            assert np.array_equal(sp.project(k, eye[:, -1]), parts[k][:, -1])
 
 
 def test_measurability_equivalence_examples():
@@ -185,6 +187,10 @@ def test_multiplication_route_examples_and_random():
 
     ops, incs = multiplication_integral_pair([SP2.constant(0.0), SP2.increment(1)], REAL2)
     assert max_abs(ops - 0.5 * SP2.xi(1) * SP2.xi(2)) < 1e-14
+    # a family that is not predictable is refused once, by the increment route
+    with pytest.raises(NotAdaptedError) as err:
+        multiplication_integral_pair([SP2.xi(1), SP2.constant(1.0)], REAL2)
+    assert err.value.cell == 1
 
     for seed in range(30):
         rng = generator(1800 + seed)

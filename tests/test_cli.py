@@ -57,7 +57,7 @@ def test_verify_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["verify", "hstoch", "--tol", "unknown=1"])
     assert err.value.code == 2
-    for value in ("nan", "inf", "-inf"):
+    for value in ("nan", "inf", "-inf", "-1"):
         with pytest.raises(SystemExit) as err:
             run(["verify", "hstoch", "--trials", "2", "--tol", f"bound={value}"])
         assert err.value.code == 2
@@ -329,7 +329,7 @@ def test_failure_exit_code_and_report_still_written(tmp_path):
             "hstoch",
             "--trials", "4",
             "--seed", "1",
-            "--tol", "scalar_equality=-1",
+            "--tol", "scalar_equality=1e-30",
             "--out", str(out),
         ]
     )

@@ -68,6 +68,16 @@ def test_wick_strict_overflow():
     assert err.value.degree == 3
 
 
+def test_wick_strict_overflow_forms_no_degree_past_the_truncation():
+    # the degree-7 product on 27 cells would have C(33, 7) entries, past
+    # MAX_ENTRIES; the overflow is decided without forming it
+    grid = uniform_grid(1.0, 27)
+    full = FockVector(grid, tuple(symtensor.zero(grid, d) for d in range(6)) + (ones(grid, 6),))
+    with pytest.raises(TruncationOverflowError) as err:
+        wick(full, cell_increment(grid, 1), "strict", 6)
+    assert err.value.degree == 7
+
+
 def test_wick_drop_truncates():
     f = FockVector(G2, (symtensor.zero(G2, 0), symtensor.zero(G2, 1), ones(G2, 2)))
     g = indicator_vector(G2).pad(2)

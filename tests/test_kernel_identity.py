@@ -133,7 +133,7 @@ def test_measurability_verdicts_match_per_column_check():
         rng = generator(4600, n)
         for k in range(n + 1):
             f = cond_expect(RandomVariable(space, random_complex(rng, space.size)), k)
-            verdicts += _verdicts(multiplication_operator(f), real.martingale, range(n + 1))
+            verdicts += _verdicts(multiplication_operator(f), real, range(n + 1))
     assert all(new == ref for new, ref in verdicts)
     assert {ref for _, ref in verdicts} == {True, False}
 

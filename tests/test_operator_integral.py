@@ -76,12 +76,12 @@ def test_process_rejects_non_finite_entries(bad):
 
 def _three_measures() -> tuple:
     """A random dense measure, a Fock realization's label measure and a
-    Bernoulli realization's dense measure."""
+    Bernoulli realization's measure, the sign space itself."""
     rng = generator(4800)
     return (
         random_martingale(rng, random_grid(rng, 4), 7).measure,
         wick_operator_process(random_adapted_process(rng, random_grid(rng, 3), 3, 2)).martingale.measure,
-        classical_realization(BernoulliSpace(random_grid(rng, 3))).martingale.measure,
+        classical_realization(BernoulliSpace(random_grid(rng, 3))).measure,
     )
 
 
@@ -92,11 +92,14 @@ def _stored_arrays(measure) -> list:
 
 def test_measure_stores_each_projection_once():
     dense, labels, bernoulli = _three_measures()
-    for measure in (dense, bernoulli):
-        assert sum(a.nbytes for a in _stored_arrays(measure)) == (measure.grid.n + 1) * measure.dim**2 * 16
+    assert sum(a.nbytes for a in _stored_arrays(dense)) == (dense.grid.n + 1) * dense.dim**2 * 16
     # the label form stores one part index per coordinate and nothing else
     assert isinstance(labels, LabelMeasure)
     assert [a.size for a in _stored_arrays(labels)] == [labels.dim]
+    # the sign space stores its signs and increments, one row per cell, and
+    # no dim x dim array
+    assert isinstance(bernoulli, BernoulliSpace)
+    assert [a.shape for a in _stored_arrays(bernoulli)] == [(bernoulli.grid.n, bernoulli.dim)] * 2
 
 
 def test_martingale_mass_splits():
@@ -360,10 +363,19 @@ def test_label_measure_rejects_labels_outside_its_parts(labels, message):
 
 
 def test_label_measure_refuses_transport_and_json():
+    # the Fock realization's label measure and the Bernoulli realization's
+    # sign space have no dense parts to transport or write
     rng = generator(4801)
     real = wick_operator_process(random_adapted_process(rng, random_grid(rng, 3), 3, 2))
-    u = random_unitary(rng, real.martingale.dim)
-    for call in (lambda: unitary_transport(u, real.process, real.martingale), real.martingale.to_json):
-        with pytest.raises(TypeError, match="needs a dense ProjectorMeasure, not a LabelMeasure") as err:
-            call()
-        assert "\n" not in str(err.value)
+    space = BernoulliSpace(random_grid(rng, 3))
+    identity = OperatorStepProcess(space.grid, (np.eye(space.dim, dtype=complex),) * space.n)
+    cases = (
+        (real.process, real.martingale, "LabelMeasure"),
+        (identity, classical_realization(space), "BernoulliSpace"),
+    )
+    for proc, mart, name in cases:
+        u = random_unitary(rng, mart.dim)
+        for call in (lambda: unitary_transport(u, proc, mart), mart.to_json):
+            with pytest.raises(TypeError, match=f"needs a dense ProjectorMeasure, not a {name}") as err:
+                call()
+            assert "\n" not in str(err.value)
