@@ -85,8 +85,8 @@ def zero_vector(grid: TimeGrid, truncation: int = 0) -> FockVector:
 def basis_vector(grid: TimeGrid, multiset: tuple[int, ...]) -> FockVector:
     """Coefficient 1 at `multiset` and 0 elsewhere, truncated at the multiset's size."""
     d = len(multiset)
-    comps = tuple(symtensor.zero(grid, k) for k in range(d)) + (SymCoeffs(grid, d, {multiset: 1.0}),)
-    return FockVector(grid, comps)
+    one_hot = np.arange(symtensor.size(grid.n, d)) == symtensor._rank_of(grid.n, multiset)
+    return FockVector(grid, tuple(symtensor.zero(grid, k) for k in range(d)) + (SymCoeffs(grid, d, one_hot),))
 
 
 def cell_increment(grid: TimeGrid, k: int) -> FockVector:
@@ -114,10 +114,10 @@ def norm2(f: FockVector) -> float:
 
 
 def entrywise_distance(f: FockVector, g: FockVector) -> float:
-    """Largest coefficient difference across all degrees and multisets."""
+    """Largest coefficient difference over all degrees and multisets; NaN if any is."""
     f.grid.check_same(g.grid)
     top = max(f.truncation, g.truncation)
-    return max(symtensor.entrywise_distance(f.component(d), g.component(d)) for d in range(top + 1))
+    return float(np.max([symtensor.entrywise_distance(f.component(d), g.component(d)) for d in range(top + 1)]))
 
 
 def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int | None = None) -> FockVector:
@@ -128,7 +128,7 @@ def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int |
     is discarded.  The terms of a degree are added in ascending m; only pairs
     of nonzero components form a term.  The top degree is never formed: it
     is the one term f_top (x) g_top, nonzero because symmetric tensors form
-    an integral domain (even if it would underflow DROP_EPS).
+    an integral domain (even if its floating-point entries underflow).
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")

@@ -76,7 +76,14 @@ class TimeGrid:
 
     @classmethod
     def from_json(cls, obj) -> "TimeGrid":
-        return cls(tuple(float(t) for t in obj))
+        return cls(tuple(json_number(t) for t in obj))
+
+
+def json_number(value) -> float:
+    """A wire-format number as a float; TypeError unless it is a JSON int or float (a bool is neither)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def uniform_grid(horizon: float, cells: int) -> TimeGrid:

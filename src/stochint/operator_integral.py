@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeasurabilityError, ShapeMismatchError
-from .grid import TimeGrid
+from .grid import TimeGrid, json_number
 
 #: tolerance for idempotency checks, and for commutation relative to the
 #: restricted operator norm
@@ -67,7 +67,7 @@ def _matrix_json(m: np.ndarray) -> list:
 
 
 def _matrix_from_json(obj) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
+    return np.array([[complex(json_number(re), json_number(im)) for re, im in row] for row in obj], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +126,7 @@ class ProjectorMeasure:
         atom = _matrix_from_json(obj["atom"])
         cells = tuple(_matrix_from_json(c) for c in obj["cells"])
         measure = cls(grid, atom, cells)
-        if obj["dim"] != measure.dim:
+        if json_number(obj["dim"]) != measure.dim:
             raise ShapeMismatchError(f"dim is {obj['dim']}, but the projections are {measure.dim} x {measure.dim}")
         return measure
 
@@ -218,7 +218,7 @@ class VectorMartingale:
     @classmethod
     def from_json(cls, obj: dict) -> "VectorMartingale":
         measure = ProjectorMeasure.from_json(obj["measure"])
-        vector = np.array([complex(re, im) for re, im in obj["vector"]])
+        vector = _matrix_from_json([obj["vector"]])[0]
         return cls(measure, vector)
 
 

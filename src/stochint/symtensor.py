@@ -14,10 +14,12 @@ is then a weighted sum,
 where the combinatorial factor counts the ordered tuples in the block and the
 product of cell lengths is the block's volume.
 
-The kernels gather the nonzero entries of their operands and scatter with
-``np.bincount``, so they cost O(nonzeros).  Complex products are rounded as
-Python's (a*c - b*d) + (a*d + b*c)i; numpy's complex multiply may fuse a
-multiply-add and round differently.
+A function stores exactly its nonzero entries, NaN and inf included, so an
+overflow propagates to whatever reads the result.  The kernels gather those
+entries of their operands and scatter with ``np.bincount``, so they cost
+O(nonzeros).  Complex products are rounded as Python's (a*c - b*d) +
+(a*d + b*c)i; numpy's complex multiply may fuse a multiply-add and round
+differently.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ import numpy as np
 from .errors import RefusalError, ShapeMismatchError
 from .grid import TimeGrid, refine
 
-#: entries with |value| below this are not stored: they are set to 0
-DROP_EPS = 1e-300
 #: most entries, C(n+d-1, d), that one coefficient vector may have (64 MiB)
 MAX_ENTRIES = 1 << 22
 
@@ -98,6 +98,15 @@ def _rank(n: int, rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _rank_of(n: int, multiset: Iterable[int]) -> int:
+    """Rank of one multiset among those of its size; raises ValueError for a
+    cell outside 1..n."""
+    key = sorted(multiset)
+    if key and not 1 <= key[0] <= key[-1] <= n:
+        raise ValueError(f"cell index in {tuple(key)} outside 1..{n}")
+    return int(_rank(n, np.array([key], dtype=np.intp))[0])
+
+
 @cache
 def _insertions(n: int, degree: int) -> np.ndarray:
     """Read-only (C(n+d-1, d), n) table: entry [r, c-1] is the rank of the
@@ -148,43 +157,25 @@ class SymCoeffs:
     """Degree-d symmetric function attached to a grid: ``vector`` holds its
     block values in rank order (read-only).
 
-    ``values`` is a mapping from multisets (in any order, repeats summed) to
-    values, or a vector of size(n, d) entries in rank order.  Entries below
-    DROP_EPS are set to 0; a function with no stored entry shares a zero
-    vector of stride 0, so it costs O(1) memory.  Immutable.
+    ``values`` is a vector of size(n, d) entries in rank order, or None for
+    the zero function.  Exactly the nonzero entries are stored, NaN and inf
+    included; a function with no stored entry shares a zero vector of
+    stride 0, so it costs O(1) memory.  Immutable.
     """
 
     __slots__ = ("grid", "degree", "vector", "_ranks")
 
-    def __init__(self, grid: TimeGrid, degree: int, values: Mapping[Iterable[int], complex] | np.ndarray | None = None):
+    def __init__(self, grid: TimeGrid, degree: int, values: np.ndarray | None = None):
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        n, count, vec = grid.n, size(grid.n, degree), None
-        if isinstance(values, np.ndarray):
-            if values.shape != (count,):
-                raise ShapeMismatchError(f"expected {count} entries for degree {degree}, got shape {values.shape}")
-            vec = values
-        elif values:
-            keys, vals = [], []
-            for key, val in values.items():
-                key = sorted(int(c) for c in key)
-                if len(key) != degree:
-                    raise ShapeMismatchError(f"multiset {tuple(key)} does not have degree {degree}")
-                if abs(complex(val)) >= DROP_EPS:
-                    if key and (key[0] < 1 or key[-1] > n):
-                        raise ValueError(f"cell index in {tuple(key)} outside 1..{n}")
-                    keys.append(key)
-                    vals.append(complex(val))
-            if keys:
-                vec = _scatter(count, _rank(n, np.array(keys, dtype=np.intp)), np.array(vals))
+        count = size(grid.n, degree)
         self.grid, self.degree = grid, degree
         self.vector, self._ranks = _zeros(count)
-        if vec is not None:
-            vec = vec + 0j  # an own complex copy, without -0.0 parts
-            kept = np.abs(vec) >= DROP_EPS
-            ranks = kept.nonzero()[0]
-            if len(ranks) != np.count_nonzero(vec):
-                vec[~kept] = 0.0
+        if values is not None:
+            if values.shape != (count,):
+                raise ShapeMismatchError(f"expected {count} entries for degree {degree}, got shape {values.shape}")
+            vec = values + 0j  # an own complex copy, without -0.0 parts
+            ranks = np.flatnonzero(vec)
             if len(ranks):
                 vec.setflags(write=False)
                 self.vector, self._ranks = vec, ranks
@@ -256,8 +247,7 @@ def block_weights(grid: TimeGrid, degree: int, ranks: np.ndarray) -> np.ndarray:
 
 def block_weight(grid: TimeGrid, multiset: Multiset) -> float:
     """Measure of the symmetric block: ordered-tuple count times volume."""
-    rank = _rank(grid.n, np.array([sorted(multiset)], dtype=np.intp))
-    return float(block_weights(grid, len(multiset), rank)[0])
+    return float(block_weights(grid, len(multiset), [_rank_of(grid.n, multiset)])[0])
 
 
 def _check_pair(f: SymCoeffs, g: SymCoeffs, same_degree: bool):

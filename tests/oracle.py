@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial, prod
 
 import numpy as np
@@ -24,6 +24,17 @@ from stochint.fock_ito import FockStepProcess
 from stochint.grid import TimeGrid
 from stochint.operator_integral import COMMUTE_TOL, DEGENERATE_TOL, NORM_RTOL, LabelMeasure, VectorMartingale
 from stochint.symtensor import SymCoeffs, zero
+
+
+def sym_coeffs(grid: TimeGrid, d: int, mapping: dict) -> SymCoeffs:
+    """The degree-d SymCoeffs whose entry at each sorted key of `mapping`
+    sums that key's values; keys are placed by their position in
+    combinations_with_replacement order, not by the library's ranking."""
+    position = {ms: i for i, ms in enumerate(combinations_with_replacement(range(1, grid.n + 1), d))}
+    vec = np.zeros(len(position), dtype=complex)
+    for key, val in mapping.items():
+        vec[position[tuple(sorted(key))]] += val
+    return SymCoeffs(grid, d, vec)
 
 
 def dense_from_sym(f: SymCoeffs) -> np.ndarray:
@@ -180,14 +191,14 @@ def sym_tensor(f: SymCoeffs, g: SymCoeffs) -> SymCoeffs:
             cg = Counter(gamma)
             ways = prod(comb(cg[c], ca.get(c, 0)) for c in cg)
             out[gamma] = out.get(gamma, 0.0 + 0.0j) + va * vb * ways / total
-    return SymCoeffs(f.grid, p + q, out)
+    return sym_coeffs(f.grid, p + q, out)
 
 
 def _add(x: SymCoeffs, y: SymCoeffs) -> SymCoeffs:
     merged = dict(x.values)
     for key, val in y.values.items():
         merged[key] = merged.get(key, 0.0 + 0.0j) + val
-    return SymCoeffs(x.grid, x.degree, merged)
+    return sym_coeffs(x.grid, x.degree, merged)
 
 
 def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int | None = None) -> FockVector:

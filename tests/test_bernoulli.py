@@ -29,7 +29,6 @@ from stochint.randomgen import (
     random_grid,
     random_predictable,
 )
-from stochint.symtensor import SymCoeffs
 
 G2 = uniform_grid(1.0, 2)
 SP2 = BernoulliSpace(G2)
@@ -208,7 +207,7 @@ def test_chaos_map_examples():
     assert max_abs(chaos_map(f, SP2) - SP2.xi(1)) < 1e-15
 
     f2 = FockVector(
-        G2, (symtensor.zero(G2, 0), symtensor.zero(G2, 1), SymCoeffs(G2, 2, {(1, 2): 0.5}))
+        G2, (symtensor.zero(G2, 0), symtensor.zero(G2, 1), oracle.sym_coeffs(G2, 2, {(1, 2): 0.5}))
     )
     image = chaos_map(f2, SP2)
     assert max_abs(image - 0.5 * SP2.xi(1) * SP2.xi(2)) < 1e-15
@@ -217,7 +216,7 @@ def test_chaos_map_examples():
 
 def test_chaos_map_rejects_diagonal():
     diag = FockVector(
-        G2, (symtensor.zero(G2, 0), symtensor.zero(G2, 1), SymCoeffs(G2, 2, {(1, 1): 1.0}))
+        G2, (symtensor.zero(G2, 0), symtensor.zero(G2, 1), oracle.sym_coeffs(G2, 2, {(1, 1): 1.0}))
     )
     with pytest.raises(NotRepresentableError) as err:
         chaos_map(diag, SP2)
@@ -248,7 +247,7 @@ def test_chaos_map_is_onto_small_space():
     for ms in multisets:
         d = len(ms)
         comps = [
-            SymCoeffs(sp.grid, deg, {tuple(ms): 1.0} if deg == d else {}) for deg in range(d + 1)
+            oracle.sym_coeffs(sp.grid, deg, {tuple(ms): 1.0} if deg == d else {}) for deg in range(d + 1)
         ]
         images.append(chaos_map(FockVector(sp.grid, tuple(comps)), sp))
     gram = np.array([[a.inner(b) for b in images] for a in images])

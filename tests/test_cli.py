@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracle
-from stochint import bernoulli, montecarlo, suites
+from stochint import bernoulli, montecarlo, suites, symtensor
 from stochint.cli import main
 from stochint.grid import uniform_grid
 from stochint.randomgen import generator, random_grid, random_martingale, random_measurable_process
@@ -156,6 +156,20 @@ def test_nan_inside_a_suite_is_a_fault_not_a_pass(monkeypatch):
     monkeypatch.setattr(bernoulli, "max_abs", lambda x: float("nan"))
     with pytest.raises(FloatingPointError, match="check martingale_mean_max observed NaN"):
         run(["verify", "bernoulli", "--trials", "2", "--seed", "1"])
+
+
+def test_nan_coefficient_reaches_the_check_that_reads_it(monkeypatch):
+    # a Fock Ito kernel whose entries overflowed to NaN: they are stored, so
+    # the first check that reads them raises instead of seeing zeros
+    symmetrize_insert = symtensor.symmetrize_insert
+
+    def overflowed(step_values):
+        out = symmetrize_insert(step_values)
+        return symtensor.SymCoeffs(out.grid, out.degree, out.vector * np.nan)
+
+    monkeypatch.setattr(symtensor, "symmetrize_insert", overflowed)
+    with pytest.raises(FloatingPointError, match="check route_equivalence_max_dev observed NaN"):
+        run(["verify", "fock-ito", "--trials", "2", "--seed", "1"])
 
 
 def test_verify_all_refusal_in_a_worker_is_usage_error(capsys):
@@ -487,6 +501,14 @@ def _break_payload(payload: dict, case: str):
     elif case.startswith("non_finite_boundary"):
         for grid in (measure, payload["process"]):
             grid["boundaries"][-1] = float(case.rsplit("_", 1)[1])
+    elif case == "string_number":
+        for grid in (measure, payload["process"]):
+            grid["boundaries"] = [repr(t) for t in grid["boundaries"]]
+    elif case == "boolean_number":
+        for grid in (measure, payload["process"]):
+            grid["boundaries"][0] = False
+    elif case == "huge_number":
+        payload["martingale"]["vector"][0] = [10**400, 0]
     return json.dumps(payload)
 
 
@@ -505,6 +527,9 @@ def _break_payload(payload: dict, case: str):
         "non_finite",
         "non_finite_boundary_nan",
         "non_finite_boundary_inf",
+        "string_number",
+        "boolean_number",
+        "huge_number",
     ],
 )
 def test_bad_input_file_is_usage_error(tmp_path, capsys, case):

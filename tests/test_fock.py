@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from stochint import fock, symtensor
@@ -33,6 +34,23 @@ def test_indicator_norm():
 def test_degree2_weighted_norm():
     f = FockVector(G2, (symtensor.zero(G2, 0), symtensor.zero(G2, 1), ones(G2, 2)))
     assert fock_inner(f, f) == pytest.approx(2.0)  # 2! * 1.0
+
+
+def test_basis_vector_is_one_hot_at_its_multiset():
+    g3 = uniform_grid(1.0, 3)
+    f = fock.basis_vector(g3, (3, 1))
+    assert f.truncation == 2 and f.max_degree() == 2
+    assert dict(f.components[2].values) == {(1, 3): 1.0}
+    assert fock.basis_vector(g3, ()).components[0][()] == 1.0
+    for outside in [(0, 1), (4,), (1, 2, 4)]:
+        with pytest.raises(ValueError, match="outside 1..3"):
+            fock.basis_vector(g3, outside)
+
+
+def test_entrywise_distance_keeps_a_nan_in_any_degree():
+    # degree 0 differs by 1 and degree 1 by NaN; the builtin max would keep the 1
+    nan = FockVector(G2, (symtensor.zero(G2, 0), symtensor.SymCoeffs(G2, 1, np.array([np.nan, 0.0]))))
+    assert np.isnan(entrywise_distance(nan, vacuum(G2, 1)))
 
 
 def test_inner_mixed_truncations():

@@ -97,7 +97,7 @@ def test_symmetrize_route_examples():
 
 def test_symmetrize_shifts_degrees():
     g3 = uniform_grid(1.0, 3)
-    deg3 = symtensor.SymCoeffs(g3, 3, {(1, 1, 2): 1.0})
+    deg3 = oracle.sym_coeffs(g3, 3, {(1, 1, 2): 1.0})
     value = FockVector(
         g3,
         (symtensor.zero(g3, 0), symtensor.zero(g3, 1), symtensor.zero(g3, 2), deg3),

@@ -41,7 +41,6 @@ from stochint.randomgen import (
     random_martingale,
     random_measurable_process,
 )
-from stochint.symtensor import SymCoeffs
 
 #: small integer values, so that Wick terms cancel exactly and the merge
 #: drops their sum
@@ -56,7 +55,7 @@ def _entries(f: FockVector) -> list:
 
 def _small_values(rng, f: FockVector) -> FockVector:
     comps = tuple(
-        SymCoeffs(f.grid, c.degree, {ms: complex(_SMALL[int(rng.integers(4))]) for ms in c.values})
+        oracle.sym_coeffs(f.grid, c.degree, {ms: complex(_SMALL[int(rng.integers(4))]) for ms in c.values})
         for c in f.components
     )
     return FockVector(f.grid, comps)

@@ -200,7 +200,7 @@ def test_iterated_matches_brute_force_across_path_blocks(n, monkeypatch):
             if strict:
                 keys = [k for k in keys if len(set(k)) == degree]
             values = {k: complex(*rng.standard_normal(2)) for k in keys}
-            coeffs = symtensor.SymCoeffs(grid, degree, values)
+            coeffs = oracle.sym_coeffs(grid, degree, values)
             got = iterated_samples(coeffs, big)
             want = _brute_force_iterated(coeffs, big)
             scale = max(1.0, float(np.abs(want).max()))
@@ -240,7 +240,7 @@ def test_iterated_memory_stays_near_the_block_budget():
 
 def test_iterated_skips_diagonal_entries():
     ens = brownian_ensemble(G8, 100, 5)
-    diag = symtensor.SymCoeffs(G8, 2, {(1, 1): 3.0})
+    diag = oracle.sym_coeffs(G8, 2, {(1, 1): 3.0})
     assert np.abs(iterated_samples(diag, ens)).max() == 0.0
 
 

@@ -21,7 +21,7 @@ from stochint.symtensor import (
     symmetrize_insert,
 )
 
-from oracle import dense_from_sym, dense_inner, dense_sym_tensor, dense_symmetrize_insert
+from oracle import dense_from_sym, dense_inner, dense_sym_tensor, dense_symmetrize_insert, sym_coeffs
 
 G2 = uniform_grid(1.0, 2)
 
@@ -30,6 +30,12 @@ def test_block_weights_on_two_cells():
     assert block_weight(G2, (1, 1)) == pytest.approx(0.25)
     assert block_weight(G2, (1, 2)) == pytest.approx(0.5)
     assert block_weight(G2, (2, 2)) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("multiset", [(0, 1), (3,), (1, 2, 3)])
+def test_block_weight_refuses_a_cell_outside_the_grid(multiset):
+    with pytest.raises(ValueError, match="outside 1..2"):
+        block_weight(G2, multiset)
 
 
 def test_inner_indicator_norm():
@@ -177,15 +183,27 @@ def test_adapted_off_diagonal_family_stays_off_diagonal():
 def test_diagonal_counterexample_needs_off_diagonal_hypothesis():
     # support strictly below the cell is not enough on its own
     g = uniform_grid(1.0, 2)
-    diag = SymCoeffs(g, 2, {(1, 1): 1.0})
+    diag = sym_coeffs(g, 2, {(1, 1): 1.0})
     out = symmetrize_insert([symtensor.zero(g, 2), diag])
     assert not out.is_off_diagonal()
     assert out[(1, 1, 2)] != 0.0
 
 
 def test_zero_dropping():
-    f = SymCoeffs(G2, 1, {(1,): 0.0, (2,): 1e-301})
-    assert f.is_zero()
+    # exact zeros, of either sign, are not stored
+    assert SymCoeffs(G2, 1, np.array([0.0, -0.0])).is_zero()
+    assert sym_coeffs(G2, 1, {(1,): 0.0, (2,): -0.0j}).is_zero()
+
+
+def test_nan_entry_is_stored():
+    f = SymCoeffs(G2, 1, np.array([np.nan, 1.0]))
+    assert f.stored().tolist() == [0, 1]
+    assert np.isnan(norm2(f))
+    big = SymCoeffs(G2, 1, np.array([np.inf, 0.0]))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is stored
+        assert (big - big).stored().tolist() == [0]
+    tiny = SymCoeffs(G2, 1, np.array([0.0, 1e-301]))
+    assert tiny.stored().tolist() == [1] and tiny[(2,)] == 1e-301
 
 
 def test_rank_order_is_combinations_with_replacement_order():
@@ -233,7 +251,7 @@ def test_insertion_table_builds_without_a_per_cell_temporary():
 
 
 def test_values_view_is_read_only_and_holds_stored_entries():
-    f = SymCoeffs(G2, 2, {(2, 1): 0.5 + 0.25j, (2, 2): 0.0})
+    f = sym_coeffs(G2, 2, {(2, 1): 0.5 + 0.25j, (2, 2): 0.0})
     assert dict(f.values) == {(1, 2): 0.5 + 0.25j}
     assert f.stored().tolist() == [1]
     with pytest.raises(TypeError):
