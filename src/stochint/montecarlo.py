@@ -4,7 +4,9 @@ Determinism contract: path p owns a 64-bit SplitMix64 stream.  Its seed is
 the SplitMix64 finalizer of (master seed + (p+1)*golden), and its word j
 (j >= 1) the finalizer of (path seed + j*golden).  Brownian cell k is drawn
 from words 2k-1 and 2k by Box-Muller, Poisson cell k from word k by inverse
-CDF.
+CDF.  Stream 0, whose seed is the finalizer of the master seed itself,
+belongs to no path: `random_strict_coeffs` draws the Monte Carlo suite's
+off-diagonal integrand from it, so the suite needs no numpy.random.
 
 Path ranges: `brownian_ensemble(grid, m, seed, start=s)` (and the Poisson
 generator alike) draws paths s..s+m-1 of the seed's ensemble, bit for bit
@@ -16,13 +18,18 @@ Block layout: the generators fill the (paths x cells) increment array in
 consecutive blocks of whole rows.  A block's scratch arrays (raw words,
 shift scratch and uniforms) together hold about _BLOCK_DOUBLES values, and
 each block is computed in place and written straight into its rows.  Path
-p depends only on (seed, p), whatever the block it falls in, so an ensemble
-is bit-identical for a fixed seed regardless of block size, ensemble size,
-or the numpy version's own generator internals.
+p depends only on (seed, p), whatever the block it falls in, so on one numpy
+build and CPU an ensemble is bit-identical for a fixed seed regardless of
+block size, ensemble size, or the numpy version's own generator internals.
+Across CPUs the Brownian bits may differ in the last place: numpy dispatches
+np.log and np.cos to SIMD kernels by CPU feature, and its AVX-512 and AVX2
+kernels round differently (README, Determinism).  random_strict_coeffs uses
+math.log and math.cos, so it does not depend on numpy's dispatch.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import stat
@@ -65,11 +72,60 @@ def _splitmix_block(seeds: np.ndarray, ctr: np.ndarray, bits: np.ndarray, tmp: n
 
 
 def _seeds(master_seed: int, start: int, stop: int) -> np.ndarray:
-    """The derived seeds of path indices start..stop-1."""
+    """The derived seeds of path indices start..stop-1 (index -1 gives the
+    seed of stream 0, which belongs to no path)."""
     master = np.array([master_seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     seeds = np.empty((1, stop - start), dtype=np.uint64)
     _splitmix_block(master, np.arange(start + 1, stop + 1, dtype=np.uint64) * _GOLDEN, seeds, np.empty_like(seeds))
     return seeds[0]
+
+
+def _stream_words(master_seed: int):
+    """Words 1, 2, ... of stream 0 of the master seed, the stream that
+    belongs to no path, as Python ints: the stream's seed is the finalizer
+    of the master seed (index 0), and its words are made as for paths."""
+    stream = _seeds(master_seed, -1, 0)
+    bits = np.empty((1, 64), dtype=np.uint64)
+    for first in itertools.count(1, 64):
+        _splitmix_block(stream, np.arange(first, first + 64, dtype=np.uint64) * _GOLDEN, bits, np.empty_like(bits))
+        yield from bits[0].tolist()
+
+
+def random_strict_coeffs(grid: TimeGrid, degree: int, entries: int, seed: int) -> SymCoeffs:
+    """A random degree-d function with min(entries, C(n, d)) nonzero
+    entries, all on strict multisets (no repeated cell), drawn from stream 0
+    of the seed in O(entries) work, without numpy.random.
+
+    Each entry takes its cells 1 + floor((w >> 11) * n / 2^53) from
+    successive words w: a cell that repeats in the entry is drawn again, and
+    so is the whole entry when its multiset was picked before.  When
+    C(n, d) <= entries, every strict multiset is taken, in rank order.  The
+    values follow in pick order, each a complex standard normal whose real
+    and imaginary parts are sqrt(-2 log u1) * cos(2 pi u2) of the uniforms
+    in (0, 1] of the next two words, as in brownian_ensemble.  A degree-d
+    vector over the size limit raises RefusalError before anything is
+    drawn."""
+    n = grid.n
+    vector = np.zeros(symtensor.size(n, degree), dtype=complex)
+    words = _stream_words(seed)
+    if math.comb(n, degree) <= entries:
+        picks = list(itertools.combinations(range(1, n + 1), degree))
+    else:
+        chosen = {}  # insertion-ordered set of the sorted picks
+        while len(chosen) < entries:
+            cells = set()
+            while len(cells) < degree:
+                cells.add(1 + ((next(words) >> 11) * n >> 53))
+            chosen[tuple(sorted(cells))] = None
+        picks = list(chosen)
+
+    def normal() -> float:
+        u1, u2 = (((next(words) >> 11) + 1) * 2.0**-53 for _ in range(2))
+        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    for multiset in picks:
+        vector[symtensor._rank_of(n, multiset)] = complex(normal(), normal())
+    return SymCoeffs(grid, degree, vector)
 
 
 def _uniform_blocks(seed: int, paths: int, start: int, ctrs: tuple[np.ndarray, ...]):

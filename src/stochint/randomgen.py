@@ -7,6 +7,8 @@ parallelizable in any order.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .grid import TimeGrid, uniform_grid
@@ -122,17 +124,26 @@ def random_sym_coeffs(
     top = grid.n if max_cell is None else max_cell
     if degree == 0:
         return symtensor.scalar(grid, complex(random_complex(rng)))
-    allowed = symtensor.multisets(grid.n, degree)[:, -1] <= top
-    if strict:
-        allowed &= symtensor.strict(grid.n, degree)
-    pool = allowed.nonzero()[0]
+    pool = _pool(grid.n, degree, top, strict)
     if not len(pool):
         return symtensor.zero(grid, degree)
     picks = rng.choice(len(pool), size=min(entries, len(pool)), replace=False)
-    values = np.zeros(len(allowed), dtype=complex)
-    for i in picks:
-        values[pool[i]] = complex(random_complex(rng))
+    parts = rng.standard_normal((len(picks), 2))  # the (real, imaginary) pairs, pick by pick
+    values = np.zeros(symtensor.size(grid.n, degree), dtype=complex)
+    values[pool[picks]] = parts[:, 0] + 1j * parts[:, 1]
     return SymCoeffs(grid, degree, values)
+
+
+@lru_cache(maxsize=256)
+def _pool(n: int, degree: int, top: int, strict: bool) -> np.ndarray:
+    """Read-only ranks, ascending, of the degree-d multisets on cells 1..top
+    (the strict ones, with `strict`)."""
+    allowed = symtensor.multisets(n, degree)[:, -1] <= top
+    if strict:
+        allowed &= symtensor.strict(n, degree)
+    pool = allowed.nonzero()[0]
+    pool.setflags(write=False)
+    return pool
 
 
 def random_fock_vector(rng: np.random.Generator, grid: TimeGrid, truncation: int, strict: bool = False) -> FockVector:

@@ -49,16 +49,21 @@ def count_zero(name: str, count: int) -> CheckResult:
 
 @dataclass
 class Running:
-    """A check filled in while the trials run: a maximum from 0, or a count."""
+    """A check filled in while the trials run: a maximum from 0, or a count.
+    `observed` tells whether the value was measured: a maximum once it has
+    seen a value, a counter from the start, since a run without a violation
+    never calls it."""
 
     name: str
     kind: str
     tolerance: float
+    observed: bool = False
     value: float = 0.0
 
     def observe(self, value: float) -> None:
         """Keep the larger of the two values, as ``max`` does; a NaN raises
         FloatingPointError naming the check, since no comparison would keep it."""
+        self.observed = True
         if not value <= self.value:
             if math.isnan(value):
                 raise FloatingPointError(f"check {self.name} observed NaN")
@@ -77,8 +82,8 @@ class Tracker:
         self.tolerances = tolerances
         self.running: list[Running] = []
 
-    def _declare(self, name: str, kind: str, tolerance: float) -> Running:
-        self.running.append(Running(name, kind, tolerance))
+    def _declare(self, name: str, kind: str, tolerance: float, observed: bool = False) -> Running:
+        self.running.append(Running(name, kind, tolerance, observed))
         return self.running[-1]
 
     def eq(self, name: str, key: str) -> Running:
@@ -91,11 +96,15 @@ class Tracker:
 
     def count(self, name: str) -> Running:
         """A violation counter that must stay 0."""
-        return self._declare(name, "eq", 0.0)
+        return self._declare(name, "eq", 0.0, observed=True)
 
     def emit(self, report: "SuiteReport") -> None:
+        """Add the checks in declaration order, and a note for each maximum
+        that never observed a value: its 0 was not measured."""
         for r in self.running:
             report.add(CheckResult(r.name, r.kind, float(r.value), 0.0, float(r.tolerance)))
+            if not r.observed:
+                report.notes.append(f"{r.name}: no value was observed, so it reports 0")
 
 
 @dataclass

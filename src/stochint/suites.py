@@ -42,7 +42,6 @@ from .randomgen import (
     random_martingale,
     random_measurable_process,
     random_predictable,
-    random_sym_coeffs,
     random_unitary,
 )
 from .reports import CheckResult, SuiteReport, Tracker, bound, count_zero, equality, merge_reports
@@ -65,7 +64,8 @@ DEFAULT_TOLERANCES = {
     "chaos_isometry": 1e-12,
 }
 
-# suite ids keep the per-trial seed streams of different suites disjoint
+# suite ids keep the per-trial seed streams of different suites disjoint; _MC
+# is reserved: mc draws from montecarlo's own streams, not from generator()
 _OPERATOR, _FOCK_ITO, _BERNOULLI, _MC, _BRIDGE, _WICK, _TRANSPORT = range(7)
 
 #: the operator suite draws martingales in C^2..C^_MAX_DIM
@@ -567,7 +567,7 @@ def mc_suite(
     # (check, target, allowance) of every mean check, in report order
     if model == "brownian":
         generate = montecarlo.brownian_ensemble
-        f2 = random_sym_coeffs(generator(seed, _MC, 0), grid, 2, strict=True, entries=6)
+        f2 = montecarlo.random_strict_coeffs(grid, 2, entries=6, seed=seed)
         samples = partial(_brownian_samples, g=g, f2=f2)
         allowance = 4.0 * max(grid.lengths)  # per unit of a second-moment target
         power = 2.0 * grid.horizon**2  # E[I_2(1)^2] = 2 ||ones(grid, 2)||^2 = 2 T^2

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
-from math import comb, factorial, prod
+from math import comb, cos, factorial, log, pi, prod, sqrt
 
 import numpy as np
 
@@ -157,6 +157,53 @@ def poisson_increments(grid: TimeGrid, paths: int, seed: int, intensity: float) 
         pmf = pmf * (means / j)
         cdf = cdf + pmf
     return (counts - means) / np.sqrt(intensity)
+
+
+def _splitmix_int(z: int) -> int:
+    """The SplitMix64 finalizer in Python integers, mod 2^64."""
+    z &= 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return z ^ (z >> 31)
+
+
+def strict_coeffs(grid: TimeGrid, degree: int, entries: int, seed: int) -> SymCoeffs:
+    """Word by word on stream 0 (its seed the mixed master seed, its word j
+    the mixed stream seed + j*golden): each entry's distinct cells, a
+    repeated multiset skipped, or every strict multiset when there are at
+    most `entries`; then per pick a Box-Muller real and imaginary part."""
+    n = grid.n
+    stream = _splitmix_int(seed)
+    j = 0
+
+    def word() -> int:
+        nonlocal j
+        j += 1
+        return _splitmix_int(stream + j * int(_GOLDEN))
+
+    if comb(n, degree) <= entries:
+        keys = [key for key in combinations_with_replacement(range(1, n + 1), degree) if len(set(key)) == degree]
+    else:
+        keys = []
+        while len(keys) < entries:
+            cells = []
+            while len(cells) < degree:
+                cell = (word() >> 11) * n // 2**53 + 1
+                if cell not in cells:
+                    cells.append(cell)
+            if tuple(sorted(cells)) not in keys:
+                keys.append(tuple(sorted(cells)))
+
+    def normal() -> float:
+        u1 = ((word() >> 11) + 1) / 2**53
+        u2 = ((word() >> 11) + 1) / 2**53
+        return sqrt(-2.0 * log(u1)) * cos(2.0 * pi * u2)
+
+    mapping = {}
+    for key in keys:
+        re = normal()
+        mapping[key] = complex(re, normal())
+    return sym_coeffs(grid, degree, mapping)
 
 
 def export_csv(increments: np.ndarray, path) -> None:

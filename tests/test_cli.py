@@ -293,6 +293,20 @@ def test_importing_the_cli_loads_no_process_pool():
     assert child.stdout.strip() == "[]"
 
 
+def test_the_mc_suite_loads_no_numpy_random():
+    # mc draws every number from montecarlo's SplitMix64 streams
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; from stochint import suites; "
+        "report = suites.mc_suite('brownian', cells=6, paths=401, seed=3); "
+        "print(report.passed, 'numpy.random' in sys.modules)"
+    )
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "True False"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -9,6 +9,7 @@ import pytest
 
 import oracle
 from stochint import montecarlo
+from stochint.errors import RefusalError
 from stochint.grid import TimeGrid, uniform_grid
 from stochint.montecarlo import (
     brownian_ensemble,
@@ -259,6 +260,59 @@ def test_iterated_second_moment_matches_weighted_norm():
     target = 2.0 * symtensor.norm2(f2)
     moments = one_block(samples)
     assert abs(moments.mean - target) < 5 * moments.stderr()
+
+
+#: (cells, seed) -> stored ranks and values of random_strict_coeffs(grid, 2, 6, seed)
+STRICT_FROZEN = {
+    (6, 0): ([1, 5, 9, 10, 13, 14], [
+        -0.29875086906384485 - 0.18257765152432234j, 0.11167402579706229 + 0.9933159516900556j,
+        -0.4785138014801503 - 0.02685384434109239j, 0.8624821952531748 + 0.0710383941890003j,
+        2.4365698120122516 - 0.5327979001494179j, -1.0693534511478893 - 0.8250643933262541j]),
+    (6, 3): ([4, 10, 12, 13, 16, 19], [
+        0.35159492508730905 + 1.788938407510449j, 1.239794607838265 + 1.159243069890236j,
+        1.3303190642999754 + 1.2638556152769522j, -0.9177483265062053 + 0.8170364052735506j,
+        1.1475237298683567 + 1.5234932406484036j, -1.09812346446245 + 1.133547282754041j]),
+    (6, 7): ([4, 8, 9, 10, 12, 17], [
+        -0.8323772358589623 - 0.047688111489942474j, 0.7657485759257473 + 1.620874031950361j,
+        0.5285827795416512 - 0.9628630845669689j, 2.4547332363155574 - 0.051076624790017615j,
+        0.6168541985891045 - 0.18200712145195563j, 0.06877633033885096 + 0.23220585568632987j]),
+    (64, 7): ([356, 643, 1059, 1197, 1313, 2048], [
+        -0.8323772358589623 - 0.047688111489942474j, 2.4547332363155574 - 0.051076624790017615j,
+        -0.09802629800145653 + 0.5261608545978363j, 0.06877633033885096 + 0.23220585568632987j,
+        0.6168541985891045 - 0.18200712145195563j, 0.7657485759257473 + 1.620874031950361j]),
+}
+
+
+@pytest.mark.parametrize("cells, seed", sorted(STRICT_FROZEN))
+def test_random_strict_coeffs_keeps_its_frozen_draws(cells, seed):
+    f = montecarlo.random_strict_coeffs(uniform_grid(1.0, cells), 2, 6, seed)
+    ranks, values = STRICT_FROZEN[cells, seed]
+    assert f.stored().tolist() == ranks
+    assert f.vector[f.stored()].tolist() == values
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, -3, 2**64 + 5])
+@pytest.mark.parametrize("cells, degree, entries", [(1, 2, 6), (2, 2, 6), (3, 2, 6), (4, 2, 6), (5, 2, 6), (9, 3, 5), (40, 2, 6), (4, 0, 2), (3, 4, 2)])
+def test_random_strict_coeffs_matches_its_word_by_word_reference(cells, degree, entries, seed):
+    grid = uniform_grid(1.0, cells)
+    f = montecarlo.random_strict_coeffs(grid, degree, entries, seed)
+    assert np.array_equal(f.vector, oracle.strict_coeffs(grid, degree, entries, seed).vector)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_strict_coeffs_picks_distinct_strict_multisets(seed):
+    # C(n, 2) strict pairs on n cells: fewer than 6 are all taken
+    for cells, count in [(1, 0), (2, 1), (3, 3), (4, 6), (5, 6), (64, 6)]:
+        f = montecarlo.random_strict_coeffs(uniform_grid(1.0, cells), 2, 6, seed)
+        keys = list(f.values)
+        assert len(keys) == count == len(set(keys))
+        assert all(a < b for a, b in keys)
+        assert np.all(symtensor.strict(cells, 2)[f.stored()])
+
+
+def test_random_strict_coeffs_refuses_an_oversized_vector_before_drawing():
+    with pytest.raises(RefusalError, match="a degree-2 vector on 2896 cells has 4194856 entries"):
+        montecarlo.random_strict_coeffs(uniform_grid(1.0, 2896), 2, 6, 1)
 
 
 def test_linear_samples_isometry():

@@ -51,6 +51,21 @@ def test_tracker_emits_declared_checks_in_order():
     ]
 
 
+def test_tracker_notes_a_maximum_that_observed_nothing():
+    tracker = Tracker({"tight": 1e-12})
+    tracker.eq("seen", "tight").observe(-1.0)  # observed, though it reports 0
+    tracker.eq("idle_dev", "tight")
+    tracker.bound("idle_excess", "tight")
+    tracker.count("quiet")  # a counter is only called on a violation
+    rep = SuiteReport("demo", 0, "")
+    tracker.emit(rep)
+    assert [c.lhs for c in rep.checks] == [0.0] * 4
+    assert rep.notes == [
+        "idle_dev: no value was observed, so it reports 0",
+        "idle_excess: no value was observed, so it reports 0",
+    ]
+
+
 @pytest.mark.parametrize("values", [(float("nan"),), (3e-13, float("nan")), (-2.0, 5.0, float("nan"))])
 def test_nan_observation_raises_naming_the_check(values):
     # NaN compares False with everything, so a plain maximum would keep 0 and pass

@@ -30,6 +30,18 @@ def test_operator_suite_small():
 def test_operator_suite_handles_zero_trials():
     rep = suites.verify_operator_suite(cells=3, trials=0, seed=1)
     assert rep.passed
+    # every maximum is noted; the three violation counters are not
+    unseen = [c.name for c in rep.checks if not c.name.startswith(("measurability_", "nonmeasurable_"))]
+    assert len(unseen) == 5
+    assert rep.notes == [f"{name}: no value was observed, so it reports 0" for name in unseen]
+
+
+def test_a_maximum_that_observed_nothing_is_noted():
+    # the scalar family runs on odd trials only, so one trial never reaches it
+    rep = suites.verify("hstoch", cells=4, degree=3, trials=1, seed=0)
+    assert rep.passed
+    assert rep.notes == ["scalar_family_max_equality_dev: no value was observed, so it reports 0"]
+    assert suites.verify("hstoch", cells=4, degree=3, trials=2, seed=0).notes == []
 
 
 def test_fock_ito_suite_small():
