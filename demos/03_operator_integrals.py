@@ -11,8 +11,6 @@ from stochint import (
     check_measurable,
     future_increment_span,
     integral_norm_bound,
-    process_quasinorm,
-    restricted_norm,
     stochastic_integral,
     unitary_transport,
     uniform_grid,
@@ -40,11 +38,11 @@ a2 = np.diag([0.0, 2.0, 0.0]).astype(complex)      # doubles the future directio
 a_bad = np.zeros((3, 3), complex); a_bad[0, 1] = 1  # moves it into the past slice
 print("scaling operator measurable at 1:", bool(check_measurable(a2, mart, 1)))
 print("moving operator measurable at 1:", bool(check_measurable(a_bad, mart, 1)))
-print("  restricted norms:", restricted_norm(a2, future_increment_span(mart, 1)))
+print("  restricted norms:", check_measurable(a2, mart, 1).restricted_norms)
 
 proc = OperatorStepProcess(g, (np.eye(3, dtype=complex), a2))
-print("integral:", stochastic_integral(proc, mart).real, " quasinorm:", process_quasinorm(proc, mart))
-lhs, rhs = integral_norm_bound(proc, mart)
+lhs, rhs, _ = integral_norm_bound(proc, mart)
+print("integral:", stochastic_integral(proc, mart).real, " quasinorm:", np.sqrt(rhs))
 print(f"norm bound: {lhs:.6f} <= {rhs:.6f} (equality: scalar action on the span)")
 
 print()
@@ -54,7 +52,7 @@ for t in range(200):
     rng = generator(2024, t)
     mart_t = random_martingale(rng, random_grid(rng, int(rng.integers(1, 7))), int(rng.integers(2, 9)))
     proc_t = random_measurable_process(rng, mart_t, scalar_action=t % 2 == 0)
-    lhs, rhs = integral_norm_bound(proc_t, mart_t, enforce=False)
+    lhs, rhs, _ = integral_norm_bound(proc_t, mart_t)
     worst = max(worst, lhs - rhs)
 print("max (lhs - rhs) over 200 random measurable processes:", worst)
 
@@ -64,5 +62,5 @@ rng = generator(7)
 mart_t = random_martingale(rng, random_grid(rng, 4), 6)
 proc_t = random_measurable_process(rng, mart_t)
 u = random_unitary(rng, 6)
-left, right = unitary_transport(u, proc_t, mart_t, enforce=False)
+left, right = unitary_transport(u, proc_t, mart_t)
 print("||U(integral) - integral of conjugated process|| =", np.linalg.norm(left - right))

@@ -52,6 +52,6 @@ for t in range(20):
     max_deg = int(rng.integers(0, 3))
     p = random_adapted_process(rng, grid, max_deg + 1, max_deg)
     r = wick_operator_process(p)
-    out = r.coords_to_vector(stochastic_integral(r.process, r.martingale, enforce=False))
+    out = r.coords_to_vector(stochastic_integral(r.process, r.martingale))
     worst = max(worst, fock.entrywise_distance(out, ito_wick(p)))
 print("max deviation over 20 trials:", worst)

@@ -10,7 +10,6 @@ identity live in :mod:`stochint.suites` and behind the ``stochint`` CLI.
 """
 
 from .errors import (
-    MeasurabilityError,
     NotAdaptedError,
     NotRepresentableError,
     RefusalError,
@@ -45,8 +44,6 @@ from .operator_integral import (
     check_measurable,
     future_increment_span,
     integral_norm_bound,
-    process_quasinorm,
-    restricted_norm,
     stochastic_integral,
     unitary_transport,
 )

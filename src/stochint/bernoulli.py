@@ -235,13 +235,14 @@ def multiplication_integral_pair(
     """Integrate a predictable family on the classical realization's space
     two ways: as multiplication operators through the operator integral, and
     directly against the increments.  The two random variables agree
-    pointwise.  Predictability is checked once, by discrete_ito (it raises
-    NotAdaptedError); by the measurability equivalence it is also what the
-    operator integral needs."""
+    pointwise.  The operator integral is defined for every family, so
+    predictability is checked once, by discrete_ito (it raises
+    NotAdaptedError); by the measurability equivalence it is also what makes
+    the multiplication operators measurable."""
     space = realization.measure
     proc = OperatorStepProcess(space.grid, tuple(multiplication_operator(f) for f in integrands))
     via_increments = discrete_ito(space, integrands)
-    via_operators = RandomVariable(space, stochastic_integral(proc, realization, enforce=False) / _scale(space))
+    via_operators = RandomVariable(space, stochastic_integral(proc, realization) / _scale(space))
     return via_operators, via_increments
 
 

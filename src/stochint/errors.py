@@ -42,18 +42,6 @@ class NotAdaptedError(ValueError):
         return type(self), (self.cell, self.degree, self.multiset)
 
 
-class MeasurabilityError(RuntimeError):
-    """Integration was requested for an operator that fails the measurability check."""
-
-    def __init__(self, cell: int, report=None):
-        self.cell = cell
-        self.report = report
-        super().__init__(f"operator on cell {cell} is not measurable at boundary {cell - 1}")
-
-    def __reduce__(self):
-        return type(self), (self.cell, self.report)
-
-
 class NotRepresentableError(ValueError):
     """A Fock vector with diagonal support has no discrete chaos expansion."""
 

@@ -21,6 +21,11 @@ collapses to the finitely many boundaries, which makes the check decidable.
 
 Convention: the value of a process on cell k = (t_{k-1}, t_k] must be
 measurable at the *left* boundary k-1.
+
+The sum is computed for every process.  :func:`check_measurable` alone
+computes a cell's restricted norms and decides its measurability;
+:func:`integral_norm_bound` returns the bound with the per-cell reports its
+right side is built from.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeasurabilityError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .grid import TimeGrid, json_number
 
 #: tolerance for idempotency checks, and for commutation relative to the
@@ -271,19 +276,14 @@ def future_increment_span(mart: VectorMartingale, j: int) -> np.ndarray:
     return mart._span[:, np.searchsorted(mart.span_cells, j, side="right") :]
 
 
-def restricted_norm(a: np.ndarray, basis: np.ndarray) -> float:
-    """Operator norm of A restricted to the subspace spanned by the basis."""
-    a = _as_matrix(a)
-    if basis.shape[1] == 0:
-        return 0.0
-    if basis.shape[0] != a.shape[0]:
-        raise ShapeMismatchError("basis dimension does not match the operator")
-    return float(np.linalg.norm(a @ basis, 2))
-
-
 @dataclass(frozen=True)
 class MeasurabilityReport:
-    """Verdict plus the worst violation of each condition."""
+    """Verdict plus the worst violation of each condition.
+
+    ``restricted_norms`` holds one norm per boundary l = j..n-1 whose span is
+    not empty, in that order: empty when the span at j is, and otherwise
+    led by the norm over the span at j itself.
+    """
 
     ok: bool
     boundary: int
@@ -311,6 +311,15 @@ def check_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> Measurabi
     round-off.  Every bound scales with A, so the verdict does not change
     when A is scaled.
     Boundary j = n is vacuously measurable.
+
+    Blind spot: at j = n-1 the span holds only the last increment, one atom
+    of the step measure, so norm constancy over a single boundary is vacuous
+    and only condition (ii) is tested.  An operator that maps the range of
+    P_n into itself passes there whatever it does to the past.  On the Fock
+    realization, Wick multiplication by the basis indicator e_n of the last
+    cell is accepted at n-1 (checked on 2, 3 and 4 cells), although e_n is
+    not adapted there; e_c with c < n is rejected at every j < c, where a
+    later increment exposes its norm jump.
     """
     a = _as_matrix(a, mart.dim)
     n = mart.grid.n
@@ -342,55 +351,53 @@ def check_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> Measurabi
     return MeasurabilityReport(ok, j, norm_dev, comm_dev, tuple(norms))
 
 
-def stochastic_integral(
-    proc: OperatorStepProcess, mart: VectorMartingale, enforce: bool = True
-) -> np.ndarray:
-    """sum_k A_k (P_k M).  With `enforce`, every A_k must be measurable at k-1."""
+def stochastic_integral(proc: OperatorStepProcess, mart: VectorMartingale) -> np.ndarray:
+    """sum_k A_k (P_k M).
+
+    The sum is defined for every step process on the martingale's grid;
+    whether each A_k is measurable at k-1, which the norm bound needs, is
+    what :func:`check_measurable` decides.
+    """
     mart.grid.check_same(proc.grid)
     if proc.dim != mart.dim:
-        raise ShapeMismatchError("process dimension does not match the martingale")
+        raise ShapeMismatchError(f"expected dimension {mart.dim}, got {proc.dim}")
     out = np.zeros(mart.dim, dtype=complex)
     for k in range(1, mart.grid.n + 1):
-        a = proc.operator(k)
-        if enforce:
-            report = check_measurable(a, mart, k - 1)
-            if not report.ok:
-                raise MeasurabilityError(k, report)
-        out += a @ mart.increment(k)
+        out += proc.operator(k) @ mart.increment(k)
     return out
 
 
-def process_quasinorm(proc: OperatorStepProcess, mart: VectorMartingale) -> float:
-    """sqrt(sum_k ||A_k||_{restricted at k-1}^2 * mu(cell k))."""
-    mart.grid.check_same(proc.grid)
-    acc = 0.0
-    for k in range(1, mart.grid.n + 1):
-        basis = future_increment_span(mart, k - 1)
-        acc += restricted_norm(proc.operator(k), basis) ** 2 * mart.mu(k)
-    return float(np.sqrt(acc))
-
-
 def integral_norm_bound(
-    proc: OperatorStepProcess, mart: VectorMartingale, enforce: bool = True
-) -> tuple[float, float]:
-    """(||integral||^2, quasinorm^2); callers assert lhs <= rhs + 1e-10."""
-    lhs = float(np.linalg.norm(stochastic_integral(proc, mart, enforce=enforce)) ** 2)
-    rhs = process_quasinorm(proc, mart) ** 2
-    return lhs, rhs
+    proc: OperatorStepProcess, mart: VectorMartingale
+) -> tuple[float, float, tuple[MeasurabilityReport, ...]]:
+    """(||integral||^2, sum_k ||A_k||_{restricted at k-1}^2 * mu(cell k), reports).
+
+    reports[k-1] is check_measurable(A_k, mart, k-1), and the restricted norm
+    of cell k is its first restricted norm, the one over the span at k-1 (0
+    when that span is empty).  When every report is ok, lhs <= rhs up to
+    round-off; callers assert lhs <= rhs + 1e-10.
+    """
+    lhs = float(np.linalg.norm(stochastic_integral(proc, mart)) ** 2)
+    reports = tuple(check_measurable(a, mart, j) for j, a in enumerate(proc.operators))
+    acc = 0.0
+    for k, report in enumerate(reports, start=1):
+        norms = report.restricted_norms
+        acc += (norms[0] if norms else 0.0) ** 2 * mart.mu(k)
+    return lhs, float(np.sqrt(acc)) ** 2, reports
 
 
 def unitary_transport(
-    u: np.ndarray, proc: OperatorStepProcess, mart: VectorMartingale, enforce: bool = True
+    u: np.ndarray, proc: OperatorStepProcess, mart: VectorMartingale
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compare U(integral) with the integral of {U A_k U^-1} against (UEU^-1, UM)."""
     dense = _dense(mart, "unitary_transport")
     u = _as_matrix(u, mart.dim)
     if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) >= 1e-10:
         raise ValueError("matrix is not unitary")
-    left = u @ stochastic_integral(proc, mart, enforce=enforce)
+    left = u @ stochastic_integral(proc, mart)
     uh = u.conj().T
     measure = ProjectorMeasure(mart.grid, u @ dense.atom @ uh, tuple(u @ p @ uh for p in dense.cells))
     transported = VectorMartingale(measure, u @ mart.vector)
     conj_proc = OperatorStepProcess(proc.grid, tuple(u @ a @ uh for a in proc.operators))
-    right = stochastic_integral(conj_proc, transported, enforce=enforce)
+    right = stochastic_integral(conj_proc, transported)
     return left, right

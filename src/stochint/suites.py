@@ -139,9 +139,9 @@ def verify_operator_suite(cells: int, trials: int, seed: int, tolerances: dict |
         scalar = t % 2 == 1
         proc = random_measurable_process(rng, mart, scalar_action=scalar)
 
-        for k in range(1, n + 1):
-            self_check_failures.count(not check_measurable(proc.operator(k), mart, k - 1))
-        lhs, rhs = integral_norm_bound(proc, mart, enforce=False)
+        lhs, rhs, reports = integral_norm_bound(proc, mart)
+        for r in reports:
+            self_check_failures.count(not r.ok)
         bound_violation.observe(lhs - rhs)
         if scalar:
             scalar_dev.observe(abs(lhs - rhs))
@@ -153,10 +153,8 @@ def verify_operator_suite(cells: int, trials: int, seed: int, tolerances: dict |
                 grid,
                 tuple(a * x + b * y for x, y in zip(proc.operators, other.operators)),
             )
-            direct = stochastic_integral(combined, mart, enforce=False)
-            split = a * stochastic_integral(proc, mart, enforce=False) + b * stochastic_integral(
-                other, mart, enforce=False
-            )
+            direct = stochastic_integral(combined, mart)
+            split = a * stochastic_integral(proc, mart) + b * stochastic_integral(other, mart)
             linearity_dev.observe(float(np.linalg.norm(direct - split)))
 
         if t % 10 == 0:
@@ -170,7 +168,7 @@ def verify_operator_suite(cells: int, trials: int, seed: int, tolerances: dict |
                 bad = np.outer(span[:, 0], span[:, -1].conj())
                 negative_misses.count(check_measurable(bad, mart, int(mart.span_cells[-1]) - 1))
             identity = OperatorStepProcess(grid, tuple(np.eye(d) for _ in range(n)))
-            tele = stochastic_integral(identity, mart, enforce=False)
+            tele = stochastic_integral(identity, mart)
             expected = mart.vector - mart.measure.atom @ mart.vector
             telescoping_dev.observe(float(np.linalg.norm(tele - expected)))
 
@@ -180,7 +178,7 @@ def verify_operator_suite(cells: int, trials: int, seed: int, tolerances: dict |
         d = int(rng.integers(2, _MAX_DIM + 1))
         mart = random_martingale(rng, random_grid(rng, n), d)
         proc = random_measurable_process(rng, mart, scalar_action=t % 2 == 0)
-        left, right = unitary_transport(random_unitary(rng, d), proc, mart, enforce=False)
+        left, right = unitary_transport(random_unitary(rng, d), proc, mart)
         transport_dev.observe(float(np.linalg.norm(left - right)))
 
     tracker.emit(report)
@@ -197,8 +195,8 @@ def verify_input_file(data: dict, tolerances: dict | None = None) -> list[CheckR
     """
     mart = VectorMartingale.from_json(data["martingale"])
     proc = OperatorStepProcess.from_json(data["process"])
-    failures = sum(not check_measurable(proc.operator(k), mart, k - 1) for k in range(1, proc.grid.n + 1))
-    lhs, rhs = integral_norm_bound(proc, mart, enforce=False)
+    lhs, rhs, reports = integral_norm_bound(proc, mart)
+    failures = sum(not r.ok for r in reports)
     return [
         count_zero("file_measurability_failures", failures),
         bound("file_isometry_bound", lhs, rhs, _tolerances(tolerances)["bound"]),
@@ -320,7 +318,7 @@ def verify_fock_ito_suite(
             bridge_failures.count(
                 not check_measurable(realization.process.operator(k), realization.martingale, k - 1)
             )
-        vec = stochastic_integral(realization.process, realization.martingale, enforce=False)
+        vec = stochastic_integral(realization.process, realization.martingale)
         via_operators = realization.coords_to_vector(vec)
         bridge_dev.observe(fock.entrywise_distance(via_operators, fock_ito.ito_wick(proc)))
         if t < 5:

@@ -191,10 +191,12 @@ class SymCoeffs:
         return self._ranks
 
     def __getitem__(self, key: Iterable[int]) -> complex:
-        key = sorted(key)
-        if len(key) != self.degree or (key and not 1 <= key[0] <= key[-1] <= self.grid.n):
-            return 0.0 + 0.0j
-        return complex(self.vector[_rank(self.grid.n, np.array([key], dtype=np.intp))[0]])
+        """The value at one multiset; a key whose length is not the degree
+        raises ShapeMismatchError, and a cell outside 1..n ValueError."""
+        key = tuple(key)
+        if len(key) != self.degree:
+            raise ShapeMismatchError(f"expected a multiset of {self.degree} cells, got {key}")
+        return complex(self.vector[_rank_of(self.grid.n, key)])
 
     def __add__(self, other: "SymCoeffs") -> "SymCoeffs":
         _check_pair(self, other, same_degree=True)

@@ -57,7 +57,7 @@ def test_criterion_01_norm_bound_1000_trials():
         mart = random_martingale(rng, random_grid(rng, n), dim)
         scalar = t % 2 == 1
         proc = random_measurable_process(rng, mart, scalar_action=scalar)
-        lhs, rhs = integral_norm_bound(proc, mart, enforce=False)
+        lhs, rhs, _ = integral_norm_bound(proc, mart)
         assert lhs <= rhs + 1e-10
         if scalar:
             assert abs(lhs - rhs) <= 1e-10
@@ -162,7 +162,7 @@ def test_criterion_07_wick_operator_bridge_100_processes():
             assert check_measurable(
                 realization.process.operator(k), realization.martingale, k - 1
             ).ok
-        vec = stochastic_integral(realization.process, realization.martingale, enforce=False)
+        vec = stochastic_integral(realization.process, realization.martingale)
         dev = fock.entrywise_distance(realization.coords_to_vector(vec), ito_wick(proc))
         assert dev <= 1e-12
     elapsed = time.perf_counter() - started
@@ -177,7 +177,7 @@ def test_criterion_08_unitary_transport_200_trials():
         dim = int(rng.integers(2, 9))
         mart = random_martingale(rng, random_grid(rng, n), dim)
         proc = random_measurable_process(rng, mart, scalar_action=t % 2 == 0)
-        left, right = unitary_transport(random_unitary(rng, dim), proc, mart, enforce=False)
+        left, right = unitary_transport(random_unitary(rng, dim), proc, mart)
         assert np.linalg.norm(left - right) <= 1e-10
     report("criterion 8: unitary transport on 200 random unitaries/processes")
 

@@ -175,7 +175,7 @@ def test_wick_operator_identity_for_vacuum():
         np.testing.assert_allclose(
             realization.process.operator(k), np.eye(realization.dim), atol=1e-14
         )
-    vec = stochastic_integral(realization.process, realization.martingale, enforce=False)
+    vec = stochastic_integral(realization.process, realization.martingale)
     out = realization.coords_to_vector(vec)
     assert entrywise_distance(out, indicator_vector(G2)) < 1e-14
 
@@ -183,7 +183,7 @@ def test_wick_operator_identity_for_vacuum():
 def test_wick_operator_worked_example():
     proc = FockStepProcess(G2, (zero_vector(G2, 2), cell_increment(G2, 1).pad(2)))
     realization = wick_operator_process(proc)
-    vec = stochastic_integral(realization.process, realization.martingale, enforce=False)
+    vec = stochastic_integral(realization.process, realization.martingale)
     out = realization.coords_to_vector(vec)
     assert out.component(2)[(1, 2)] == pytest.approx(0.5)
     assert entrywise_distance(out, ito_wick(proc)) < 1e-14
@@ -200,7 +200,7 @@ def test_wick_operator_measurability_and_bridge_random():
             assert check_measurable(
                 realization.process.operator(k), realization.martingale, k - 1
             ).ok
-        vec = stochastic_integral(realization.process, realization.martingale, enforce=False)
+        vec = stochastic_integral(realization.process, realization.martingale)
         assert entrywise_distance(realization.coords_to_vector(vec), ito_wick(proc)) < 1e-12
 
 

@@ -57,7 +57,7 @@ GRID_CASES = {
     "chaos_map": lambda: bernoulli.chaos_map(OTHER_VEC, SPACE),
     "iterated_samples": lambda: montecarlo.iterated_samples(symtensor.ones(OTHER, 1), ENSEMBLE),
     "stochastic_integral": lambda: operator_integral.stochastic_integral(OTHER_PROC, MART),
-    "process_quasinorm": lambda: operator_integral.process_quasinorm(OTHER_PROC, MART),
+    "integral_norm_bound": lambda: operator_integral.integral_norm_bound(OTHER_PROC, MART),
     "sym_inner": lambda: symtensor.sym_inner(symtensor.ones(GRID, 1), symtensor.ones(OTHER, 1)),
 }
 

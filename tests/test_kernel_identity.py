@@ -30,6 +30,7 @@ from stochint.operator_integral import (
     VectorMartingale,
     check_measurable,
     future_increment_span,
+    integral_norm_bound,
     stochastic_integral,
 )
 from stochint.randomgen import (
@@ -137,6 +138,36 @@ def test_measurability_verdicts_match_per_column_check():
     assert {ref for _, ref in verdicts} == {True, False}
 
 
+def _per_cell_svd_rhs(proc, mart) -> float:
+    """The bound's right side from one SVD of A_k on the span at k-1 per
+    cell, summed in cell order, then sqrt-then-square."""
+    acc = 0.0
+    for k in range(1, mart.grid.n + 1):
+        basis = future_increment_span(mart, k - 1)
+        norm = float(np.linalg.norm(proc.operator(k) @ basis, 2)) if basis.shape[1] else 0.0
+        acc += norm**2 * mart.mu(k)
+    return float(np.sqrt(acc)) ** 2
+
+
+def test_norm_bound_rhs_matches_a_per_cell_svd():
+    # the hstoch trial stream of `verify all --trials 600 --seed 42`
+    # (suite id 0, 4 cells at most)
+    pairs = 0
+    for t in range(600):
+        rng = generator(42, 0, t)
+        n = int(rng.integers(1, 5))
+        d = int(rng.integers(2, 9))
+        mart = random_martingale(rng, random_grid(rng, n), d)
+        proc = random_measurable_process(rng, mart, scalar_action=t % 2 == 1)
+        rhs = integral_norm_bound(proc, mart)[1]
+        assert rhs.hex() == _per_cell_svd_rhs(proc, mart).hex(), t
+        oracle_norms = [oracle.measurability_deviations(a, mart, j)[0] for j, a in enumerate(proc.operators)]
+        ref = sum(norms[0] ** 2 * mart.mu(k) if norms else 0.0 for k, norms in enumerate(oracle_norms, start=1))
+        assert abs(rhs - ref) <= 1e-12 * max(1.0, ref), t
+        pairs += n
+    assert pairs == 1491
+
+
 def test_future_increment_span_is_a_read_only_cache():
     rng = generator(4700)
     for n in range(1, 6):
@@ -170,8 +201,8 @@ def test_label_measure_matches_its_dense_diagonal_parts():
             for a in real.process.operators:
                 assert check_measurable(a, real.martingale, j) == check_measurable(a, dense, j)
         assert np.array_equal(
-            stochastic_integral(real.process, real.martingale, enforce=False),
-            stochastic_integral(real.process, dense, enforce=False),
+            stochastic_integral(real.process, real.martingale),
+            stochastic_integral(real.process, dense),
         )
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochint.bernoulli import BernoulliSpace, classical_realization
-from stochint.errors import MeasurabilityError, ShapeMismatchError
+from stochint.errors import ShapeMismatchError
 from stochint.fock_ito import wick_operator_process
 from stochint.grid import uniform_grid
 from stochint.operator_integral import (
@@ -15,8 +15,6 @@ from stochint.operator_integral import (
     check_measurable,
     future_increment_span,
     integral_norm_bound,
-    process_quasinorm,
-    restricted_norm,
     stochastic_integral,
     unitary_transport,
 )
@@ -130,14 +128,13 @@ def test_future_span_empty_when_atom_carries_everything():
 
 def test_restricted_norm_examples():
     mart = example_martingale()
-    b0, b1 = future_increment_span(mart, 0), future_increment_span(mart, 1)
     eye = np.eye(3, dtype=complex)
-    assert restricted_norm(eye, b0) == pytest.approx(1.0)
-    assert restricted_norm(2 * eye, b1) == pytest.approx(2.0)
+    assert check_measurable(eye, mart, 0).restricted_norms[0] == pytest.approx(1.0)
+    assert check_measurable(2 * eye, mart, 1).restricted_norms[0] == pytest.approx(2.0)
     swap = np.zeros((3, 3), complex)
     swap[0, 1] = 1.0  # e2 -> e1
-    assert restricted_norm(swap, b1) == pytest.approx(1.0)
-    assert restricted_norm(eye, np.zeros((3, 0), complex)) == 0.0
+    assert check_measurable(swap, mart, 1).restricted_norms[0] == pytest.approx(1.0)
+    assert check_measurable(eye, mart, 2).restricted_norms == ()  # the span at 2 is empty
 
 
 def test_measurability_worked_examples():
@@ -222,7 +219,7 @@ def test_integral_worked_example():
     proc = OperatorStepProcess(G2, (np.eye(3, dtype=complex), a2))
     out = stochastic_integral(proc, mart)
     np.testing.assert_allclose(out, [1.0, 2.0, 0.0], atol=1e-14)
-    assert process_quasinorm(proc, mart) == pytest.approx(np.sqrt(5.0))
+    assert integral_norm_bound(proc, mart)[1] == pytest.approx(5.0)
 
 
 def test_integral_telescoping_and_zero():
@@ -235,15 +232,16 @@ def test_integral_telescoping_and_zero():
     np.testing.assert_allclose(stochastic_integral(zero, mart), np.zeros(3), atol=0)
 
 
-def test_integral_enforcement_raises():
+def test_nonmeasurable_integral_is_computed_and_its_report_fails():
     mart = example_martingale()
     a_move = np.zeros((3, 3), complex)
     a_move[0, 1] = 1.0
     proc = OperatorStepProcess(G2, (np.eye(3, dtype=complex), a_move))
-    with pytest.raises(MeasurabilityError) as err:
-        stochastic_integral(proc, mart)
-    assert err.value.cell == 2
-    stochastic_integral(proc, mart, enforce=False)  # computable without the gate
+    # P_1 M = e1 and P_2 M = e2, which a_move sends to e1
+    np.testing.assert_allclose(stochastic_integral(proc, mart), [2.0, 0.0, 0.0], atol=1e-14)
+    _, _, reports = integral_norm_bound(proc, mart)
+    assert [r.boundary for r in reports] == [0, 1]
+    assert reports[0].ok and not reports[1].ok
 
 
 def test_integral_linearity():
@@ -257,10 +255,8 @@ def test_integral_linearity():
         combined = OperatorStepProcess(
             mart.grid, tuple(a * x + b * y for x, y in zip(p1.operators, p2.operators))
         )
-        lhs = stochastic_integral(combined, mart, enforce=False)
-        rhs = a * stochastic_integral(p1, mart, enforce=False) + b * stochastic_integral(
-            p2, mart, enforce=False
-        )
+        lhs = stochastic_integral(combined, mart)
+        rhs = a * stochastic_integral(p1, mart) + b * stochastic_integral(p2, mart)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
@@ -271,7 +267,7 @@ def test_norm_bound_random_trials():
         n = int(rng.integers(1, 7))
         mart = random_martingale(rng, random_grid(rng, n), int(rng.integers(2, 9)))
         proc = random_measurable_process(rng, mart, scalar_action=seed % 2 == 0)
-        lhs, rhs = integral_norm_bound(proc, mart, enforce=False)
+        lhs, rhs, _ = integral_norm_bound(proc, mart)
         assert lhs <= rhs + 1e-10
         worst = max(worst, lhs - rhs)
         if seed % 2 == 0:
@@ -282,7 +278,7 @@ def test_norm_bound_random_trials():
 def test_scalar_equality_identity_case():
     mart = example_martingale()
     identity = OperatorStepProcess(G2, (np.eye(3, dtype=complex),) * 2)
-    lhs, rhs = integral_norm_bound(identity, mart)
+    lhs, rhs, _ = integral_norm_bound(identity, mart)
     assert lhs == pytest.approx(rhs, abs=1e-12)
     assert rhs == pytest.approx(sum(mart.mu(k) for k in (1, 2)), abs=1e-12)
 
@@ -290,7 +286,7 @@ def test_scalar_equality_identity_case():
 def test_quasinorm_zero_process():
     mart = example_martingale()
     zero = OperatorStepProcess(G2, (np.zeros((3, 3), complex),) * 2)
-    assert process_quasinorm(zero, mart) == 0.0
+    assert integral_norm_bound(zero, mart)[1] == 0.0
 
 
 def test_transport_identity_and_permutation():
@@ -300,7 +296,7 @@ def test_transport_identity_and_permutation():
     left, right = unitary_transport(np.eye(3, dtype=complex), proc, mart)
     np.testing.assert_allclose(left, right, atol=1e-14)
     perm = np.eye(3)[[1, 2, 0]].astype(complex)
-    left, right = unitary_transport(perm, proc, mart, enforce=False)
+    left, right = unitary_transport(perm, proc, mart)
     np.testing.assert_allclose(left, right, atol=1e-12)
 
 
@@ -311,7 +307,7 @@ def test_transport_random():
         dim = int(rng.integers(2, 8))
         mart = random_martingale(rng, random_grid(rng, n), dim)
         proc = random_measurable_process(rng, mart)
-        left, right = unitary_transport(random_unitary(rng, dim), proc, mart, enforce=False)
+        left, right = unitary_transport(random_unitary(rng, dim), proc, mart)
         assert np.linalg.norm(left - right) < 1e-10
 
 

@@ -8,7 +8,6 @@ import oracle
 from stochint import bernoulli, fock_ito, montecarlo, suites
 from stochint.grid import uniform_grid
 from stochint.errors import (
-    MeasurabilityError,
     NotAdaptedError,
     NotRepresentableError,
     RefusalError,
@@ -162,7 +161,6 @@ def test_verify_all_matches_the_suites_run_one_after_another(tolerances):
         RefusalError("too large"),
         TruncationOverflowError(3),
         NotAdaptedError(2, 1, (0, 1)),
-        MeasurabilityError(3),
         NotRepresentableError((1, 1)),
     ],
     ids=lambda error: type(error).__name__,
@@ -177,12 +175,12 @@ def test_errors_pickle_with_their_fields(error):
 def test_verify_all_raises_a_worker_error_with_its_fields(monkeypatch):
     # the workers are forked, so they run the patched fock_ito module
     def broken(proc):
-        raise MeasurabilityError(3)
+        raise NotAdaptedError(3, 1, (1, 2))
 
     monkeypatch.setattr(fock_ito, "ito_wick", broken)
-    with pytest.raises(MeasurabilityError, match="not measurable at boundary 2") as err:
+    with pytest.raises(NotAdaptedError, match=r"not adapted at cell 3, degree 1, multiset \(1, 2\)") as err:
         suites.verify_all(cells=3, degree=2, trials=4, seed=1)
-    assert err.value.cell == 3
+    assert (err.value.cell, err.value.degree, err.value.multiset) == (3, 1, (1, 2))
     assert multiprocessing.active_children() == []
 
 

@@ -38,6 +38,18 @@ def test_block_weight_refuses_a_cell_outside_the_grid(multiset):
         block_weight(G2, multiset)
 
 
+@pytest.mark.parametrize("multiset", [(0, 1), (3, 3), (1, 3)])
+def test_coefficient_lookup_refuses_a_cell_outside_the_grid(multiset):
+    with pytest.raises(ValueError, match="outside 1..2"):
+        ones(G2, 2)[multiset]
+
+
+@pytest.mark.parametrize("multiset", [(), (1,), (1, 2, 2)])
+def test_coefficient_lookup_refuses_a_key_of_another_degree(multiset):
+    with pytest.raises(ShapeMismatchError, match="multiset of 2 cells"):
+        ones(G2, 2)[multiset]
+
+
 def test_inner_indicator_norm():
     f = ones(G2, 1)
     assert sym_inner(f, f) == pytest.approx(1.0)
