@@ -11,6 +11,9 @@ depend on execution order.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import sys
 from collections import defaultdict
 from collections.abc import Sequence
 from contextlib import nullcontext
@@ -72,22 +75,99 @@ _OPERATOR, _FOCK_ITO, _BERNOULLI, _MC, _BRIDGE, _WICK, _TRANSPORT = range(7)
 _MAX_DIM = 8
 
 
+class _WorkerTraceback(Exception):
+    """The traceback text of an error raised in a worker process; the error
+    is raised here with it as __cause__, so the worker's frames print first."""
+
+
+def _work(fn, item, write: int):
+    """The body of a forked worker: write the pickled (ok, value) of fn(item)
+    to the pipe end `write` and leave by os._exit, with status 0 once the
+    whole outcome is written.  On an error, value is (exception, traceback
+    text).  An outcome that does not survive a pickle round trip is replaced
+    by a pickle.PicklingError that names its type."""
+    status = 1
+    try:
+        try:
+            outcome = True, fn(item)
+        except BaseException as exc:
+            import traceback
+
+            outcome = False, (exc, traceback.format_exc())
+        try:
+            data = pickle.dumps(outcome)
+            pickle.loads(data)
+        except Exception as exc:
+            ok, value = outcome
+            kind, culprit = ("result", value) if ok else ("exception", value[0])
+            error = pickle.PicklingError(
+                f"the {kind} of the worker for item {item!r}, of type {type(culprit).__qualname__}, "
+                f"cannot be pickled: {exc}"
+            )
+            data = pickle.dumps((False, (error, "")))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)  # no atexit handler runs, and no inherited stdio buffer is flushed
+
+
+def _outcome(item, data: bytes, status: int):
+    """The result a reaped worker sent for `item`, or its error raised here."""
+    code = os.waitstatus_to_exitcode(status)
+    if code or not data:
+        how = f"was killed by {signal.Signals(-code).name}" if code < 0 else f"exited with status {code}"
+        raise RuntimeError(f"the worker for item {item!r} {how} without a complete result")
+    ok, value = pickle.loads(data)
+    if ok:
+        return value
+    exc, text = value
+    raise exc from (_WorkerTraceback(text) if text else None)
+
+
 def _in_workers(fn, items: Sequence) -> list:
-    """[fn(item) for item in items], one worker process per item; a single
-    item runs in this process.
+    """[fn(item) for item in items], one forked worker process per item; a
+    single item, or any items on a platform other than Linux, run in this
+    process.
 
+    Each worker sends its outcome down its own pipe and leaves by os._exit.
     Results come back in item order.  The error of the first item that
-    raised, in item order, is raised here with its type.  Every worker is
-    joined before this returns or raises.  The workers share this process's
-    pages until they write to them, so the peak resident memory of a run is
-    that of its largest process."""
-    if len(items) == 1:
-        return [fn(items[0])]
-    # imported here, so that importing the package loads no multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(len(items)) as pool:
-        return list(pool.map(fn, items))
+    raised, in item order, is raised here with its type and fields and with
+    the worker's traceback text as __cause__.  A worker that ends without a
+    complete outcome, by a signal or a nonzero status, raises RuntimeError
+    naming its item and how it ended; an outcome that cannot be pickled
+    raises pickle.PicklingError naming its type.  When anything is raised
+    here, a KeyboardInterrupt included, the workers still running are
+    killed; every worker is reaped before this returns or raises.  The
+    workers share this process's pages until they write to them, so the
+    peak resident memory of a run is that of its largest process."""
+    if len(items) == 1 or sys.platform != "linux":
+        return [fn(item) for item in items]
+    pipes, pids = [], []  # pids: the workers not yet reaped, in item order
+    try:
+        for item in items:
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, item, write)
+            finally:
+                os.close(write)  # only the parent gets here: _work never returns
+            pids.append(pid)
+        results = []
+        for item, pipe in zip(items, pipes):
+            data = pipe.read()
+            status = os.waitpid(pids[0], 0)[1]
+            del pids[0]
+            results.append(_outcome(item, data, status))
+        return results
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def _cpus() -> int:
@@ -550,13 +630,13 @@ def mc_suite(
     increments: each block is drawn, drawn again for `ensemble_deterministic`
     and compared, and its samples give one :class:`montecarlo.Moments` per
     check, so memory does not grow with `paths`.  The blocks are split into
-    contiguous ranges, one worker process per available CPU and at most one
-    per block (:func:`_in_workers`; the peak resident memory of the run is
-    that of its largest process).  The per-block Moments are merged here in
-    block order, the serial sequence of updates, so the report does not
-    depend on the number of workers.  With `csv`, all blocks run as one
-    range in this process and are also written there: the file holds the
-    ensemble the checks ran on."""
+    contiguous ranges, one forked worker process per available CPU and at
+    most one per block (:func:`_in_workers`; one range runs in this process,
+    and the peak resident memory of the run is that of its largest process).
+    The per-block Moments are merged here in block order, the serial
+    sequence of updates, so the report does not depend on the number of
+    workers.  With `csv`, all blocks run as one range in this process and
+    are also written there: the file holds the ensemble the checks ran on."""
     grid = uniform_grid(1.0, cells)
     report = SuiteReport(f"mc-{model}", seed, f"uniform grid, cells={cells}, paths={paths}")
     g = symtensor.ones(grid, 1)
@@ -687,13 +767,15 @@ VERIFY_SUITES = ("hstoch", "fock-ito", "bernoulli", "all")
 
 
 def verify_all(cells: int, degree: int, trials: int, seed: int, tolerances: dict | None = None) -> SuiteReport:
-    """Run the three verification suites, one worker process each, and
-    flatten them into one report.
+    """Run the three verification suites, one forked worker process each
+    (in this process on a platform other than Linux), and flatten them into
+    one report.
 
     The suites share no random state, so the merged report is byte-identical
     to running them one after another in this process.  An error raised in a
-    worker is raised here, the first in suite order.  The peak resident
-    memory of the run is that of its largest process (see :func:`_in_workers`).
+    worker is raised here, the first in suite order, with the worker's
+    traceback as its __cause__.  The peak resident memory of the run is that
+    of its largest process (see :func:`_in_workers`).
     """
     run = partial(verify, cells=cells, degree=degree, trials=trials, seed=seed, tolerances=tolerances)
     parts = _in_workers(run, VERIFY_SUITES[:-1])

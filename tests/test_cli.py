@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import re
 import subprocess
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracle
+from children import assert_no_child_left
 from stochint import bernoulli, montecarlo, suites, symtensor
 from stochint.cli import main
 from stochint.grid import uniform_grid
@@ -173,7 +173,7 @@ def test_nan_coefficient_reaches_the_check_that_reads_it(monkeypatch):
 
 
 def test_verify_all_refusal_in_a_worker_is_usage_error(capsys):
-    # the fock-ito worker refuses a 19-cell bridge trial; the other workers still finish
+    # the fock-ito worker refuses a 19-cell bridge trial; a worker still running is killed
     with pytest.raises(SystemExit) as err:
         run(["verify", "all", "--cells", "30", "--trials", "5", "--seed", "1"])
     assert err.value.code == 2
@@ -183,7 +183,7 @@ def test_verify_all_refusal_in_a_worker_is_usage_error(capsys):
     assert captured.err.strip().splitlines()[-1] == (
         "stochint: error: a Wick operator matrix on 19 cells at truncation 4 has 8855^2 entries, over the limit 4194304"
     )
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_fault_inside_a_verify_all_worker_is_not_a_usage_error(monkeypatch):
@@ -194,7 +194,7 @@ def test_fault_inside_a_verify_all_worker_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(bernoulli, "cond_expect", broken)
     with pytest.raises(ValueError, match="could not be broadcast"):
         run(["verify", "all", "--trials", "2", "--seed", "1"])
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_mc_refusal_in_a_worker_is_usage_error(capsys, monkeypatch):
@@ -210,7 +210,7 @@ def test_mc_refusal_in_a_worker_is_usage_error(capsys, monkeypatch):
         "stochint: error: per-cell Poisson mean intensity * cell length = 760 is above about 708.4: "
         "exp(-mean) underflows"
     )
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_fault_inside_an_mc_worker_is_not_a_usage_error(monkeypatch):
@@ -222,7 +222,7 @@ def test_fault_inside_an_mc_worker_is_not_a_usage_error(monkeypatch):
     monkeypatch.setattr(montecarlo, "iterated_samples", broken)
     with pytest.raises(ValueError, match="could not be broadcast"):
         run(["mc", "--cells", "2", "--paths", "200000", "--seed", "1"])
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
@@ -291,6 +291,18 @@ def test_importing_the_cli_loads_no_process_pool():
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+    # nor does a run that forks: mc on 2 of its 12 blocks' ranges, then verify all on 3 suites
+    code = (
+        "import os, sys; from stochint import montecarlo, suites; "
+        "forks = []; os.register_at_fork(after_in_parent=lambda: forks.append(1)); "
+        "suites._cpus = lambda: 2; montecarlo._BLOCK_DOUBLES = 240; "
+        "assert suites.mc_suite('brownian', cells=6, paths=401, seed=3).passed; "
+        "assert suites.verify_all(3, 2, 4, 1).passed; "
+        "print(len(forks), [m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "5 []"
 
 
 def test_the_mc_suite_loads_no_numpy_random():

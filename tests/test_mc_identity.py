@@ -16,11 +16,11 @@ report has the same digest, and the file is the csv.writer reference.
 """
 
 import hashlib
-import multiprocessing
 
 import pytest
 
 import oracle
+from children import assert_no_child_left
 from stochint import montecarlo, suites
 from stochint.grid import uniform_grid
 from stochint.reports import render_json
@@ -42,7 +42,7 @@ def test_mc_report_bytes_do_not_depend_on_the_workers(model, seed, cpus, monkeyp
     monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 240)
     monkeypatch.setattr(suites, "_cpus", lambda: cpus)
     report = suites.mc_suite(model=model, cells=6, paths=401, seed=seed)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert hashlib.sha256(render_json(report).encode()).hexdigest() == FROZEN[model, seed]
 
 

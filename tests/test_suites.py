@@ -1,10 +1,15 @@
-import multiprocessing
+import os
 import pickle
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import pytest
 
 import oracle
+from children import assert_no_child_left
 from stochint import bernoulli, fock_ito, montecarlo, suites
 from stochint.grid import uniform_grid
 from stochint.errors import (
@@ -147,7 +152,7 @@ def test_verify_all_has_thirty_checks():
 def test_verify_all_matches_the_suites_run_one_after_another(tolerances):
     cells, degree, trials, seed = 3, 2, 12, 3
     pooled = suites.verify_all(cells, degree, trials, seed, tolerances)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     parts = [suites.verify(name, cells, degree, trials, seed, tolerances) for name in suites.VERIFY_SUITES[:-1]]
     in_process = merge_reports("all", seed, f"cells<={cells}, degree<={degree}, trials={trials}", parts)
     assert render_json(pooled) == render_json(in_process)
@@ -181,7 +186,112 @@ def test_verify_all_raises_a_worker_error_with_its_fields(monkeypatch):
     with pytest.raises(NotAdaptedError, match=r"not adapted at cell 3, degree 1, multiset \(1, 2\)") as err:
         suites.verify_all(cells=3, degree=2, trials=4, seed=1)
     assert (err.value.cell, err.value.degree, err.value.multiset) == (3, 1, (1, 2))
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+forked = pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+
+
+def test_in_workers_runs_a_single_item_here_and_forks_for_more():
+    assert suites._in_workers(lambda item: os.getpid(), ["a"]) == [os.getpid()]
+    if sys.platform == "linux":
+        pids = suites._in_workers(lambda item: os.getpid(), ["a", "b"])
+        assert os.getpid() not in pids and len(set(pids)) == 2
+    assert_no_child_left()
+
+
+@forked
+def test_in_workers_names_a_killed_worker_and_kills_the_rest():
+    def work(item):
+        if item == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if item == 2:
+            time.sleep(60)
+        return item
+
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="the worker for item 1 was killed by SIGKILL without a complete result"):
+        suites._in_workers(work, [0, 1, 2])
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
+
+
+class _Holder:
+    def __init__(self):
+        self.lock = threading.Lock()
+
+
+class _TwoFieldError(Exception):
+    # BaseException pickles self.args, (message,), which this __init__ cannot take back
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@forked
+@pytest.mark.parametrize(
+    "outcome, kind, name",
+    [(_Holder, "result", "_Holder"), (lambda: _TwoFieldError(1, 2), "exception", "_TwoFieldError")],
+    ids=["result", "exception"],
+)
+def test_in_workers_names_the_type_of_an_outcome_that_cannot_be_pickled(outcome, kind, name):
+    def work(item):
+        if item == 0:
+            return item
+        value = outcome()
+        if isinstance(value, BaseException):
+            raise value
+        return value
+
+    with pytest.raises(pickle.PicklingError, match=f"the {kind} of the worker for item 1, of type {name},"):
+        suites._in_workers(work, [0, 1, 2])
+    assert_no_child_left()
+
+
+@forked
+def test_in_workers_returns_results_past_the_pipe_buffer():
+    # 4 MiB each, far past a 64 KiB pipe buffer: the workers block on their
+    # writes until the parent reads their pipes in item order
+    results = suites._in_workers(lambda item: bytes([item]) * (4 << 20), [1, 2, 3])
+    assert results == [bytes([item]) * (4 << 20) for item in (1, 2, 3)]
+    assert_no_child_left()
+
+
+@forked
+def test_in_workers_raises_the_first_error_in_item_order_with_the_worker_traceback():
+    def _deep_fault(item):
+        raise ValueError(f"fault in item {item}")
+
+    def work(item):
+        if item == 1:
+            time.sleep(0.3)  # item 2 raises first in time
+        if item:
+            _deep_fault(item)
+        return item
+
+    with pytest.raises(ValueError, match="fault in item 1") as err:
+        suites._in_workers(work, [0, 1, 2])
+    cause = str(err.value.__cause__)
+    assert "Traceback (most recent call last)" in cause
+    assert "in _deep_fault" in cause and "ValueError: fault in item 1" in cause
+    assert_no_child_left()
+
+
+@forked
+def test_in_workers_kills_and_reaps_its_workers_on_keyboard_interrupt():
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    started = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            suites._in_workers(lambda item: time.sleep(60), [0, 1])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 30
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize(
