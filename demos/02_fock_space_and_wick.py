@@ -38,11 +38,9 @@ print("Z wick Z: degree-2 component equals the constant-1 function:",
 print("vacuum is the unit:", fock.entrywise_distance(wick(vacuum(g, 2), zz), zz))
 
 try:
-    wick(zz, z.pad(2), "strict", 2)
+    wick(zz, z.pad(2))
 except TruncationOverflowError as err:
-    print("strict policy refuses to drop degree", err.degree)
-dropped = wick(zz, z.pad(2), "drop", 2)
-print("drop policy truncates instead; top component zero:", dropped.component(2).is_zero())
+    print("the product refuses to drop degree", err.degree)
 
 print()
 print("== the time projections ==")

@@ -19,11 +19,11 @@ from stochint.fock import zero_vector
 from stochint.randomgen import generator, random_adapted_process, random_grid
 
 
-def wick_sum(p, truncation):
+def wick_sum(p):
     """The definition: sum_k value_k (Wick) increment_k, through the general Wick product."""
-    out = zero_vector(p.grid, truncation)
+    out = zero_vector(p.grid)
     for k in range(1, p.grid.n + 1):
-        out += fock.wick(p.value(k), cell_increment(p.grid, k), "strict", truncation)
+        out += fock.wick(p.value(k), cell_increment(p.grid, k))
     return out
 
 
@@ -39,7 +39,7 @@ proc = FockStepProcess(g, (zero_vector(g, 2), cell_increment(g, 1).pad(2)))
 print("adapted:", check_adapted(proc).ok)
 ito = ito_wick(proc)
 print("degree-2 value at {1,2}:", ito.component(2)[(1, 2)])
-print("distance to the Wick sum:", fock.entrywise_distance(ito, wick_sum(proc, ito.truncation)))
+print("distance to the Wick sum:", fock.entrywise_distance(ito, wick_sum(proc)))
 print("isometry (lhs, rhs):", ito_isometry(proc))
 
 print()
@@ -50,7 +50,7 @@ for t in range(100):
     grid = random_grid(rng, int(rng.integers(1, 7)))
     p = random_adapted_process(rng, grid, 4, int(rng.integers(0, 4)))
     out = ito_wick(p)
-    worst_def = max(worst_def, fock.entrywise_distance(out, wick_sum(p, out.truncation)))
+    worst_def = max(worst_def, fock.entrywise_distance(out, wick_sum(p)))
     lhs, rhs = ito_isometry(p)
     worst_iso = max(worst_iso, abs(lhs - rhs) / max(1.0, rhs))
 print("max deviation from the Wick sum over 100 trials:", worst_def)

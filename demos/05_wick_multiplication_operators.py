@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 # Realizing the Fock-space Ito integral as an operator integral: Wick
 # multiplication by the process values, materialized as dense matrices on the
-# truncated multiset basis.
+# truncated multiset basis.  On a process that is not adapted the same
+# operator integral is the Skorohod integral.
 
 import numpy as np
 
 from stochint import (
     FockStepProcess,
     cell_increment,
+    check_adapted,
     check_measurable,
     ito_wick,
+    skorohod_integral,
     stochastic_integral,
     uniform_grid,
     vacuum,
@@ -17,7 +20,7 @@ from stochint import (
 )
 from stochint import fock
 from stochint.fock import zero_vector
-from stochint.randomgen import generator, random_adapted_process, random_grid
+from stochint.randomgen import generator, random_adapted_process, random_fock_vector, random_grid
 
 g = uniform_grid(1.0, 3)
 
@@ -55,3 +58,13 @@ for t in range(20):
     out = r.coords_to_vector(stochastic_integral(r.process, r.martingale))
     worst = max(worst, fock.entrywise_distance(out, ito_wick(p)))
 print("max deviation over 20 trials:", worst)
+
+print()
+print("== a process that is not adapted gives the Skorohod integral ==")
+# each cell value is a random Fock vector on every cell, padded by one degree
+# so that the Wick products keep one degree of headroom
+p = FockStepProcess(g, tuple(random_fock_vector(generator(506, k), g, 1).pad(2) for k in range(1, 4)))
+print("adapted:", bool(check_adapted(p)))
+r = wick_operator_process(p)
+out = r.coords_to_vector(stochastic_integral(r.process, r.martingale))
+print("distance to the Skorohod integral:", fock.entrywise_distance(out, skorohod_integral(p)))

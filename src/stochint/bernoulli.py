@@ -68,8 +68,10 @@ class BernoulliSpace:
 
     def project(self, k: int, x: np.ndarray) -> np.ndarray:
         """P_k x = E_k x - E_{k-1} x for a vector or a block of columns of
-        sample values: the space is the step measure of its own realization."""
-        return _average(x, self.n, self.grid.check_cell(k)) - _average(x, self.n, k - 1)
+        sample values, and P_0 x = E_0 x: the space is the step measure of
+        its own realization."""
+        e_k = _average(x, self.n, self.grid.check_boundary(k))
+        return e_k - _average(x, self.n, k - 1) if k else e_k
 
     def xi(self, i: int) -> "RandomVariable":
         """The i-th sign coordinate, i = 1..n."""

@@ -16,14 +16,14 @@ class ShapeMismatchError(ValueError):
 
 
 class TruncationOverflowError(RuntimeError):
-    """A strict-policy operation produced a nonzero component above the truncation."""
+    """An operation produced a nonzero component above its output truncation."""
 
-    def __init__(self, degree: int, message: str | None = None):
+    def __init__(self, degree: int):
         self.degree = degree
-        super().__init__(message or f"nonzero component at degree {degree} exceeds the truncation")
+        super().__init__(f"nonzero component at degree {degree} exceeds the truncation")
 
     def __reduce__(self):
-        return type(self), (self.degree, str(self))
+        return type(self), (self.degree,)
 
 
 class NotAdaptedError(ValueError):

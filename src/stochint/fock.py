@@ -19,10 +19,6 @@ from .grid import TimeGrid
 from . import symtensor
 from .symtensor import SymCoeffs
 
-#: Wick-product policies: "strict" raises when a nonzero component would be
-#: cut by the output truncation, "drop" silently discards it.
-POLICIES = ("strict", "drop")
-
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
@@ -120,23 +116,21 @@ def entrywise_distance(f: FockVector, g: FockVector) -> float:
     return float(np.max([symtensor.entrywise_distance(f.component(d), g.component(d)) for d in range(top + 1)]))
 
 
-def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int | None = None) -> FockVector:
+def wick(f: FockVector, g: FockVector) -> FockVector:
     """Wick product: degree-n output is sum_m f_m (x) g_{n-m} (symmetric tensor).
 
-    The output truncation defaults to max of the operands'.  Under "strict" a
-    nonzero component above it raises at its lowest degree; under "drop" it
-    is discarded.  The terms of a degree are added in ascending m; only pairs
-    of nonzero components form a term.  The top degree is never formed: it
-    is the one term f_top (x) g_top, nonzero because symmetric tensors form
-    an integral domain (even if its floating-point entries underflow).
+    The output truncation is the larger of the operands'; a nonzero component
+    above it raises at its lowest degree.  The terms of a degree are added in
+    ascending m; only pairs of nonzero components form a term.  The top
+    degree is never formed: it is the one term f_top (x) g_top, nonzero
+    because symmetric tensors form an integral domain (even if its
+    floating-point entries underflow).
     """
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
     f.grid.check_same(g.grid)
     ft, gt = f.truncation, g.truncation
-    out_trunc = max(ft, gt) if truncation is None else truncation
+    out_trunc = max(ft, gt)
     ftop, gtop = f.max_degree(), g.max_degree()
-    overflow = policy == "strict" and min(ftop, gtop) >= 0 and ftop + gtop > out_trunc
+    overflow = min(ftop, gtop) >= 0 and ftop + gtop > out_trunc
     comps = []
     for n in range(ftop + gtop if overflow else out_trunc + 1):
         total = None

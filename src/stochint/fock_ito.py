@@ -14,7 +14,7 @@ grid.  :func:`skorohod_integral` applies it without the support restriction,
 which is the Skorohod extension.  Finally, :func:`wick_operator_process`
 realizes the integral as a matrix-valued stochastic integral on the truncated
 Fock basis, where Wick multiplication by the cell values plays the role of the
-operator process.
+operator process; off the adapted processes its integral is the Skorohod one.
 """
 
 from __future__ import annotations
@@ -81,12 +81,6 @@ def check_adapted(proc: FockStepProcess) -> AdaptednessReport:
     return AdaptednessReport(True)
 
 
-def _require_adapted(proc: FockStepProcess):
-    report = check_adapted(proc)
-    if not report.ok:
-        raise NotAdaptedError(report.cell, report.degree, report.multiset)
-
-
 def _insert_degrees(proc: FockStepProcess, top: int) -> FockVector:
     """Degree 0 zero; degree d = 1..top symmetrizes the per-cell degree-(d-1) values."""
     grid = proc.grid
@@ -97,14 +91,17 @@ def _insert_degrees(proc: FockStepProcess, top: int) -> FockVector:
 
 
 def ito_wick(proc: FockStepProcess) -> FockVector:
-    """sum_k value_k (Wick) increment_k, under the strict truncation policy.
+    """sum_k value_k (Wick) increment_k for an adapted process.
 
     The increment of cell k has only the degree-1 part e_k, so the Wick
     product maps degree d of value_k to value_k[d] (x) e_k in degree d+1,
     and each output degree is one symmetrization over the cells.  The output
     truncation is max(N, 1); a nonzero component of that degree overflows.
+    A process that is not adapted raises NotAdaptedError.
     """
-    _require_adapted(proc)
+    report = check_adapted(proc)
+    if not report.ok:
+        raise NotAdaptedError(report.cell, report.degree, report.multiset)
     top = max(proc.truncation, 1)
     if proc.max_degree() == top:
         raise TruncationOverflowError(top + 1)
@@ -163,8 +160,9 @@ def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
     fit inside the truncation.  Wick products above the truncation are
     dropped (the matrices act on the truncated space).  An operator matrix past
     symtensor.MAX_ENTRIES entries raises RefusalError before any allocation.
+    The process need not be adapted: the integral of the realization is then
+    the Skorohod integral.
     """
-    _require_adapted(proc)
     grid = proc.grid
     n_trunc = proc.truncation
     if proc.max_degree() + 1 > n_trunc:

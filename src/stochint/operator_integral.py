@@ -114,8 +114,9 @@ class ProjectorMeasure:
         return self.atom.shape[0]
 
     def project(self, k: int, x: np.ndarray) -> np.ndarray:
-        """P_k x for a vector or a block of columns."""
-        return self.cells[self.grid.check_cell(k) - 1] @ x
+        """P_k x for a vector or a block of columns; P_0 is the atom."""
+        k = self.grid.check_boundary(k)
+        return (self.cells[k - 1] if k else self.atom) @ x
 
     def to_json(self) -> dict:
         return {
@@ -157,8 +158,8 @@ class LabelMeasure:
         return len(self.labels)
 
     def project(self, k: int, x: np.ndarray) -> np.ndarray:
-        """P_k x for a vector or a block of columns."""
-        mask = self.labels == self.grid.check_cell(k)
+        """P_k x for a vector or a block of columns; P_0 is the atom."""
+        mask = self.labels == self.grid.check_boundary(k)
         return np.where(mask.reshape((-1,) + (1,) * (np.ndim(x) - 1)), x, 0)
 
 

@@ -249,7 +249,7 @@ def verify_operator_suite(cells: int, trials: int, seed: int, tolerances: dict |
                 negative_misses.count(check_measurable(bad, mart, int(mart.span_cells[-1]) - 1))
             identity = OperatorStepProcess(grid, tuple(np.eye(d) for _ in range(n)))
             tele = stochastic_integral(identity, mart)
-            expected = mart.vector - mart.measure.atom @ mart.vector
+            expected = mart.vector - mart.measure.project(0, mart.vector)
             telescoping_dev.observe(float(np.linalg.norm(tele - expected)))
 
     for t in range(min(200, trials)):
@@ -325,7 +325,7 @@ def verify_fock_ito_suite(
         iw = fock_ito.ito_wick(proc)
         via_wick = fock.zero_vector(grid, iw.truncation)
         for k in range(1, n + 1):
-            via_wick += fock.wick(proc.value(k), fock.cell_increment(grid, k), "strict", iw.truncation)
+            via_wick += fock.wick(proc.value(k), fock.cell_increment(grid, k))
         route_dev.observe(fock.entrywise_distance(iw, via_wick))
 
         # the isometry of iw itself: fock_ito.ito_isometry would integrate again
@@ -356,11 +356,11 @@ def verify_fock_ito_suite(
         split = a * fock.wick(f, h) + b * fock.wick(g, h)
         wick_dev.observe(fock.entrywise_distance(lin, split))
         wick_dev.observe(fock.entrywise_distance(fock.wick(fock.vacuum(grid, 6), f), f))
-        # strict policy must refuse to drop a nonzero top component
+        # the product must refuse to drop a nonzero top component
         top = symtensor.cell_indicator(grid, 1)
         full = FockVector(grid, tuple(symtensor.zero(grid, d) for d in range(6)) + (symtensor.ones(grid, 6),))
         try:
-            fock.wick(full, FockVector(grid, (symtensor.zero(grid, 0), top)), "strict", 6)
+            fock.wick(full, FockVector(grid, (symtensor.zero(grid, 0), top)))
             overflow_misses.count(True)
         except TruncationOverflowError:
             pass

@@ -248,40 +248,28 @@ def _add(x: SymCoeffs, y: SymCoeffs) -> SymCoeffs:
     return sym_coeffs(x.grid, x.degree, merged)
 
 
-def wick(f: FockVector, g: FockVector, policy: str = "strict", truncation: int | None = None) -> FockVector:
-    out_trunc = max(f.truncation, g.truncation) if truncation is None else truncation
-    full = f.truncation + g.truncation
+def wick(f: FockVector, g: FockVector) -> FockVector:
+    out_trunc = max(f.truncation, g.truncation)
     comps = []
-    for n in range(min(out_trunc, full) + 1):
+    for n in range(f.truncation + g.truncation + 1):
         acc = zero(f.grid, n)
-        for m in range(n + 1):
-            if m > f.truncation or n - m > g.truncation:
-                continue
+        for m in range(max(0, n - g.truncation), min(n, f.truncation) + 1):
             fm, gn = f.components[m], g.components[n - m]
             if fm.is_zero() or gn.is_zero():
                 continue
             acc = _add(acc, sym_tensor(fm, gn))
-        comps.append(acc)
-    comps += [zero(f.grid, d) for d in range(len(comps), out_trunc + 1)]
-    if policy == "strict":
-        for n in range(out_trunc + 1, full + 1):
-            acc = zero(f.grid, n)
-            for m in range(max(0, n - g.truncation), min(n, f.truncation) + 1):
-                fm, gn = f.components[m], g.components[n - m]
-                if fm.is_zero() or gn.is_zero():
-                    continue
-                acc = _add(acc, sym_tensor(fm, gn))
-            if not acc.is_zero():
-                raise TruncationOverflowError(n)
+        if n <= out_trunc:
+            comps.append(acc)
+        elif not acc.is_zero():
+            raise TruncationOverflowError(n)
     return FockVector(f.grid, tuple(comps))
 
 
 def ito_wick(proc: FockStepProcess) -> FockVector:
     grid = proc.grid
-    out_trunc = max(proc.truncation, 1)
-    acc = [zero(grid, d) for d in range(out_trunc + 1)]
+    acc = [zero(grid, d) for d in range(max(proc.truncation, 1) + 1)]
     for k in range(1, grid.n + 1):
-        term = wick(proc.value(k), cell_increment(grid, k), "strict", out_trunc)
+        term = wick(proc.value(k), cell_increment(grid, k))
         acc = [_add(a, t) for a, t in zip(acc, term.components)]
     return FockVector(grid, tuple(acc))
 

@@ -132,13 +132,13 @@ def test_classical_realization_measures_cell_lengths():
 
 
 def test_classical_realization_matches_column_by_column_construction():
-    # P_k applied to the identity block, and to one column of it, against
-    # the Kronecker-product parts of tests/oracle.py
+    # P_k, the atom P_0 included, applied to the identity block and to one
+    # column of it, against the Kronecker-product parts of tests/oracle.py
     for n in range(1, 8):
         sp = BernoulliSpace(random_grid(generator(62, n), n))
         eye = np.eye(sp.size, dtype=complex)
         parts = oracle.dense_parts(sp)
-        for k in range(1, n + 1):
+        for k in range(n + 1):
             assert np.array_equal(sp.project(k, eye), parts[k])
             assert np.array_equal(sp.project(k, eye[:, -1]), parts[k][:, -1])
 

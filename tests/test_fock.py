@@ -82,7 +82,7 @@ def test_wick_strict_overflow():
     f = FockVector(G2, (symtensor.zero(G2, 0), symtensor.zero(G2, 1), ones(G2, 2)))
     g = indicator_vector(G2).pad(2)
     with pytest.raises(TruncationOverflowError) as err:
-        wick(f, g, "strict", 2)
+        wick(f, g)
     assert err.value.degree == 3
 
 
@@ -92,16 +92,8 @@ def test_wick_strict_overflow_forms_no_degree_past_the_truncation():
     grid = uniform_grid(1.0, 27)
     full = FockVector(grid, tuple(symtensor.zero(grid, d) for d in range(6)) + (ones(grid, 6),))
     with pytest.raises(TruncationOverflowError) as err:
-        wick(full, cell_increment(grid, 1), "strict", 6)
+        wick(full, cell_increment(grid, 1))
     assert err.value.degree == 7
-
-
-def test_wick_drop_truncates():
-    f = FockVector(G2, (symtensor.zero(G2, 0), symtensor.zero(G2, 1), ones(G2, 2)))
-    g = indicator_vector(G2).pad(2)
-    out = wick(f, g, "drop", 2)
-    assert out.truncation == 2
-    assert out.component(2).is_zero()
 
 
 def test_wick_bilinear_commutative_associative():

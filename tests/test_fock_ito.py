@@ -22,7 +22,8 @@ from stochint.fock_ito import (
 )
 from stochint.grid import uniform_grid
 from stochint.operator_integral import check_measurable, stochastic_integral
-from stochint.randomgen import generator, random_adapted_process, random_grid
+from stochint.randomgen import generator, random_adapted_process, random_fock_vector, random_grid
+from stochint.suites import DEFAULT_TOLERANCES
 
 G2 = uniform_grid(1.0, 2)
 
@@ -202,6 +203,24 @@ def test_wick_operator_measurability_and_bridge_random():
             ).ok
         vec = stochastic_integral(realization.process, realization.martingale)
         assert entrywise_distance(realization.coords_to_vector(vec), ito_wick(proc)) < 1e-12
+
+
+def test_wick_operator_integral_of_a_non_adapted_process_is_skorohod():
+    # each cell value is a random Fock vector supported on every cell, padded
+    # by one degree of headroom; the bridge takes it, and its operator
+    # integral is the Skorohod integral
+    not_adapted = 0
+    for trial in range(300):
+        rng = generator(1700, trial)
+        grid = random_grid(rng, int(rng.integers(1, 5)))
+        top = int(rng.integers(1, 3))
+        proc = FockStepProcess(grid, tuple(random_fock_vector(rng, grid, top).pad(top + 1) for _ in range(grid.n)))
+        not_adapted += not check_adapted(proc)
+        real = wick_operator_process(proc)
+        out = real.coords_to_vector(stochastic_integral(real.process, real.martingale))
+        assert entrywise_distance(out, skorohod_integral(proc)) <= DEFAULT_TOLERANCES["bridge"], trial
+    # the identity must be seen off the adapted processes, not only on them
+    assert not_adapted >= 200
 
 
 def test_wick_operator_needs_headroom():

@@ -33,13 +33,14 @@ INDEX_CASES = {
     "TimeGrid.length": (lambda k: GRID.length(k), CELL),
     "BernoulliSpace.xi": (lambda k: SPACE.xi(k), CELL),
     "BernoulliSpace.increment": (lambda k: SPACE.increment(k), CELL),
-    "ProjectorMeasure.project": (lambda k: MART.measure.project(k, np.ones(4)), CELL),
-    "LabelMeasure.project": (lambda k: LABELS.project(k, np.ones(4)), CELL),
     "VectorMartingale.increment": (lambda k: MART.increment(k), CELL),
     "OperatorStepProcess.operator": (lambda k: PROC.operator(k), CELL),
     "FockStepProcess.value": (lambda k: FOCK_PROC.value(k), CELL),
     "cell_indicator": (lambda k: symtensor.cell_indicator(GRID, k), CELL),
     "BernoulliSpace.walk_at": (lambda j: SPACE.walk_at(j), BOUNDARY),
+    "ProjectorMeasure.project": (lambda j: MART.measure.project(j, np.ones(4)), BOUNDARY),
+    "LabelMeasure.project": (lambda j: LABELS.project(j, np.ones(4)), BOUNDARY),
+    "BernoulliSpace.project": (lambda j: SPACE.project(j, np.ones(8)), BOUNDARY),
     "cond_expect": (lambda j: bernoulli.cond_expect(SPACE.xi(1), j), BOUNDARY),
     "indicator_vector": (lambda j: fock.indicator_vector(GRID, j), BOUNDARY),
     "resolution_project": (lambda j: fock.resolution_project(VEC, j), BOUNDARY),

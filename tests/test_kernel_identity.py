@@ -82,10 +82,8 @@ def test_wick_matches_running_sum():
         strict, small = bool(rng.integers(2)), trial % 3 == 0
         f = _random_vector(rng, grid, int(rng.integers(0, 4)), strict, small)
         g = f if trial % 7 == 0 else _random_vector(rng, grid, int(rng.integers(0, 4)), strict, small)
-        policy = ("strict", "drop")[trial % 2]
-        truncation = None if trial % 4 == 0 else int(rng.integers(0, 7))
-        got = _outcome(fock.wick, f, g, policy, truncation)
-        assert got == _outcome(oracle.wick, f, g, policy, truncation), trial
+        got = _outcome(fock.wick, f, g)
+        assert got == _outcome(oracle.wick, f, g), trial
         outcomes.add(got[0] if isinstance(got, tuple) else "value")
     assert outcomes == {"overflow", "value"}
 
@@ -192,9 +190,11 @@ def test_label_measure_matches_its_dense_diagonal_parts():
         labels, parts = real.martingale.measure, oracle.dense_parts(real.martingale.measure)
         dense = VectorMartingale(ProjectorMeasure(grid, parts[0], tuple(parts[1:])), real.martingale.vector)
         block = random_complex(rng, labels.dim, 3)
-        for k in range(1, grid.n + 1):
+        for k in range(grid.n + 1):
             assert np.array_equal(labels.project(k, block[:, 0]), parts[k] @ block[:, 0])
             assert np.array_equal(labels.project(k, block), parts[k] @ block)
+            assert np.array_equal(dense.measure.project(k, block), parts[k] @ block)
+        for k in range(1, grid.n + 1):
             assert np.array_equal(real.martingale.increment(k), dense.increment(k))
         for j in range(grid.n + 1):
             assert np.array_equal(future_increment_span(real.martingale, j), future_increment_span(dense, j))

@@ -103,7 +103,7 @@ def test_measure_stores_each_projection_once():
 def test_martingale_mass_splits():
     mart = example_martingale()
     total = sum(mart.mu(k) for k in (1, 2))
-    atom_mass = float(np.linalg.norm(mart.measure.atom @ mart.vector) ** 2)
+    atom_mass = float(np.linalg.norm(mart.measure.project(0, mart.vector)) ** 2)
     assert total + atom_mass == pytest.approx(float(np.linalg.norm(mart.vector) ** 2))
     with pytest.raises(ValueError):
         VectorMartingale(mart.measure, np.zeros(3))
@@ -226,7 +226,7 @@ def test_integral_telescoping_and_zero():
     mart = example_martingale()
     identity = OperatorStepProcess(G2, (np.eye(3, dtype=complex),) * 2)
     out = stochastic_integral(identity, mart)
-    expected = mart.vector - mart.measure.atom @ mart.vector
+    expected = mart.vector - mart.measure.project(0, mart.vector)
     np.testing.assert_allclose(out, expected, atol=1e-14)
     zero = OperatorStepProcess(G2, (np.zeros((3, 3), complex),) * 2)
     np.testing.assert_allclose(stochastic_integral(zero, mart), np.zeros(3), atol=0)
