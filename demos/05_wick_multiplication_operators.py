@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 # Realizing the Fock-space Ito integral as an operator integral: Wick
-# multiplication by the process values, materialized as dense matrices on the
-# truncated multiset basis.  On a process that is not adapted the same
-# operator integral is the Skorohod integral.
+# multiplication by the process values on the truncated multiset basis, one
+# SparseOperator per cell that keeps only its stored entries (a creation
+# operator when the value lies in the past of its cell).  On a process that
+# is not adapted the same operator integral is the Skorohod integral.
 
 import numpy as np
 
@@ -27,15 +28,19 @@ g = uniform_grid(1.0, 3)
 print("== multiplying by the vacuum is the identity ==")
 proc = FockStepProcess(g, (vacuum(g, 1),) * 3)
 real = wick_operator_process(proc)
+op = real.process.operator(1)
 print("basis size:", real.dim, "(all multisets of size <= 1 over 3 cells)")
+print("stored entries of the operator on cell 1:", len(op.values), "of", real.dim**2)
+# the product with the identity matrix is the operator as a dense matrix
 print("operator on cell 1 deviates from identity by:",
-      np.linalg.norm(real.process.operator(1) - np.eye(real.dim)))
+      np.linalg.norm(op @ np.eye(real.dim) - np.eye(real.dim)))
 
 print()
 print("== a genuine example: integrate the first increment ==")
 proc = FockStepProcess(g, (zero_vector(g, 2), cell_increment(g, 1).pad(2), zero_vector(g, 2)))
 real = wick_operator_process(proc)
 print("basis size:", real.dim)
+print("stored entries per cell:", [len(a.values) for a in real.process.operators])
 for k in range(1, 4):
     ok = bool(check_measurable(real.process.operator(k), real.martingale, k - 1))
     print(f"operator on cell {k} measurable at boundary {k-1}: {ok}")

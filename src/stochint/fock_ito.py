@@ -12,9 +12,14 @@ an adapted process, where it equals sum_k value_k (Wick) increment_k, and the
 isometry ||integral||^2 = sum_k ||value_k||^2 * len_k holds exactly on a
 grid.  :func:`skorohod_integral` applies it without the support restriction,
 which is the Skorohod extension.  Finally, :func:`wick_operator_process`
-realizes the integral as a matrix-valued stochastic integral on the truncated
-Fock basis, where Wick multiplication by the cell values plays the role of the
-operator process; off the adapted processes its integral is the Skorohod one.
+realizes the integral as an operator-valued stochastic integral on the
+truncated Fock basis, where Wick multiplication by the cell values plays the
+role of the operator process; off the adapted processes its integral is the
+Skorohod one.  Wick multiplication by a value that lies in the past of its
+cell is a creation operator, sqrt(len_c) a+_c for the cell indicator e_c
+(Parthasarathy, An Introduction to Quantum Stochastic Calculus, 1992), so
+each operator is kept as its stored entries, a SparseOperator, not as a
+dense matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import NotAdaptedError, RefusalError, ShapeMismatchError, Truncatio
 from .grid import TimeGrid
 from . import fock, symtensor
 from .fock import FockVector
-from .operator_integral import LabelMeasure, OperatorStepProcess, VectorMartingale
+from .operator_integral import LabelMeasure, OperatorStepProcess, SparseOperator, VectorMartingale
 from .symtensor import SymCoeffs
 
 
@@ -127,7 +132,8 @@ def ito_isometry(proc: FockStepProcess) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class FockOperatorRealization:
-    """Dense-matrix model of Wick multiplication acting on the truncated basis.
+    """Wick multiplication acting on the truncated basis, one SparseOperator
+    per cell.
 
     Coordinates are taken in the orthonormalized multiset basis (each
     indicator scaled by sqrt(d! * block weight)), so plain numpy inner
@@ -152,26 +158,30 @@ class FockOperatorRealization:
 
 
 def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
-    """Materialize g -> value_k (Wick) g as matrices, plus the martingale.
+    """Realize g -> value_k (Wick) g as one SparseOperator per cell, plus the martingale.
 
     The realization truncation is the process's own, proc.truncation, and
     the coordinates run by degree, then by rank within a degree.  Requires
     one degree of headroom: max nonzero degree of the process plus one must
     fit inside the truncation.  Wick products above the truncation are
-    dropped (the matrices act on the truncated space).  An operator matrix past
-    symtensor.MAX_ENTRIES entries raises RefusalError before any allocation.
-    The process need not be adapted: the integral of the realization is then
-    the Skorohod integral.
+    dropped (the operators act on the truncated space).  Each stored entry
+    of value_k[m] stores one entry per coordinate of degree <= truncation - m;
+    past symtensor.MAX_ENTRIES stored entries over all cells, RefusalError is
+    raised before anything is built.  The process need not be adapted: the
+    integral of the realization is then the Skorohod integral.
     """
     grid = proc.grid
     n_trunc = proc.truncation
     if proc.max_degree() + 1 > n_trunc:
         raise TruncationOverflowError(proc.max_degree() + 1)
     sizes = [symtensor.size(grid.n, d) for d in range(n_trunc + 1)]
-    dim = sum(sizes)
-    if dim * dim > symtensor.MAX_ENTRIES:
-        message = f"a Wick operator matrix on {grid.n} cells at truncation {n_trunc} has {dim}^2 entries"
+    # coordinates of degree <= n_trunc - m, for each m
+    below = np.cumsum(sizes)[::-1]
+    stored = sum(len(comp.stored()) * int(below[m]) for v in proc.values for m, comp in enumerate(v.components))
+    if stored > symtensor.MAX_ENTRIES:
+        message = f"the Wick operators on {grid.n} cells at truncation {n_trunc} store {stored} entries"
         raise RefusalError(f"{message}, over the limit {symtensor.MAX_ENTRIES}")
+    dim = sum(sizes)
 
     # coordinates: the degrees one after another, each in rank order
     ranks = [np.arange(size) for size in sizes]
@@ -189,19 +199,31 @@ def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
 
     # column b of degree q holds the Wick product of value_k with the basis
     # indicator of the multiset of rank b, dropped above the truncation:
-    # its degree-(m+q) part is value_k[m] (x) indicator
-    operators = []
-    for k in range(1, grid.n + 1):
-        mat = np.zeros((dim, dim), dtype=complex)
-        for m, comp in enumerate(proc.value(k).components[: n_trunc + 1]):
-            if comp.is_zero():
-                continue
-            for q in range(n_trunc - m + 1):
-                unit = np.ones(len(ranks[q]), dtype=complex)
-                gamma, values = symtensor.pair_products(comp, q, ranks[q], unit)
-                rows, cols = starts[m + q] + gamma, starts[q] + ranks[q]
-                mat[rows, cols] = values * scales[rows] / scales[cols]
-        operators.append(mat)
+    # its degree-(m+q) part is value_k[m] (x) indicator, one entry per
+    # stored entry of value_k[m].  One pair_products call per (m, q) pairs
+    # every column of degree q with the stored entries of all cells.
+    unit = [symtensor.ones(grid, q) for q in range(n_trunc + 1)]
+    cell, rows, cols, values = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
+    for m in range(n_trunc):
+        comps = [v.components[m] for v in proc.values]
+        alpha = np.concatenate([comp.stored() for comp in comps])
+        owner = np.repeat(np.arange(grid.n), [len(comp.stored()) for comp in comps])
+        va = np.concatenate([comp.vector[comp.stored()] for comp in comps])
+        if not len(alpha):
+            continue
+        for q in range(n_trunc - m + 1):
+            # (columns, entries) arrays; gamma has one column when m = 0
+            gamma, products = symtensor.pair_products(unit[q], m, alpha, va)
+            r, c = starts[m + q] + gamma, (starts[q] + ranks[q])[:, None]
+            values.append((products * scales[r] / scales[c]).ravel())
+            rows.append(np.broadcast_to(r, products.shape).ravel())
+            cols.append(np.repeat(c, len(alpha)))
+            cell.append(np.tile(owner, len(c)))
+    cell, rows, cols, values = map(np.concatenate, (cell, rows, cols, values))
+    # split the entries by cell; each operator orders its own by column
+    order = np.argsort(cell, kind="stable")
+    bounds = np.cumsum(np.bincount(cell, minlength=grid.n))[:-1]
+    operators = [SparseOperator(dim, rows[i], cols[i], values[i]) for i in np.split(order, bounds)]
     process = OperatorStepProcess(grid, tuple(operators))
 
     return FockOperatorRealization(grid, n_trunc, scales, martingale, process)

@@ -22,6 +22,9 @@ collapses to the finitely many boundaries, which makes the check decidable.
 Convention: the value of a process on cell k = (t_{k-1}, t_k] must be
 measurable at the *left* boundary k-1.
 
+An operator is a dense matrix or a :class:`SparseOperator`, which keeps only
+its stored entries; both act on vectors and blocks of columns through ``@``.
+
 The sum is computed for every process.  :func:`check_measurable` alone
 computes a cell's restricted norms and decides its measurability;
 :func:`integral_norm_bound` returns the bound with the per-cell reports its
@@ -55,6 +58,16 @@ def _as_matrix(a, dim: int | None = None) -> np.ndarray:
     return m
 
 
+def _as_operator(a, dim: int | None = None):
+    """A SparseOperator as it is (of dimension `dim`, if given), anything
+    else as a square complex matrix."""
+    if not isinstance(a, SparseOperator):
+        return _as_matrix(a, dim)
+    if dim is not None and a.dim != dim:
+        raise ShapeMismatchError(f"expected dimension {dim}, got {a.dim}")
+    return a
+
+
 def _check_finite(what: str, arrays) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError(f"{what} holds a non-finite number")
@@ -67,12 +80,70 @@ def _dense(mart: "VectorMartingale", operation: str) -> "ProjectorMeasure":
     return mart.measure
 
 
+def _matrices(proc: "OperatorStepProcess", operation: str) -> tuple[np.ndarray, ...]:
+    """The process's operators, refused unless every one is a dense matrix."""
+    if any(isinstance(a, SparseOperator) for a in proc.operators):
+        raise TypeError(f"{operation} needs dense operator matrices, not a SparseOperator")
+    return proc.operators
+
+
 def _matrix_json(m: np.ndarray) -> list:
     return [[[v.real, v.imag] for v in row] for row in m]
 
 
 def _matrix_from_json(obj) -> np.ndarray:
     return np.array([[complex(json_number(re), json_number(im)) for re, im in row] for row in obj], dtype=complex)
+
+
+class SparseOperator:
+    """A dim x dim operator kept as its stored entries: values[i] at
+    (rows[i], cols[i]), every other entry 0, no (row, col) pair twice.
+
+    The entries are held in column order with one pointer per column, so a
+    product reads only the entries in the columns where its operand is not
+    zero: A @ X is one gather and one scatter.
+    """
+
+    def __init__(self, dim: int, rows, cols, values):
+        rows, cols = (np.asarray(a, dtype=np.intp).reshape(-1) for a in (rows, cols))
+        values = np.asarray(values, dtype=complex).reshape(-1)
+        if not len(rows) == len(cols) == len(values):
+            raise ShapeMismatchError(f"got {len(rows)} rows, {len(cols)} columns and {len(values)} values")
+        if len(rows) and not 0 <= min(rows.min(), cols.min()) <= max(rows.max(), cols.max()) < dim:
+            raise ValueError(f"entry indices must lie in 0..{dim - 1}")
+        _check_finite("the operator", (values,))
+        key = cols * dim + rows
+        order = np.argsort(key, kind="stable")
+        if np.any(key[order[1:]] == key[order[:-1]]):
+            raise ValueError("an entry is stored twice")
+        self.dim = dim
+        self.rows, self.values = rows[order], values[order]
+        # entries starts[c]..starts[c+1]-1 lie in column c
+        self.starts = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=dim))))
+        for arr in (self.rows, self.values, self.starts):
+            arr.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.dim, self.dim)
+
+    def __matmul__(self, x) -> np.ndarray:
+        """A @ x for a vector or a block of columns."""
+        x = np.asarray(x)
+        if x.shape[:1] != (self.dim,):
+            raise ShapeMismatchError(f"expected {self.dim} rows, got shape {x.shape}")
+        block = x.reshape(self.dim, -1)
+        width = block.shape[1]
+        j, c = np.nonzero(block)
+        # the entries of column j, for every nonzero x[j, c], one run each
+        first, counts = self.starts[j], self.starts[j + 1] - self.starts[j]
+        pick = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+        terms = self.values[pick] * np.repeat(block[j, c], counts)
+        at = self.rows[pick] * width + np.repeat(c, counts)
+        out = np.empty(block.size, dtype=complex)
+        out.real = np.bincount(at, terms.real, block.size)
+        out.imag = np.bincount(at, terms.imag, block.size)
+        return out.reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,32 +301,33 @@ class VectorMartingale:
 
 @dataclass(frozen=True, eq=False)
 class OperatorStepProcess:
-    """One operator per grid cell; the value at t = 0 is never read."""
+    """One operator per grid cell, a dense matrix or a SparseOperator; the
+    value at t = 0 is never read."""
 
     grid: TimeGrid
-    operators: tuple[np.ndarray, ...]
+    operators: tuple[np.ndarray | SparseOperator, ...]
 
     def __post_init__(self):
-        ops = tuple(_as_matrix(a) for a in self.operators)
+        ops = tuple(_as_operator(a) for a in self.operators)
         if len(ops) != self.grid.n:
             raise ShapeMismatchError(f"expected {self.grid.n} operators, got {len(ops)}")
         dims = {a.shape[0] for a in ops}
         if len(dims) > 1:
             raise ShapeMismatchError("operators have mixed dimensions")
-        _check_finite("the process", ops)
+        _check_finite("the process", (a for a in ops if not isinstance(a, SparseOperator)))
         object.__setattr__(self, "operators", ops)
 
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
-    def operator(self, k: int) -> np.ndarray:
+    def operator(self, k: int) -> np.ndarray | SparseOperator:
         return self.operators[self.grid.check_cell(k) - 1]
 
     def to_json(self) -> dict:
         return {
             "boundaries": self.grid.to_json(),
-            "operators": [_matrix_json(a) for a in self.operators],
+            "operators": [_matrix_json(a) for a in _matrices(self, "to_json")],
         }
 
     @classmethod
@@ -296,7 +368,7 @@ class MeasurabilityReport:
         return self.ok
 
 
-def check_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> MeasurabilityReport:
+def check_measurable(a: np.ndarray | SparseOperator, mart: VectorMartingale, j: int) -> MeasurabilityReport:
     """Decide measurability of `a` at boundary j.
 
     Condition (i): the restricted norm over the future-increment span is the
@@ -322,7 +394,7 @@ def check_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> Measurabi
     not adapted there; e_c with c < n is rejected at every j < c, where a
     later increment exposes its norm jump.
     """
-    a = _as_matrix(a, mart.dim)
+    a = _as_operator(a, mart.dim)
     n = mart.grid.n
     if mart.grid.check_boundary(j) == n:
         return MeasurabilityReport(True, j, 0.0, 0.0, ())
@@ -347,7 +419,9 @@ def check_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> Measurabi
             below -= mart.measure.project(l + 1, image)
             comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max()))
 
-    roundoff = float(4 * a.shape[0] * np.finfo(float).eps * np.linalg.norm(a))
+    # ||A||_F of a SparseOperator is the norm of its stored entries
+    frobenius = np.linalg.norm(a.values if isinstance(a, SparseOperator) else a)
+    roundoff = float(4 * a.shape[0] * np.finfo(float).eps * frobenius)
     ok = norm_dev <= NORM_RTOL * ref + roundoff and comm_dev <= COMMUTE_TOL * ref + roundoff
     return MeasurabilityReport(ok, j, norm_dev, comm_dev, tuple(norms))
 
@@ -392,6 +466,7 @@ def unitary_transport(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compare U(integral) with the integral of {U A_k U^-1} against (UEU^-1, UM)."""
     dense = _dense(mart, "unitary_transport")
+    operators = _matrices(proc, "unitary_transport")
     u = _as_matrix(u, mart.dim)
     if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) >= 1e-10:
         raise ValueError("matrix is not unitary")
@@ -399,6 +474,6 @@ def unitary_transport(
     uh = u.conj().T
     measure = ProjectorMeasure(mart.grid, u @ dense.atom @ uh, tuple(u @ p @ uh for p in dense.cells))
     transported = VectorMartingale(measure, u @ mart.vector)
-    conj_proc = OperatorStepProcess(proc.grid, tuple(u @ a @ uh for a in proc.operators))
+    conj_proc = OperatorStepProcess(proc.grid, tuple(u @ a @ uh for a in operators))
     right = stochastic_integral(conj_proc, transported)
     return left, right

@@ -386,7 +386,7 @@ def verify_fock_ito_suite(
                 proj_dev.observe(fock.entrywise_distance(both, pf))
             lebesgue_dev.observe(abs(fock.norm2(fock.resolution_project(z, j)) - grid.boundaries[j]))
 
-    # dense-matrix realization of Wick multiplication
+    # operator realization of Wick multiplication
     for t in range(min(100, trials)):
         rng = generator(seed, _BRIDGE, t)
         n = int(rng.integers(2, max(2, cells) + 1))

@@ -23,7 +23,7 @@ from stochint.fock import FockVector, cell_increment
 from stochint.fock_ito import FockStepProcess
 from stochint.grid import TimeGrid
 from stochint.operator_integral import COMMUTE_TOL, DEGENERATE_TOL, NORM_RTOL, LabelMeasure, VectorMartingale
-from stochint.symtensor import SymCoeffs, zero
+from stochint.symtensor import SymCoeffs, block_weights, pair_products, size, zero
 
 
 def sym_coeffs(grid: TimeGrid, d: int, mapping: dict) -> SymCoeffs:
@@ -346,3 +346,32 @@ def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
                 w = w * bernoulli_increment(space, c).values
             out += w
     return RandomVariable(space, out)
+
+
+def wick_operator_matrices(proc: FockStepProcess) -> list:
+    """The cell operators of fock_ito.wick_operator_process as the dense
+    dim x dim matrices it filled column by column before it kept triplets,
+    frozen here as the reference for the triplet form."""
+    grid = proc.grid
+    n_trunc = proc.truncation
+    sizes = [size(grid.n, d) for d in range(n_trunc + 1)]
+    dim = sum(sizes)
+    ranks = [np.arange(s) for s in sizes]
+    starts = np.cumsum([0] + sizes)
+    scales = np.sqrt(np.concatenate([factorial(d) * block_weights(grid, d, r) for d, r in enumerate(ranks)]))
+    # column b of degree q holds the Wick product of value_k with the basis
+    # indicator of the multiset of rank b, dropped above the truncation:
+    # its degree-(m+q) part is value_k[m] (x) indicator
+    operators = []
+    for k in range(1, grid.n + 1):
+        mat = np.zeros((dim, dim), dtype=complex)
+        for m, comp in enumerate(proc.value(k).components[: n_trunc + 1]):
+            if comp.is_zero():
+                continue
+            for q in range(n_trunc - m + 1):
+                unit = np.ones(len(ranks[q]), dtype=complex)
+                gamma, values = pair_products(comp, q, ranks[q], unit)
+                rows, cols = starts[m + q] + gamma, starts[q] + ranks[q]
+                mat[rows, cols] = values * scales[rows] / scales[cols]
+        operators.append(mat)
+    return operators

@@ -131,14 +131,18 @@ def test_mc_sample_without_spread_is_noted_not_passed(capsys):
 
 
 def test_wick_bridge_past_the_size_limit_is_usage_error(capsys):
-    # the first bridge trial draws 13 cells at truncation 4
+    # the first bridge trial draws 36 cells at truncation 4, whose operators
+    # would store 4298438 entries, just past the limit
     with pytest.raises(SystemExit) as err:
-        run(["verify", "fock-ito", "--cells", "13", "--trials", "1", "--seed", "9"])
+        run(["verify", "fock-ito", "--cells", "40", "--trials", "1", "--seed", "205"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "Traceback" not in captured.err
-    assert captured.err.strip().splitlines()[-1].startswith("stochint: error: a Wick operator matrix on 13 cells")
+    usage, *message = captured.err.splitlines()
+    assert usage.startswith("usage: stochint")
+    assert message == [
+        "stochint: error: the Wick operators on 36 cells at truncation 4 store 4298438 entries, over the limit 4194304"
+    ]
 
 
 def test_fault_inside_a_suite_is_not_a_usage_error(monkeypatch):
@@ -173,15 +177,15 @@ def test_nan_coefficient_reaches_the_check_that_reads_it(monkeypatch):
 
 
 def test_verify_all_refusal_in_a_worker_is_usage_error(capsys):
-    # the fock-ito worker refuses a 19-cell bridge trial; a worker still running is killed
+    # the fock-ito worker refuses a 36-cell bridge trial; a worker still running is killed
     with pytest.raises(SystemExit) as err:
-        run(["verify", "all", "--cells", "30", "--trials", "5", "--seed", "1"])
+        run(["verify", "all", "--cells", "40", "--trials", "1", "--seed", "205"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.strip().splitlines()[-1] == (
-        "stochint: error: a Wick operator matrix on 19 cells at truncation 4 has 8855^2 entries, over the limit 4194304"
+        "stochint: error: the Wick operators on 36 cells at truncation 4 store 4298438 entries, over the limit 4194304"
     )
     assert_no_child_left()
 

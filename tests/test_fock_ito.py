@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,7 @@ def test_wick_operator_identity_for_vacuum():
     realization = wick_operator_process(proc)
     for k in (1, 2):
         np.testing.assert_allclose(
-            realization.process.operator(k), np.eye(realization.dim), atol=1e-14
+            realization.process.operator(k) @ np.eye(realization.dim), np.eye(realization.dim), atol=1e-14
         )
     vec = stochastic_integral(realization.process, realization.martingale)
     out = realization.coords_to_vector(vec)
@@ -230,10 +232,49 @@ def test_wick_operator_needs_headroom():
         wick_operator_process(proc)
 
 
-def test_wick_operator_process_refuses_matrices_past_the_size_limit():
-    # 13 cells at truncation 4 have C(17, 4) = 2380 coordinates, and each
-    # operator matrix 2380^2 entries: refused before anything is allocated
-    proc = random_adapted_process(generator(9), uniform_grid(1.0, 13), 4, 3)
-    message = r"^a Wick operator matrix on 13 cells at truncation 4 has 2380\^2 entries, over the limit 4194304$"
+def _stored_entries(proc) -> int:
+    """Each stored entry of value_k[m] stores one entry per coordinate of
+    degree <= truncation - m."""
+    sizes = [symtensor.size(proc.grid.n, d) for d in range(proc.truncation + 1)]
+    return sum(
+        len(comp.stored()) * sum(sizes[: proc.truncation - m + 1])
+        for v in proc.values
+        for m, comp in enumerate(v.components)
+    )
+
+
+def test_wick_operator_process_refuses_stored_entries_past_the_size_limit():
+    # the vacuum on every cell stores one entry per coordinate and cell,
+    # n * C(n+4, 4) at truncation 4: the fewest cells past the limit are
+    # refused before anything is built
+    cells = next(n for n in range(2, 100) if n * comb(n + 4, 4) > symtensor.MAX_ENTRIES)
+    grid = uniform_grid(1.0, cells)
+    proc = constant_process(grid, vacuum(grid, 4))
+    assert cells == 38 and _stored_entries(proc) == 38 * comb(42, 4)
+    message = r"^the Wick operators on 38 cells at truncation 4 store 4253340 entries, over the limit 4194304$"
     with pytest.raises(ValueError, match=message):
         wick_operator_process(proc)
+
+
+def test_wick_operator_size_rule_counts_the_stored_entries(monkeypatch):
+    # at a limit equal to the count the operators are built and store exactly
+    # that many entries; one below it they are refused.  The limit bounds
+    # every vector too, so only counts above the coordinate count are tried.
+    tried = 0
+    for trial in range(30):
+        rng = generator(1800, trial)
+        grid = random_grid(rng, int(rng.integers(1, 5)))
+        max_deg = int(rng.integers(0, 4))
+        proc = random_adapted_process(rng, grid, max_deg + 1 + int(rng.integers(0, 2)), max_deg)
+        count = _stored_entries(proc)
+        if count <= sum(symtensor.size(grid.n, d) for d in range(proc.truncation + 1)):
+            continue
+        tried += 1
+        monkeypatch.setattr(symtensor, "MAX_ENTRIES", count)
+        real = wick_operator_process(proc)
+        assert sum(len(a.values) for a in real.process.operators) == count
+        monkeypatch.setattr(symtensor, "MAX_ENTRIES", count - 1)
+        with pytest.raises(RefusalError, match=f"store {count} entries, over the limit {count - 1}$"):
+            wick_operator_process(proc)
+        monkeypatch.undo()
+    assert tried >= 20

@@ -1,12 +1,14 @@
 """The in-place Wick merge, the per-boundary measurability check, the
-cached Bernoulli increments and the label form of the Fock realization's
-measure against the plain kernels in tests/oracle.py.
+cached Bernoulli increments, the label form of the Fock realization's
+measure and the triplet form of its Wick operators against the plain
+kernels in tests/oracle.py.
 
-Values must agree bit for bit (compared through float.hex, so the sign of a
-zero counts, and in dict order), overflow errors at the same degree, and
-measurability verdicts exactly.  A row mask and the product with a 0/1
-diagonal differ only in the sign of zeros, so the label form is compared
-with == and array_equal instead.
+Values must agree bit for bit (compared through float.hex, or through the
+bits of whole arrays, so the sign of a zero counts, and in dict order),
+overflow errors at the same degree, and measurability verdicts exactly.  A
+row mask and the product with a 0/1 diagonal differ only in the sign of
+zeros, so the label form is compared with == and array_equal instead.  A
+SparseOperator is read as a matrix through its product with the identity.
 """
 
 import numpy as np
@@ -24,8 +26,9 @@ from stochint.bernoulli import (
 )
 from stochint.errors import TruncationOverflowError
 from stochint.fock import FockVector
-from stochint.fock_ito import FockStepProcess, wick_operator_process
+from stochint.fock_ito import FockStepProcess, check_adapted, wick_operator_process
 from stochint.operator_integral import (
+    OperatorStepProcess,
     ProjectorMeasure,
     VectorMartingale,
     check_measurable,
@@ -123,8 +126,10 @@ def test_measurability_verdicts_match_per_column_check():
         grid = random_grid(rng, int(rng.integers(1, 4)))
         max_deg = int(rng.integers(0, 3))
         real = wick_operator_process(random_adapted_process(rng, grid, max_deg + 1, max_deg))
-        for k in range(1, grid.n + 1):
-            verdicts += _verdicts(real.process.operator(k), real.martingale, range(grid.n + 1))
+        for a in real.process.operators:
+            dense = a @ np.eye(real.dim)
+            for j in range(grid.n + 1):
+                verdicts.append((check_measurable(a, real.martingale, j).ok, oracle.is_measurable(dense, real.martingale, j)))
     for n in range(1, 5):
         space = BernoulliSpace(random_grid(generator(4500, n), n))
         real = classical_realization(space)
@@ -134,6 +139,41 @@ def test_measurability_verdicts_match_per_column_check():
             verdicts += _verdicts(multiplication_operator(f), real, range(n + 1))
     assert all(new == ref for new, ref in verdicts)
     assert {ref for _, ref in verdicts} == {True, False}
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _report_hex(report) -> list:
+    return [x.hex() for x in (report.norm_deviation, report.commutator_deviation, *report.restricted_norms)]
+
+
+def test_wick_operator_triplets_match_the_frozen_dense_matrices():
+    # processes adapted and not, on 1-4 cells at truncation <= 4
+    adapted, verdicts = set(), set()
+    for trial in range(240):
+        rng = generator(5000, trial)
+        grid = random_grid(rng, int(rng.integers(1, 5)))
+        max_deg = int(rng.integers(0, 4))
+        if trial % 2:
+            proc = random_adapted_process(rng, grid, max_deg + 1, max_deg, off_diagonal=trial % 4 == 1)
+        else:
+            values = (random_fock_vector(rng, grid, max_deg).pad(max_deg + 1) for _ in range(grid.n))
+            proc = FockStepProcess(grid, tuple(values))
+        adapted.add(check_adapted(proc).ok)
+        real, frozen = wick_operator_process(proc), oracle.wick_operator_matrices(proc)
+        mart = real.martingale
+        for a, matrix in zip(real.process.operators, frozen):
+            assert np.array_equal(_bits(a @ np.eye(real.dim)), _bits(matrix)), trial
+            for j in range(grid.n + 1):
+                sparse, dense = check_measurable(a, mart, j), check_measurable(matrix, mart, j)
+                assert sparse.ok == dense.ok, (trial, j)
+                assert _report_hex(sparse) == _report_hex(dense), (trial, j)
+                verdicts.add(sparse.ok)
+        dense_proc = OperatorStepProcess(grid, tuple(frozen))
+        assert np.array_equal(_bits(stochastic_integral(real.process, mart)), _bits(stochastic_integral(dense_proc, mart)))
+    assert adapted == verdicts == {True, False}
 
 
 def _per_cell_svd_rhs(proc, mart) -> float:

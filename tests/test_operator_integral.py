@@ -11,6 +11,7 @@ from stochint.operator_integral import (
     LabelMeasure,
     OperatorStepProcess,
     ProjectorMeasure,
+    SparseOperator,
     VectorMartingale,
     check_measurable,
     future_increment_span,
@@ -375,3 +376,68 @@ def test_label_measure_refuses_transport_and_json():
             with pytest.raises(TypeError, match=f"needs a dense ProjectorMeasure, not a {name}") as err:
                 call()
             assert "\n" not in str(err.value)
+
+
+def _random_sparse(rng, dim: int, entries: int) -> tuple[SparseOperator, np.ndarray]:
+    """A SparseOperator of `entries` distinct random positions, and its matrix."""
+    flat = rng.choice(dim * dim, size=entries, replace=False)
+    rows, cols = np.divmod(flat, dim)
+    values = random_complex(rng, entries)
+    dense = np.zeros((dim, dim), dtype=complex)
+    dense[rows, cols] = values
+    return SparseOperator(dim, rows, cols, values), dense
+
+
+def test_sparse_operator_products_match_its_matrix():
+    rng = generator(4802)
+    for trial in range(60):
+        dim = int(rng.integers(1, 9))
+        op, dense = _random_sparse(rng, dim, int(rng.integers(0, dim * dim + 1)))
+        assert op.shape == dense.shape
+        # operands with several nonzeros per column, zero columns, real and complex
+        block = random_complex(rng, dim, int(rng.integers(1, 4))) * (rng.random((dim, 1)) < 0.6)
+        for x in (block, block[:, 0], block.real, np.eye(dim)):
+            got = op @ x
+            assert got.shape == x.shape and got.dtype == complex
+            np.testing.assert_allclose(got, dense @ x, rtol=1e-14, atol=1e-14)
+        # one nonzero per column, as on the Fock realization's spans: bit for bit
+        assert np.array_equal(op @ np.eye(dim), dense)
+        assert float(np.linalg.norm(op.values)) == pytest.approx(float(np.linalg.norm(dense)), rel=1e-15)
+
+
+def test_sparse_operator_refuses_bad_entries():
+    with pytest.raises(ShapeMismatchError, match="got 2 rows, 1 columns and 2 values"):
+        SparseOperator(3, [0, 1], [0], [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"entry indices must lie in 0\.\.2"):
+        SparseOperator(3, [0, 3], [0, 0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="entry indices"):
+        SparseOperator(3, [0, -1], [0, 0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="an entry is stored twice"):
+        SparseOperator(3, [1, 0, 1], [2, 0, 2], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="the operator holds a non-finite number"):
+        SparseOperator(3, [0], [0], [np.nan])
+    op = SparseOperator(3, [0], [1], [1.0])
+    with pytest.raises(ShapeMismatchError, match=r"expected 3 rows, got shape \(2,\)"):
+        op @ np.ones(2)
+    with pytest.raises(ShapeMismatchError, match="mixed dimensions"):
+        OperatorStepProcess(G2, (np.eye(3, dtype=complex), SparseOperator(2, [], [], [])))
+    with pytest.raises(ShapeMismatchError, match="expected dimension 3, got 2"):
+        check_measurable(SparseOperator(2, [], [], []), example_martingale(), 0)
+
+
+def test_sparse_operators_refuse_transport_and_json():
+    # the triplet form is for products; transport and the wire format need
+    # matrices, also when only one operator of the process is sparse
+    rng = generator(4803)
+    mart = random_martingale(rng, random_grid(rng, 2), 4)
+    op, dense = _random_sparse(rng, 4, 5)
+    for proc in (OperatorStepProcess(mart.grid, (op, op)), OperatorStepProcess(mart.grid, (dense, op))):
+        u = random_unitary(rng, 4)
+        for call, name in ((lambda: unitary_transport(u, proc, mart), "unitary_transport"), (proc.to_json, "to_json")):
+            with pytest.raises(TypeError, match=f"^{name} needs dense operator matrices, not a SparseOperator$"):
+                call()
+    # sums and checks take it as they take its matrix
+    proc = OperatorStepProcess(mart.grid, (op, op))
+    np.testing.assert_allclose(
+        stochastic_integral(proc, mart), stochastic_integral(OperatorStepProcess(mart.grid, (dense, dense)), mart), atol=1e-14
+    )
