@@ -286,6 +286,17 @@ def future_increment_span(mart: VectorMartingale, j: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def frame_parts(frame: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """P_0..P_n of an orthonormal frame whose column i lies in part
+    labels[i], multiplied out: P_g is the sum of v v^H over the columns v
+    labelled g."""
+    parts = []
+    for g in range(n + 1):
+        cols = frame[:, labels == g]
+        parts.append(cols @ cols.conj().T)
+    return np.array(parts)
+
+
 def dense_parts(measure) -> np.ndarray:
     """P_0..P_n as dense matrices, built here rather than through the
     measure's ``project``.  A label measure's are the 0/1 diagonals of its

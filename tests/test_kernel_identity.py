@@ -11,6 +11,8 @@ zeros, so the label form is compared with == and array_equal instead.  A
 SparseOperator is read as a matrix through its product with the identity.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,8 @@ from stochint.randomgen import (
     random_grid,
     random_martingale,
     random_measurable_process,
+    random_projector_measure,
+    random_unitary,
 )
 
 #: small integer values, so that Wick terms cancel exactly and the merge
@@ -109,7 +113,7 @@ def _verdicts(a, mart, js) -> list:
 
 def test_measurability_verdicts_match_per_column_check():
     verdicts = []
-    for trial in range(150):
+    for trial in range(300):
         rng = generator(4300, trial)
         n = int(rng.integers(1, 6))
         mart = random_martingale(rng, random_grid(rng, n), int(rng.integers(2, 9)))
@@ -244,6 +248,42 @@ def test_label_measure_matches_its_dense_diagonal_parts():
             stochastic_integral(real.process, real.martingale),
             stochastic_integral(real.process, dense),
         )
+
+
+def _projects_like(measure, parts, rng) -> bool:
+    """project(k, X) lies within 4 * dim * eps * ||X|| of the frozen P_k @ X
+    at every k, for a vector and for a block of columns."""
+    block = random_complex(rng, measure.dim, 3)
+    roundoff = 4 * measure.dim * np.finfo(float).eps
+    return all(
+        np.linalg.norm(measure.project(k, x) - p @ x) <= roundoff * np.linalg.norm(x)
+        for k, p in enumerate(parts)
+        for x in (block[:, 0], block)
+    )
+
+
+def test_measure_projections_match_the_frozen_parts():
+    # random measures against their frame multiplied out from the same
+    # draws, the Wick bridge's against 0/1 diagonals, sign spaces against
+    # their Kronecker-product parts
+    for trial in range(300):
+        rng = generator(5200, trial)
+        grid = random_grid(rng, int(rng.integers(1, 6)))
+        dim = int(rng.integers(2, 9))
+        twin = copy.deepcopy(rng)
+        measure = random_projector_measure(rng, grid, dim)
+        parts = oracle.frame_parts(random_unitary(twin, dim), twin.integers(0, grid.n + 1, size=dim), grid.n)
+        assert _projects_like(measure, parts, rng), trial
+    for trial in range(30):
+        rng = generator(5300, trial)
+        grid = random_grid(rng, int(rng.integers(1, 4)))
+        max_deg = int(rng.integers(0, 3))
+        measure = wick_operator_process(random_adapted_process(rng, grid, max_deg + 1, max_deg)).martingale.measure
+        assert _projects_like(measure, oracle.frame_parts(np.eye(measure.dim), measure.labels, grid.n), rng), trial
+    for n in range(1, 6):
+        rng = generator(5400, n)
+        space = BernoulliSpace(random_grid(rng, n))
+        assert _projects_like(space, oracle.dense_parts(space), rng), n
 
 
 def test_bernoulli_increments_and_chaos_map_match_rebuilt_ones():
