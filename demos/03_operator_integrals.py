@@ -25,9 +25,9 @@ from stochint.randomgen import (
 
 print("== a three-dimensional worked example ==")
 g = uniform_grid(1.0, 2)
-p1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-p2 = np.diag([0.0, 1.0, 1.0]).astype(complex)
-measure = ProjectorMeasure(g, np.zeros((3, 3), complex), (p1, p2))
+# coordinate 1 lies in cell 1 and coordinates 2 and 3 in cell 2:
+# P_1 = diag(1, 0, 0), P_2 = diag(0, 1, 1), no atom
+measure = ProjectorMeasure(g, np.array([1, 2, 2]))
 mart = VectorMartingale(measure, np.array([1.0, 1.0, 0.0], complex))
 print("increment measures:", [mart.mu(k) for k in (1, 2)])
 

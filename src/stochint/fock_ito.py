@@ -33,7 +33,7 @@ from .errors import NotAdaptedError, RefusalError, ShapeMismatchError, Truncatio
 from .grid import TimeGrid
 from . import fock, symtensor
 from .fock import FockVector
-from .operator_integral import LabelMeasure, OperatorStepProcess, SparseOperator, VectorMartingale
+from .operator_integral import OperatorStepProcess, ProjectorMeasure, SparseOperator, VectorMartingale
 from .symtensor import SymCoeffs
 
 
@@ -138,7 +138,7 @@ class FockOperatorRealization:
     Coordinates are taken in the orthonormalized multiset basis (each
     indicator scaled by sqrt(d! * block weight)), so plain numpy inner
     products agree with the Fock inner product and each time projection
-    keeps a set of coordinates: the martingale's measure is a LabelMeasure.
+    keeps a set of coordinates: the martingale's measure has labels only.
     """
 
     grid: TimeGrid
@@ -195,7 +195,7 @@ def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
     # it touches; the empty multiset is the atom at t = 0
     last = np.concatenate([[0]] + [symtensor.multisets(grid.n, d)[:, -1] for d in range(1, n_trunc + 1)])
     # the indicator of [0, T] is 1 on every degree-1 multiset
-    martingale = VectorMartingale(LabelMeasure(grid, last), np.where(degrees == 1, scales, 0.0).astype(complex))
+    martingale = VectorMartingale(ProjectorMeasure(grid, last), np.where(degrees == 1, scales, 0.0).astype(complex))
 
     # column b of degree q holds the Wick product of value_k with the basis
     # indicator of the multiset of rank b, dropped above the truncation:

@@ -1,10 +1,11 @@
 """Stochastic integrals of operator-valued step functions in C^dim.
 
 The data is a step resolution of identity (mutually orthogonal projections
-P_0, P_1..P_n summing to the identity, with P_0 the atom at t = 0) and a
-fixed vector M.  The curve t -> E_t M, E_t = P_0 + sum_{i<=k(t)} P_i, is a
-martingale-like vector path, and the integral of an operator step process
-{A_k} against it is
+P_0, P_1..P_n summing to the identity, with P_0 the atom at t = 0: a
+:class:`ProjectorMeasure` or the sign space ``bernoulli.BernoulliSpace``,
+each applying P_k through ``project``) and a fixed vector M.  The curve
+t -> E_t M, E_t = P_0 + sum_{i<=k(t)} P_i, is a martingale-like vector
+path, and the integral of an operator step process {A_k} against it is
 
     integral = sum_k A_k (P_k M).
 
@@ -34,11 +35,15 @@ right side is built from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ShapeMismatchError
 from .grid import TimeGrid, json_number
+
+if TYPE_CHECKING:
+    from .bernoulli import BernoulliSpace
 
 #: tolerance for idempotency checks, and for commutation relative to the
 #: restricted operator norm
@@ -73,10 +78,10 @@ def _check_finite(what: str, arrays) -> None:
         raise ValueError(f"{what} holds a non-finite number")
 
 
-def _dense(mart: "VectorMartingale", operation: str) -> "ProjectorMeasure":
-    """The martingale's measure, refused unless it is the dense form."""
+def _projector_measure(mart: "VectorMartingale", operation: str) -> "ProjectorMeasure":
+    """The martingale's measure, refused unless it is a ProjectorMeasure."""
     if not isinstance(mart.measure, ProjectorMeasure):
-        raise TypeError(f"{operation} needs a dense ProjectorMeasure, not a {type(mart.measure).__name__}")
+        raise TypeError(f"{operation} needs a ProjectorMeasure, not a {type(mart.measure).__name__}")
     return mart.measure
 
 
@@ -148,25 +153,45 @@ class SparseOperator:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorMeasure:
-    """Step projector-valued measure: atom at 0 plus one projection per cell."""
+    """Step projector-valued measure: an orthonormal frame of C^dim with one
+    label per frame vector, 0 for the atom at t = 0 and k for cell k, so
+    P_k = V_k V_k^H over the columns V_k labelled k.  The columns are stored
+    grouped by label, so V_k is a slice.  With no frame the frame is the
+    identity and P_k is a row mask.  Matrices enter by :meth:`from_projections`.
+    """
 
     grid: TimeGrid
-    atom: np.ndarray
-    cells: tuple[np.ndarray, ...]
+    labels: np.ndarray
+    frame: np.ndarray | None = None
 
     def __post_init__(self):
-        atom = _as_matrix(self.atom)
-        dim = atom.shape[0]
-        cells = tuple(_as_matrix(c, dim) for c in self.cells)
-        object.__setattr__(self, "atom", atom)
-        object.__setattr__(self, "cells", cells)
-        if len(cells) != self.grid.n:
-            raise ShapeMismatchError(f"expected {self.grid.n} cell projections, got {len(cells)}")
-        _check_finite("the measure", (atom, *cells))
-        self._check_projections()
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be a 1-d integer array, got {labels.dtype} of shape {labels.shape}")
+        if not 0 <= labels.min() <= labels.max() <= self.grid.n:
+            raise ValueError(f"labels must lie in 0..{self.grid.n}, got {labels.min()}..{labels.max()}")
+        object.__setattr__(self, "_parts", None)
+        if self.frame is not None:
+            frame = _as_matrix(self.frame, len(labels))
+            _check_finite("the frame", (frame,))
+            if np.linalg.norm(frame.conj().T @ frame - np.eye(len(labels))) > COMMUTE_TOL:
+                raise ValueError("the frame is not unitary")
+            order = np.argsort(labels, kind="stable")
+            labels = labels[order]
+            object.__setattr__(self, "frame", frame[:, order])
+        object.__setattr__(self, "labels", labels)
 
-    def _check_projections(self):
-        parts = (self.atom,) + self.cells
+    @classmethod
+    def from_projections(cls, grid: TimeGrid, atom, cells) -> "ProjectorMeasure":
+        """The measure with atom P_0 and cell projections P_1..P_n: Hermitian,
+        idempotent, mutually orthogonal and summing to the identity, each within
+        COMMUTE_TOL.  Labels and frame are one eigh of sum_k k P_k; the
+        matrices are kept only for :meth:`to_json`."""
+        atom = _as_matrix(atom)
+        parts = (atom, *(_as_matrix(c, len(atom)) for c in cells))
+        if len(parts) != grid.n + 1:
+            raise ShapeMismatchError(f"expected {grid.n} cell projections, got {len(parts) - 1}")
+        _check_finite("the measure", parts)
         for p in parts:
             if np.linalg.norm(p - p.conj().T) > COMMUTE_TOL:
                 raise ValueError("projection is not Hermitian")
@@ -176,53 +201,12 @@ class ProjectorMeasure:
             for j in range(i + 1, len(parts)):
                 if np.linalg.norm(parts[i] @ parts[j]) > COMMUTE_TOL:
                     raise ValueError(f"projections {i} and {j} are not orthogonal")
-        total = sum(parts[1:], parts[0])
-        if np.linalg.norm(total - np.eye(self.dim)) > COMMUTE_TOL:
+        if np.linalg.norm(sum(parts[1:], atom) - np.eye(len(atom))) > COMMUTE_TOL:
             raise ValueError("projections do not sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.atom.shape[0]
-
-    def project(self, k: int, x: np.ndarray) -> np.ndarray:
-        """P_k x for a vector or a block of columns; P_0 is the atom."""
-        k = self.grid.check_boundary(k)
-        return (self.cells[k - 1] if k else self.atom) @ x
-
-    def to_json(self) -> dict:
-        return {
-            "boundaries": self.grid.to_json(),
-            "dim": self.dim,
-            "atom": _matrix_json(self.atom),
-            "cells": [_matrix_json(c) for c in self.cells],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ProjectorMeasure":
-        grid = TimeGrid.from_json(obj["boundaries"])
-        atom = _matrix_from_json(obj["atom"])
-        cells = tuple(_matrix_from_json(c) for c in obj["cells"])
-        measure = cls(grid, atom, cells)
-        if json_number(obj["dim"]) != measure.dim:
-            raise ShapeMismatchError(f"dim is {obj['dim']}, but the projections are {measure.dim} x {measure.dim}")
+        values, frame = np.linalg.eigh(sum(k * p for k, p in enumerate(parts)))
+        measure = cls(grid, np.rint(values).astype(int), frame)
+        object.__setattr__(measure, "_parts", parts)
         return measure
-
-
-@dataclass(frozen=True, eq=False)
-class LabelMeasure:
-    """Step measure whose parts are coordinate projections: coordinate i lies
-    in part labels[i], 0 for the atom and k for cell k, so P_k is a row mask."""
-
-    grid: TimeGrid
-    labels: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be a 1-d integer array, got {labels.dtype} of shape {labels.shape}")
-        if not 0 <= labels.min() <= labels.max() <= self.grid.n:
-            raise ValueError(f"labels must lie in 0..{self.grid.n}, got {labels.min()}..{labels.max()}")
-        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -230,8 +214,28 @@ class LabelMeasure:
 
     def project(self, k: int, x: np.ndarray) -> np.ndarray:
         """P_k x for a vector or a block of columns; P_0 is the atom."""
-        mask = self.labels == self.grid.check_boundary(k)
-        return np.where(mask.reshape((-1,) + (1,) * (np.ndim(x) - 1)), x, 0)
+        k = self.grid.check_boundary(k)
+        if self.frame is None:
+            return np.where((self.labels == k).reshape((-1,) + (1,) * (np.ndim(x) - 1)), x, 0)
+        part = self.frame[:, slice(*np.searchsorted(self.labels, (k, k + 1)))]
+        return part @ (part.conj().T @ x)
+
+    def to_json(self) -> dict:
+        parts = self._parts or [self.project(k, np.eye(self.dim, dtype=complex)) for k in range(self.grid.n + 1)]
+        return {
+            "boundaries": self.grid.to_json(),
+            "dim": self.dim,
+            "atom": _matrix_json(parts[0]),
+            "cells": [_matrix_json(c) for c in parts[1:]],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "ProjectorMeasure":
+        grid = TimeGrid.from_json(obj["boundaries"])
+        measure = cls.from_projections(grid, _matrix_from_json(obj["atom"]), [_matrix_from_json(c) for c in obj["cells"]])
+        if json_number(obj["dim"]) != measure.dim:
+            raise ShapeMismatchError(f"dim is {obj['dim']}, but the projections are {measure.dim} x {measure.dim}")
+        return measure
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +246,7 @@ class VectorMartingale:
     not degenerate: the cells of the :func:`future_increment_span` columns.
     """
 
-    measure: ProjectorMeasure | LabelMeasure
+    measure: ProjectorMeasure | BernoulliSpace
     vector: np.ndarray
 
     def __post_init__(self):
@@ -288,7 +292,7 @@ class VectorMartingale:
 
     def to_json(self) -> dict:
         return {
-            "measure": _dense(self, "to_json").to_json(),
+            "measure": _projector_measure(self, "to_json").to_json(),
             "vector": [[v.real, v.imag] for v in self.vector],
         }
 
@@ -465,15 +469,14 @@ def unitary_transport(
     u: np.ndarray, proc: OperatorStepProcess, mart: VectorMartingale
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compare U(integral) with the integral of {U A_k U^-1} against (UEU^-1, UM)."""
-    dense = _dense(mart, "unitary_transport")
+    measure = _projector_measure(mart, "unitary_transport")
     operators = _matrices(proc, "unitary_transport")
     u = _as_matrix(u, mart.dim)
     if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) >= 1e-10:
         raise ValueError("matrix is not unitary")
     left = u @ stochastic_integral(proc, mart)
-    uh = u.conj().T
-    measure = ProjectorMeasure(mart.grid, u @ dense.atom @ uh, tuple(u @ p @ uh for p in dense.cells))
-    transported = VectorMartingale(measure, u @ mart.vector)
-    conj_proc = OperatorStepProcess(proc.grid, tuple(u @ a @ uh for a in operators))
+    frame = u if measure.frame is None else u @ measure.frame
+    transported = VectorMartingale(ProjectorMeasure(mart.grid, measure.labels, frame), u @ mart.vector)
+    conj_proc = OperatorStepProcess(proc.grid, tuple(u @ a @ u.conj().T for a in operators))
     right = stochastic_integral(conj_proc, transported)
     return left, right

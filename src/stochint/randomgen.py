@@ -48,14 +48,10 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_projector_measure(rng: np.random.Generator, grid: TimeGrid, dim: int) -> ProjectorMeasure:
-    """Random orthogonal splitting of C^dim into an atom plus one block per cell."""
+    """Random orthogonal splitting of C^dim: a random unitary frame, each column in a random part."""
     v = random_unitary(rng, dim)
     labels = rng.integers(0, grid.n + 1, size=dim)
-    parts = []
-    for g in range(grid.n + 1):
-        cols = v[:, labels == g]
-        parts.append(cols @ cols.conj().T)
-    return ProjectorMeasure(grid, parts[0], tuple(parts[1:]))
+    return ProjectorMeasure(grid, labels, v)
 
 
 def random_martingale(rng: np.random.Generator, grid: TimeGrid, dim: int) -> VectorMartingale:

@@ -422,7 +422,7 @@ def verify_fock_ito_suite(
         "wick-operator bridge checks are finite-grid numerical evidence, not a proof"
     )
     report.notes.append(
-        "operator matrices use the drop policy above the realization truncation"
+        "Wick products above the realization truncation are dropped from the bridge operators"
     )
     return report
 

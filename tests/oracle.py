@@ -22,7 +22,7 @@ from stochint.errors import TruncationOverflowError
 from stochint.fock import FockVector, cell_increment
 from stochint.fock_ito import FockStepProcess
 from stochint.grid import TimeGrid
-from stochint.operator_integral import COMMUTE_TOL, DEGENERATE_TOL, NORM_RTOL, LabelMeasure, VectorMartingale
+from stochint.operator_integral import COMMUTE_TOL, DEGENERATE_TOL, NORM_RTOL, VectorMartingale
 from stochint.symtensor import SymCoeffs, block_weights, pair_products, size, zero
 
 
@@ -299,20 +299,20 @@ def frame_parts(frame: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
 
 def dense_parts(measure) -> np.ndarray:
     """P_0..P_n as dense matrices, built here rather than through the
-    measure's ``project``.  A label measure's are the 0/1 diagonals of its
-    labels.  The sign space's are P_k = E_k - E_{k-1} (P_0 = E_0): E_k
-    averages over the points that share the first k coordinates, the low k
-    bits of the point index, so with m = 2^(n-k) such points it is the
-    Kronecker product of the constant m x m matrix 1/m with I_{2^k}."""
-    if isinstance(measure, LabelMeasure):
-        return np.array([np.diag(measure.labels == k).astype(complex) for k in range(measure.grid.n + 1)])
+    measure's ``project``.  A ProjectorMeasure's are its frame multiplied
+    out, the 0/1 diagonals of its labels when it has no frame.  The sign
+    space's are P_k = E_k - E_{k-1} (P_0 = E_0): E_k averages over the
+    points that share the first k coordinates, the low k bits of the point
+    index, so with m = 2^(n-k) such points it is the Kronecker product of
+    the constant m x m matrix 1/m with I_{2^k}."""
     if isinstance(measure, BernoulliSpace):
         n, cond = measure.n, []
         for k in range(n + 1):
             m = 1 << (n - k)
             cond.append(np.kron(np.full((m, m), 1.0 / m), np.eye(1 << k)))
         return np.array([cond[0], *(cond[k] - cond[k - 1] for k in range(1, n + 1))], dtype=complex)
-    return np.array([measure.atom, *measure.cells])
+    frame = np.eye(measure.dim, dtype=complex) if measure.frame is None else measure.frame
+    return frame_parts(frame, measure.labels, measure.grid.n)
 
 
 def measurability_deviations(a: np.ndarray, mart: VectorMartingale, j: int) -> tuple[list, float, float]:

@@ -19,7 +19,7 @@ OTHER = TimeGrid((0.0, 0.25, 0.5, 1.0))  # as many cells, other boundaries
 
 SPACE = bernoulli.BernoulliSpace(GRID)
 MART = random_martingale(generator(0, 0, 0), GRID, 4)
-LABELS = operator_integral.LabelMeasure(GRID, np.arange(4))
+LABELS = operator_integral.ProjectorMeasure(GRID, np.arange(4))
 PROC = operator_integral.OperatorStepProcess(GRID, (np.eye(4),) * 3)
 OTHER_PROC = operator_integral.OperatorStepProcess(OTHER, (np.eye(4),) * 3)
 VEC, OTHER_VEC = fock.vacuum(GRID, 1), fock.vacuum(OTHER, 1)
@@ -39,7 +39,7 @@ INDEX_CASES = {
     "cell_indicator": (lambda k: symtensor.cell_indicator(GRID, k), CELL),
     "BernoulliSpace.walk_at": (lambda j: SPACE.walk_at(j), BOUNDARY),
     "ProjectorMeasure.project": (lambda j: MART.measure.project(j, np.ones(4)), BOUNDARY),
-    "LabelMeasure.project": (lambda j: LABELS.project(j, np.ones(4)), BOUNDARY),
+    "ProjectorMeasure.project (no frame)": (lambda j: LABELS.project(j, np.ones(4)), BOUNDARY),
     "BernoulliSpace.project": (lambda j: SPACE.project(j, np.ones(8)), BOUNDARY),
     "cond_expect": (lambda j: bernoulli.cond_expect(SPACE.xi(1), j), BOUNDARY),
     "indicator_vector": (lambda j: fock.indicator_vector(GRID, j), BOUNDARY),

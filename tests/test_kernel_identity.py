@@ -1,14 +1,16 @@
 """The in-place Wick merge, the per-boundary measurability check, the
-cached Bernoulli increments, the label form of the Fock realization's
-measure and the triplet form of its Wick operators against the plain
-kernels in tests/oracle.py.
+cached Bernoulli increments, the step measures' projections, the
+labels-only form of the Fock realization's measure and the triplet form of
+its Wick operators against the plain kernels in tests/oracle.py.
 
 Values must agree bit for bit (compared through float.hex, or through the
 bits of whole arrays, so the sign of a zero counts, and in dict order),
 overflow errors at the same degree, and measurability verdicts exactly.  A
 row mask and the product with a 0/1 diagonal differ only in the sign of
-zeros, so the label form is compared with == and array_equal instead.  A
-SparseOperator is read as a matrix through its product with the identity.
+zeros, so the labels-only form is compared with == and array_equal instead.
+A projection through a frame is compared with its frame multiplied out
+within the round-off 4 * dim * eps * ||X||.  A SparseOperator is read as a
+matrix through its product with the identity.
 """
 
 import copy
@@ -224,7 +226,8 @@ def test_future_increment_span_is_a_read_only_cache():
 
 
 def test_label_measure_matches_its_dense_diagonal_parts():
-    # a second martingale on the dense 0/1 parts rebuilt from the labels
+    # a second martingale on the measure recovered, through one
+    # eigendecomposition, from the 0/1 parts rebuilt from the labels
     for trial in range(30):
         rng = generator(4900, trial)
         grid = random_grid(rng, int(rng.integers(1, 5)))
@@ -232,7 +235,7 @@ def test_label_measure_matches_its_dense_diagonal_parts():
         proc = random_adapted_process(rng, grid, int(rng.integers(max_deg + 1, 5)), max_deg, off_diagonal=trial % 2 == 0)
         real = wick_operator_process(proc)
         labels, parts = real.martingale.measure, oracle.dense_parts(real.martingale.measure)
-        dense = VectorMartingale(ProjectorMeasure(grid, parts[0], tuple(parts[1:])), real.martingale.vector)
+        dense = VectorMartingale(ProjectorMeasure.from_projections(grid, parts[0], parts[1:]), real.martingale.vector)
         block = random_complex(rng, labels.dim, 3)
         for k in range(grid.n + 1):
             assert np.array_equal(labels.project(k, block[:, 0]), parts[k] @ block[:, 0])

@@ -8,7 +8,6 @@ from stochint.errors import ShapeMismatchError
 from stochint.fock_ito import wick_operator_process
 from stochint.grid import uniform_grid
 from stochint.operator_integral import (
-    LabelMeasure,
     OperatorStepProcess,
     ProjectorMeasure,
     SparseOperator,
@@ -33,22 +32,25 @@ G2 = uniform_grid(1.0, 2)
 
 
 def example_martingale() -> VectorMartingale:
-    p1 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    p2 = np.diag([0.0, 1.0, 1.0]).astype(complex)
-    atom = np.zeros((3, 3), dtype=complex)
-    measure = ProjectorMeasure(G2, atom, (p1, p2))
+    # P_1 = diag(1, 0, 0), P_2 = diag(0, 1, 1), no atom
+    measure = ProjectorMeasure(G2, np.array([1, 2, 2]))
     return VectorMartingale(measure, np.array([1.0, 1.0, 0.0], dtype=complex))
 
 
 def test_measure_invariants_enforced():
-    bad = np.array([[1.0, 0.2], [0.0, 0.0]], dtype=complex)  # not Hermitian
-    with pytest.raises(ValueError):
-        ProjectorMeasure(G2, np.zeros((2, 2), complex), (bad, np.eye(2, dtype=complex) - bad))
+    zero = np.zeros((2, 2), complex)
+    bad = np.array([[1.0, 0.2], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="^projection is not Hermitian$"):
+        ProjectorMeasure.from_projections(G2, zero, (bad, np.eye(2, dtype=complex) - bad))
     p = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError):  # not complete
-        ProjectorMeasure(G2, np.zeros((2, 2), complex), (p, p * 0))
-    with pytest.raises(ValueError):  # not orthogonal
-        ProjectorMeasure(G2, np.zeros((2, 2), complex), (p, p))
+    with pytest.raises(ValueError, match="^projections do not sum to the identity$"):
+        ProjectorMeasure.from_projections(G2, zero, (p, p * 0))
+    with pytest.raises(ValueError, match="^projections 1 and 2 are not orthogonal$"):
+        ProjectorMeasure.from_projections(G2, zero, (p, p))
+    with pytest.raises(ValueError, match="^projection is not idempotent$"):
+        ProjectorMeasure.from_projections(G2, zero, (2 * p, np.eye(2, dtype=complex) - 2 * p))
+    with pytest.raises(ShapeMismatchError, match="^expected 2 cell projections, got 1$"):
+        ProjectorMeasure.from_projections(G2, zero, (np.eye(2, dtype=complex),))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -56,7 +58,22 @@ def test_measure_rejects_non_finite_entries(bad):
     p1 = np.diag([1.0, 0.0]).astype(complex)
     p1[1, 1] = bad  # NaN compares False against every tolerance
     with pytest.raises(ValueError, match="non-finite"):
-        ProjectorMeasure(G2, np.zeros((2, 2), complex), (p1, np.diag([0.0, 1.0]).astype(complex)))
+        ProjectorMeasure.from_projections(G2, np.zeros((2, 2), complex), (p1, np.diag([0.0, 1.0]).astype(complex)))
+
+
+@pytest.mark.parametrize(
+    "frame, error, message",
+    [
+        (np.diag([1.0, 2.0]), ValueError, "^the frame is not unitary$"),
+        (np.eye(3), ShapeMismatchError, "^expected dimension 2, got 3$"),
+        (np.eye(2)[:, :1], ShapeMismatchError, r"^expected a square matrix, got shape \(2, 1\)$"),
+        (np.diag([1.0, np.nan]), ValueError, "^the frame holds a non-finite number$"),
+    ],
+    ids=["not_unitary", "wrong_dimension", "not_square", "non_finite"],
+)
+def test_measure_rejects_a_frame_that_is_not_orthonormal(frame, error, message):
+    with pytest.raises(error, match=message):
+        ProjectorMeasure(G2, np.array([1, 2]), frame)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -74,8 +91,9 @@ def test_process_rejects_non_finite_entries(bad):
 
 
 def _three_measures() -> tuple:
-    """A random dense measure, a Fock realization's label measure and a
-    Bernoulli realization's measure, the sign space itself."""
+    """A random measure with a frame, a Fock realization's measure with
+    labels only and a Bernoulli realization's measure, the sign space
+    itself."""
     rng = generator(4800)
     return (
         random_martingale(rng, random_grid(rng, 4), 7).measure,
@@ -90,10 +108,11 @@ def _stored_arrays(measure) -> list:
 
 
 def test_measure_stores_each_projection_once():
-    dense, labels, bernoulli = _three_measures()
-    assert sum(a.nbytes for a in _stored_arrays(dense)) == (dense.grid.n + 1) * dense.dim**2 * 16
-    # the label form stores one part index per coordinate and nothing else
-    assert isinstance(labels, LabelMeasure)
+    framed, labels, bernoulli = _three_measures()
+    # one part index per frame vector and one dim x dim frame
+    assert [a.shape for a in _stored_arrays(framed)] == [(framed.dim,), (framed.dim, framed.dim)]
+    # with no frame, one part index per coordinate and nothing else
+    assert isinstance(labels, ProjectorMeasure) and labels.frame is None
     assert [a.size for a in _stored_arrays(labels)] == [labels.dim]
     # the sign space stores its signs and increments, one row per cell, and
     # no dim x dim array
@@ -120,9 +139,7 @@ def test_future_span_worked_example():
 
 
 def test_future_span_empty_when_atom_carries_everything():
-    p1 = np.zeros((2, 2), complex)
-    atom = np.eye(2, dtype=complex)
-    measure = ProjectorMeasure(uniform_grid(1.0, 1), atom, (p1,))
+    measure = ProjectorMeasure(uniform_grid(1.0, 1), np.array([0, 0]))
     mart = VectorMartingale(measure, np.array([1.0, 0.0]))
     assert future_increment_span(mart, 0).shape == (2, 0)
 
@@ -195,8 +212,7 @@ def test_operator_vanishing_on_the_future_span_is_measurable_at_every_scale():
         u = random_unitary(rng, 3)
         uh = u.conj().T
         base = example_martingale()
-        measure = ProjectorMeasure(G2, base.measure.atom, tuple(u @ p @ uh for p in base.measure.cells))
-        mart = VectorMartingale(measure, u @ base.vector)
+        mart = VectorMartingale(ProjectorMeasure(G2, base.measure.labels, u), u @ base.vector)
         b = np.zeros((3, 3), dtype=complex)
         b[:, 2] = random_complex(rng, 3)
         a = u @ b @ uh
@@ -333,9 +349,8 @@ def test_json_roundtrips():
     mart = random_martingale(rng, random_grid(rng, 3), 4)
     back = VectorMartingale.from_json(mart.to_json())
     np.testing.assert_allclose(back.vector, mart.vector, atol=0)
-    np.testing.assert_allclose(back.measure.atom, mart.measure.atom, atol=0)
-    for k in range(1, 4):
-        np.testing.assert_allclose(back.measure.cells[k - 1], mart.measure.cells[k - 1], atol=0)
+    assert back.measure.to_json() == mart.measure.to_json()
+    assert np.array_equal(back.measure.labels, mart.measure.labels)
     proc = random_measurable_process(rng, mart)
     proc_back = OperatorStepProcess.from_json(proc.to_json())
     for k in range(1, 4):
@@ -356,26 +371,35 @@ def test_label_measure_rejects_labels_outside_its_parts(labels, message):
     # labels outside 0..n would make parts that do not sum to the identity:
     # the integral of the identity process would drop coordinate 2
     with pytest.raises(ValueError, match=message):
-        LabelMeasure(uniform_grid(1.0, 2), labels)
+        ProjectorMeasure(uniform_grid(1.0, 2), labels)
 
 
-def test_label_measure_refuses_transport_and_json():
-    # the Fock realization's label measure and the Bernoulli realization's
-    # sign space have no dense parts to transport or write
+def test_transport_and_json_need_a_projector_measure():
+    # a measure with labels only transports and writes its 0/1 parts; the
+    # Bernoulli realization's sign space has no frame to transport or
+    # projections to write
     rng = generator(4801)
-    real = wick_operator_process(random_adapted_process(rng, random_grid(rng, 3), 3, 2))
     space = BernoulliSpace(random_grid(rng, 3))
     identity = OperatorStepProcess(space.grid, (np.eye(space.dim, dtype=complex),) * space.n)
-    cases = (
-        (real.process, real.martingale, "LabelMeasure"),
-        (identity, classical_realization(space), "BernoulliSpace"),
-    )
-    for proc, mart, name in cases:
-        u = random_unitary(rng, mart.dim)
-        for call in (lambda: unitary_transport(u, proc, mart), mart.to_json):
-            with pytest.raises(TypeError, match=f"needs a dense ProjectorMeasure, not a {name}") as err:
-                call()
-            assert "\n" not in str(err.value)
+    mart = classical_realization(space)
+    u = random_unitary(rng, space.dim)
+    for call, name in ((lambda: unitary_transport(u, identity, mart), "unitary_transport"), (mart.to_json, "to_json")):
+        with pytest.raises(TypeError, match=f"^{name} needs a ProjectorMeasure, not a BernoulliSpace$"):
+            call()
+    labels = np.array([0, 2, 1, 2])
+    mart = VectorMartingale(ProjectorMeasure(G2, labels), random_complex(rng, 4))
+    proc = random_measurable_process(rng, mart)
+    left, right = unitary_transport(random_unitary(rng, 4), proc, mart)
+    assert np.linalg.norm(left - right) < 1e-10
+    written = mart.to_json()
+    for k, part in enumerate([written["measure"]["atom"], *written["measure"]["cells"]]):
+        assert np.array_equal([[complex(*v) for v in row] for row in part], np.diag(labels == k))
+    assert VectorMartingale.from_json(written).to_json() == written
+    # the Fock realization's measure has labels only; its process holds
+    # SparseOperators, which transport refuses
+    real = wick_operator_process(random_adapted_process(rng, random_grid(rng, 2), 2, 1))
+    with pytest.raises(TypeError, match="^unitary_transport needs dense operator matrices, not a SparseOperator$"):
+        unitary_transport(random_unitary(rng, real.dim), real.process, real.martingale)
 
 
 def _random_sparse(rng, dim: int, entries: int) -> tuple[SparseOperator, np.ndarray]:

@@ -24,11 +24,11 @@ def test_grid_file_roundtrip():
 def test_measure_and_martingale_file_roundtrip():
     rng = generator(5)
     mart = random_martingale(rng, random_grid(rng, 3), 6)
-    back = VectorMartingale.from_json(through_json(mart.to_json()))
+    written = through_json(mart.to_json())
+    back = VectorMartingale.from_json(written)
     np.testing.assert_array_equal(back.vector, mart.vector)
-    np.testing.assert_array_equal(back.measure.atom, mart.measure.atom)
-    for k in range(1, 4):
-        np.testing.assert_array_equal(back.measure.cells[k - 1], mart.measure.cells[k - 1])
+    # the loaded projections are written back bit for bit
+    assert json.dumps(back.to_json()) == json.dumps(written)
     # validation runs on load
     assert ProjectorMeasure.from_json(through_json(mart.measure.to_json())).dim == 6
 
