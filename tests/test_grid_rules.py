@@ -39,7 +39,8 @@ INDEX_CASES = {
     "cell_indicator": (lambda k: symtensor.cell_indicator(GRID, k), CELL),
     "BernoulliSpace.walk_at": (lambda j: SPACE.walk_at(j), BOUNDARY),
     "ProjectorMeasure.project": (lambda j: MART.measure.project(j, np.ones(4)), BOUNDARY),
-    "ProjectorMeasure.project (no frame)": (lambda j: LABELS.project(j, np.ones(4)), BOUNDARY),
+    # the labels-only measure (a ProjectorMeasure with no frame), under its old case id
+    "LabelMeasure.project": (lambda j: LABELS.project(j, np.ones(4)), BOUNDARY),
     "BernoulliSpace.project": (lambda j: SPACE.project(j, np.ones(8)), BOUNDARY),
     "cond_expect": (lambda j: bernoulli.cond_expect(SPACE.xi(1), j), BOUNDARY),
     "indicator_vector": (lambda j: fock.indicator_vector(GRID, j), BOUNDARY),
