@@ -78,6 +78,10 @@ def _check_finite(what: str, arrays) -> None:
         raise ValueError(f"{what} holds a non-finite number")
 
 
+def _is_unitary(m: np.ndarray) -> bool:
+    return bool(np.linalg.norm(m.conj().T @ m - np.eye(len(m))) <= COMMUTE_TOL)
+
+
 def _projector_measure(mart: "VectorMartingale", operation: str) -> "ProjectorMeasure":
     """The martingale's measure, refused unless it is a ProjectorMeasure."""
     if not isinstance(mart.measure, ProjectorMeasure):
@@ -174,7 +178,7 @@ class ProjectorMeasure:
         if self.frame is not None:
             frame = _as_matrix(self.frame, len(labels))
             _check_finite("the frame", (frame,))
-            if np.linalg.norm(frame.conj().T @ frame - np.eye(len(labels))) > COMMUTE_TOL:
+            if not _is_unitary(frame):
                 raise ValueError("the frame is not unitary")
             order = np.argsort(labels, kind="stable")
             labels = labels[order]
@@ -399,29 +403,20 @@ def check_measurable(a: np.ndarray | SparseOperator, mart: VectorMartingale, j: 
     later increment exposes its norm jump.
     """
     a = _as_operator(a, mart.dim)
-    n = mart.grid.n
-    if mart.grid.check_boundary(j) == n:
-        return MeasurabilityReport(True, j, 0.0, 0.0, ())
-
-    start = np.searchsorted(mart.span_cells, j, side="right")
-    basis, cells = mart._span[:, start:], mart.span_cells[start:]
-    image = a @ basis
-    # one row per boundary l in j..n-1 with a nonempty span: the columns of
-    # basis that span the increments after l
-    spans = cells > np.arange(j, n)[:, None]
-    spans = spans[spans.any(axis=1)]
-    norms = np.linalg.svd(image * spans[:, None, :], compute_uv=False).max(axis=1).tolist() if len(spans) else []
+    start = np.searchsorted(mart.span_cells, mart.grid.check_boundary(j), side="right")
+    image, cells = a @ mart._span[:, start:], mart.span_cells[start:]
+    # at boundary l the span is the columns of image whose cell is after l, a
+    # suffix; A E_l g is the image column of g if its cell is <= l, else 0,
+    # and E_l A g = A g - sum_{k>l} P_k A g, built down from E_n = I
+    norms, comm_dev, below = [], 0.0, image.copy()
+    for l in range(mart.grid.n - 1, j - 1, -1):
+        first = np.searchsorted(cells, l, side="right")
+        if first < len(cells):
+            norms.insert(0, float(np.linalg.svd(image[:, first:], compute_uv=False)[0]))
+        below -= mart.measure.project(l + 1, image)
+        comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max(initial=0.0)))
     ref = max(norms, default=0.0)
     norm_dev = ref - min(norms, default=0.0)
-
-    # A E_l g is the image column of g if its cell is <= l, else 0; and
-    # E_l A g = A g - sum_{k>l} P_k A g, built down from E_n = I (commutator 0)
-    comm_dev = 0.0
-    if len(cells):
-        below = image.copy()
-        for l in range(n - 1, j - 1, -1):
-            below -= mart.measure.project(l + 1, image)
-            comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max()))
 
     # ||A||_F of a SparseOperator is the norm of its stored entries
     frobenius = np.linalg.norm(a.values if isinstance(a, SparseOperator) else a)
@@ -461,8 +456,9 @@ def integral_norm_bound(
     acc = 0.0
     for k, report in enumerate(reports, start=1):
         norms = report.restricted_norms
-        acc += (norms[0] if norms else 0.0) ** 2 * mart.mu(k)
-    return lhs, float(np.sqrt(acc)) ** 2, reports
+        # numpy's power overflows to inf, where a float's raises
+        acc += np.float64(norms[0] if norms else 0.0) ** 2 * mart.mu(k)
+    return lhs, float(np.sqrt(acc) ** 2), reports
 
 
 def unitary_transport(
@@ -472,7 +468,7 @@ def unitary_transport(
     measure = _projector_measure(mart, "unitary_transport")
     operators = _matrices(proc, "unitary_transport")
     u = _as_matrix(u, mart.dim)
-    if np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) >= 1e-10:
+    if not _is_unitary(u):
         raise ValueError("matrix is not unitary")
     left = u @ stochastic_integral(proc, mart)
     frame = u if measure.frame is None else u @ measure.frame

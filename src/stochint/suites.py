@@ -269,13 +269,16 @@ def verify_input_file(data: dict, tolerances: dict | None = None) -> list[CheckR
     """Measurability and the norm bound for a serialized martingale and process.
 
     `data` holds ``"martingale"`` and ``"process"`` in their ``to_json``
-    forms.  Malformed data, including non-finite numbers and a process and a
-    martingale that differ in grid or dimension, raises ``KeyError``,
-    ``TypeError`` or ``ValueError``.
+    forms.  Malformed data, including non-finite numbers, finite ones whose
+    norm bound overflows and a process and a martingale that differ in grid
+    or dimension, raises ``KeyError``, ``TypeError`` or ``ValueError``.
     """
-    mart = VectorMartingale.from_json(data["martingale"])
-    proc = OperatorStepProcess.from_json(data["process"])
-    lhs, rhs, reports = integral_norm_bound(proc, mart)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        mart = VectorMartingale.from_json(data["martingale"])
+        proc = OperatorStepProcess.from_json(data["process"])
+        lhs, rhs, reports = integral_norm_bound(proc, mart)
+    if not np.isfinite([lhs, rhs]).all():
+        raise ValueError(f"the norm bound overflows: lhs={lhs!r}, rhs={rhs!r}")
     failures = sum(not r.ok for r in reports)
     return [
         count_zero("file_measurability_failures", failures),

@@ -344,6 +344,34 @@ def is_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> bool:
     return bool(norm_dev <= NORM_RTOL * ref + roundoff and comm_dev <= COMMUTE_TOL * ref + roundoff)
 
 
+def _span_image(a, mart: VectorMartingale, j: int) -> tuple[np.ndarray, np.ndarray]:
+    start = np.searchsorted(mart.span_cells, j, side="right")
+    return a @ mart._span[:, start:], mart.span_cells[start:]
+
+
+def batched_restricted_norms(a, mart: VectorMartingale, j: int) -> list:
+    """The restricted norms at boundaries l = j..n-1 with a nonempty span,
+    from one batched SVD of a (boundaries x dim x span) array: the image of
+    the span at j, masked to the columns of each later span."""
+    image, cells = _span_image(a, mart, j)
+    spans = cells > np.arange(j, mart.grid.n)[:, None]
+    spans = spans[spans.any(axis=1)]
+    return np.linalg.svd(image * spans[:, None, :], compute_uv=False).max(axis=1).tolist() if len(spans) else []
+
+
+def commutator_deviation(a, mart: VectorMartingale, j: int) -> float:
+    """max ||A E_l g - E_l A g|| over the span at j and l = j..n-1, in a
+    loop of its own: E_l A g built down from E_n = I."""
+    image, cells = _span_image(a, mart, j)
+    comm_dev = 0.0
+    if len(cells):
+        below = image.copy()
+        for l in range(mart.grid.n - 1, j - 1, -1):
+            below -= mart.measure.project(l + 1, image)
+            comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max()))
+    return comm_dev
+
+
 def bernoulli_increment(space: BernoulliSpace, k: int) -> RandomVariable:
     return np.sqrt(space.grid.length(k)) * space.xi(k)
 

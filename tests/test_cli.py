@@ -539,6 +539,12 @@ def _break_payload(payload: dict, case: str):
             grid["boundaries"][0] = False
     elif case == "huge_number":
         payload["martingale"]["vector"][0] = [10**400, 0]
+    elif case == "scaled_vector":
+        payload["martingale"]["vector"] = [[re * 1e200, im * 1e200] for re, im in payload["martingale"]["vector"]]
+    elif case == "huge_operator":
+        payload["process"]["operators"][0] = [[[1e308, 0.0] for _ in row] for row in payload["process"]["operators"][0]]
+    elif case == "scaled_operator":
+        payload["process"]["operators"][0] = [[[re * 1e200, im * 1e200] for re, im in row] for row in payload["process"]["operators"][0]]
     return json.dumps(payload)
 
 
@@ -560,6 +566,9 @@ def _break_payload(payload: dict, case: str):
         "string_number",
         "boolean_number",
         "huge_number",
+        "scaled_vector",
+        "huge_operator",
+        "scaled_operator",
     ],
 )
 def test_bad_input_file_is_usage_error(tmp_path, capsys, case):
@@ -574,3 +583,7 @@ def test_bad_input_file_is_usage_error(tmp_path, capsys, case):
     assert captured.out == ""
     message = captured.err.strip().splitlines()[-1]
     assert message.startswith("stochint: error: --input ")
+    if case.startswith(("scaled_", "huge_operator")):
+        # finite numbers whose norm bound overflows: one line, no warnings
+        assert "ValueError: the norm bound overflows: lhs=inf" in message
+        assert captured.err.count("\n") == 2

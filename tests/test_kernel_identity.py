@@ -10,7 +10,10 @@ row mask and the product with a 0/1 diagonal differ only in the sign of
 zeros, so the labels-only form is compared with == and array_equal instead.
 A projection through a frame is compared with its frame multiplied out
 within the round-off 4 * dim * eps * ||X||.  A SparseOperator is read as a
-matrix through its product with the identity.
+matrix through its product with the identity.  The measurability check's
+restricted norms after the first come from an SVD of their own span's
+columns, not of the frozen masked batch, so they are compared within
+4 * dim * eps of the largest.
 """
 
 import copy
@@ -32,8 +35,11 @@ from stochint.errors import TruncationOverflowError
 from stochint.fock import FockVector
 from stochint.fock_ito import FockStepProcess, check_adapted, wick_operator_process
 from stochint.operator_integral import (
+    COMMUTE_TOL,
+    NORM_RTOL,
     OperatorStepProcess,
     ProjectorMeasure,
+    SparseOperator,
     VectorMartingale,
     check_measurable,
     future_increment_span,
@@ -145,6 +151,71 @@ def test_measurability_verdicts_match_per_column_check():
             verdicts += _verdicts(multiplication_operator(f), real, range(n + 1))
     assert all(new == ref for new, ref in verdicts)
     assert {ref for _, ref in verdicts} == {True, False}
+
+
+def _batched_report(a, mart, j) -> tuple:
+    """(ok, commutator deviation, restricted norms) of the frozen two-pass
+    check: the masked batch of norms, then the commutator loop."""
+    norms = oracle.batched_restricted_norms(a, mart, j)
+    comm_dev = oracle.commutator_deviation(a, mart, j)
+    ref = max(norms, default=0.0)
+    frobenius = np.linalg.norm(a.values if isinstance(a, SparseOperator) else a)
+    roundoff = float(4 * mart.dim * np.finfo(float).eps * frobenius)
+    ok = j == mart.grid.n or (ref - min(norms, default=0.0) <= NORM_RTOL * ref + roundoff and comm_dev <= COMMUTE_TOL * ref + roundoff)
+    return ok, comm_dev, norms
+
+
+def _matches_the_batch(a, mart, j) -> tuple[bool, int, int]:
+    """Assert that check_measurable agrees with the frozen batch: verdict,
+    commutator deviation and first norm bit for bit, every later norm within
+    4 * dim * eps of the largest.  Returns (verdict, later norms, moved ones)."""
+    report = check_measurable(a, mart, j)
+    ok, comm_dev, norms = _batched_report(a, mart, j)
+    assert report.ok == ok
+    assert report.commutator_deviation.hex() == comm_dev.hex()
+    assert len(report.restricted_norms) == len(norms)
+    if not norms:
+        return ok, 0, 0
+    assert report.restricted_norms[0].hex() == norms[0].hex()
+    later = np.abs(np.subtract(report.restricted_norms[1:], norms[1:]))
+    assert np.all(later <= 4 * mart.dim * np.finfo(float).eps * max(norms))
+    return ok, len(later), int(np.count_nonzero(later))
+
+
+def test_measurability_matches_the_frozen_batched_norms():
+    # the hstoch trial stream of `verify all --trials 600 --seed 42` (suite
+    # id 0) at every boundary, Wick bridges adapted and not, sign spaces
+    seen = []
+    for t in range(600):
+        rng = generator(42, 0, t)
+        n = int(rng.integers(1, 5))
+        d = int(rng.integers(2, 9))
+        mart = random_martingale(rng, random_grid(rng, n), d)
+        ops = list(random_measurable_process(rng, mart, scalar_action=t % 2 == 1).operators)
+        span = future_increment_span(mart, 0)
+        if span.shape[1] >= 2:
+            ops.append(np.outer(span[:, 0], span[:, -1].conj()))
+        seen += [_matches_the_batch(a, mart, j) for a in ops for j in range(n + 1)]
+    for trial in range(40):
+        rng = generator(5500, trial)
+        grid = random_grid(rng, int(rng.integers(1, 5)))
+        max_deg = int(rng.integers(0, 4))
+        if trial % 2:
+            proc = random_adapted_process(rng, grid, max_deg + 1, max_deg, off_diagonal=trial % 4 == 1)
+        else:
+            proc = FockStepProcess(grid, tuple(random_fock_vector(rng, grid, max_deg).pad(max_deg + 1) for _ in range(grid.n)))
+        real = wick_operator_process(proc)
+        seen += [_matches_the_batch(a, real.martingale, j) for a in real.process.operators for j in range(grid.n + 1)]
+    for n in range(1, 6):
+        space = BernoulliSpace(random_grid(generator(5600, n), n))
+        real = classical_realization(space)
+        rng = generator(5700, n)
+        for k in range(n + 1):
+            a = multiplication_operator(cond_expect(RandomVariable(space, random_complex(rng, space.size)), k))
+            seen += [_matches_the_batch(a, real, j) for j in range(n + 1)]
+    passed, later, moved = np.sum(seen, axis=0)
+    assert 0 < passed < len(seen)
+    assert later > 5000 and moved < later
 
 
 def _bits(x: np.ndarray) -> np.ndarray:

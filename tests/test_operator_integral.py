@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,25 @@ def test_boundary_n_is_vacuous():
     assert check_measurable(anything, mart, 2).ok
 
 
+def test_measurability_check_holds_a_few_images_not_one_per_boundary():
+    # 4000 coordinates over 40 cells, labels only, and a diagonal operator:
+    # the image of the span at 0 is dim x 40, and one check may hold a few
+    # such arrays at a time, not one for each of the 40 later boundaries
+    labels = np.arange(4000) % 40 + 1
+    mart = VectorMartingale(ProjectorMeasure(uniform_grid(1.0, 40), labels), np.ones(4000))
+    a = SparseOperator(4000, np.arange(4000), np.arange(4000), labels.astype(float))
+    image_bytes = mart.dim * future_increment_span(mart, 0).shape[1] * 16
+    tracemalloc.start()
+    try:
+        report = check_measurable(a, mart, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the norm on the span after l is the largest label after l: 40 each time
+    assert report.ok and report.restricted_norms == (40.0,) * 40
+    assert peak < 8 * image_bytes
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(trial=st.integers(0, 100_000), exponent=st.floats(-6.0, 6.0))
 def test_measurability_verdict_is_scale_invariant(trial, exponent):
@@ -329,10 +350,12 @@ def test_transport_random():
 
 
 def test_transport_rejects_non_unitary():
+    # the frame check's rule: ||U^H U - I|| above COMMUTE_TOL, or not a number
     mart = example_martingale()
     proc = OperatorStepProcess(G2, (np.eye(3, dtype=complex),) * 2)
-    with pytest.raises(ValueError):
-        unitary_transport(np.diag([1.0, 2.0, 1.0]).astype(complex), proc, mart)
+    for scale in (2.0, 1.0 + 1e-10, np.nan):
+        with pytest.raises(ValueError, match="^matrix is not unitary$"):
+            unitary_transport(np.diag([1.0, scale, 1.0]).astype(complex), proc, mart)
 
 
 def test_shape_errors():
