@@ -361,9 +361,9 @@ def future_increment_span(mart: VectorMartingale, j: int) -> np.ndarray:
 class MeasurabilityReport:
     """Verdict plus the worst violation of each condition.
 
-    ``restricted_norms`` holds one norm per boundary l = j..n-1 whose span is
-    not empty, in that order: empty when the span at j is, and otherwise
-    led by the norm over the span at j itself.
+    ``restricted_norms`` holds the largest and the smallest per-boundary
+    norm, over the span at j and over its last cell's columns: one norm when
+    the span holds one cell, none when it is empty.
     """
 
     ok: bool
@@ -380,18 +380,18 @@ def check_measurable(a: np.ndarray | SparseOperator, mart: VectorMartingale, j: 
     """Decide measurability of `a` at boundary j.
 
     Condition (i): the restricted norm over the future-increment span is the
-    same at every later boundary (relative tolerance NORM_RTOL; boundaries
-    whose span is empty are skipped).  Condition (ii): for every basis vector
-    g of the span at j and every boundary l >= j,
-    ||A E_l g - E_l A g|| <= COMMUTE_TOL * ref, where ref is the largest of
-    those restricted norms.  No E_l is formed: each increment lies in the range of
-    its own cell's projection, and the parts sum to the identity.  Both
-    deviations may also exceed their relative bound by 4 * dim * eps *
-    ||A||_F, a round-off allowance for the products that form a commutator
-    column, so that an A which vanishes on the span is not rejected for
-    round-off.  Every bound scales with A, so the verdict does not change
-    when A is scaled.
-    Boundary j = n is vacuously measurable.
+    same at every later boundary (relative tolerance NORM_RTOL); the spans
+    nest, so the deviation is the first norm minus the last.  Condition (ii):
+    A commutes with every E_l, l >= j, on the span at j, within COMMUTE_TOL
+    times the first norm.  A basis vector g of the span lies in the range of
+    its cell's part P_c, and the parts are orthogonal and sum to I, so this
+    says that A g lies in the range of P_c; the worst commutator columns at
+    g are ||E_{c-1} A g|| and ||(I - E_c) A g||.  Both deviations may also
+    exceed their bound by 4 * dim * eps * ||A||_F, a round-off allowance for
+    the products that form a commutator column, so that an A which vanishes
+    on the span is not rejected for round-off.  Every bound scales with A,
+    so the verdict does not change when A is scaled.  Boundary j = n is
+    vacuously measurable.
 
     Blind spot: at j = n-1 the span holds only the last increment, one atom
     of the step measure, so norm constancy over a single boundary is vacuous
@@ -405,24 +405,20 @@ def check_measurable(a: np.ndarray | SparseOperator, mart: VectorMartingale, j: 
     a = _as_operator(a, mart.dim)
     start = np.searchsorted(mart.span_cells, mart.grid.check_boundary(j), side="right")
     image, cells = a @ mart._span[:, start:], mart.span_cells[start:]
-    # at boundary l the span is the columns of image whose cell is after l, a
-    # suffix; A E_l g is the image column of g if its cell is <= l, else 0,
-    # and E_l A g = A g - sum_{k>l} P_k A g, built down from E_n = I
-    norms, comm_dev, below = [], 0.0, image.copy()
-    for l in range(mart.grid.n - 1, j - 1, -1):
-        first = np.searchsorted(cells, l, side="right")
-        if first < len(cells):
-            norms.insert(0, float(np.linalg.svd(image[:, first:], compute_uv=False)[0]))
-        below -= mart.measure.project(l + 1, image)
-        comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max(initial=0.0)))
-    ref = max(norms, default=0.0)
-    norm_dev = ref - min(norms, default=0.0)
+    firsts = sorted({0, int(np.searchsorted(cells, cells[-1]))}) if len(cells) else []
+    norms = tuple(float(np.linalg.svd(image[:, f:], compute_uv=False)[0]) for f in firsts)
+    ref, norm_dev = (norms[0], norms[0] - norms[-1]) if norms else (0.0, 0.0)
+    # ||P_k A g||^2 summed over k < c and k > c directly; ||A g||^2 less a sum would cancel
+    parts = np.array([(np.abs(mart.measure.project(k, image)) ** 2).sum(axis=0) for k in range(mart.grid.n + 1)])
+    k = np.arange(mart.grid.n + 1)[:, None]
+    worst = np.maximum((parts * (k < cells)).sum(axis=0), (parts * (k > cells)).sum(axis=0))
+    comm_dev = float(np.sqrt(worst.max(initial=0.0)))
 
     # ||A||_F of a SparseOperator is the norm of its stored entries
     frobenius = np.linalg.norm(a.values if isinstance(a, SparseOperator) else a)
     roundoff = float(4 * a.shape[0] * np.finfo(float).eps * frobenius)
     ok = norm_dev <= NORM_RTOL * ref + roundoff and comm_dev <= COMMUTE_TOL * ref + roundoff
-    return MeasurabilityReport(ok, j, norm_dev, comm_dev, tuple(norms))
+    return MeasurabilityReport(ok, j, norm_dev, comm_dev, norms)
 
 
 def stochastic_integral(proc: OperatorStepProcess, mart: VectorMartingale) -> np.ndarray:
@@ -449,7 +445,7 @@ def integral_norm_bound(
     reports[k-1] is check_measurable(A_k, mart, k-1), and the restricted norm
     of cell k is its first restricted norm, the one over the span at k-1 (0
     when that span is empty).  When every report is ok, lhs <= rhs up to
-    round-off; callers assert lhs <= rhs + 1e-10.
+    round-off; both sides scale as rhs does with the operators and vector.
     """
     lhs = float(np.linalg.norm(stochastic_integral(proc, mart)) ** 2)
     reports = tuple(check_measurable(a, mart, j) for j, a in enumerate(proc.operators))

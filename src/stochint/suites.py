@@ -271,18 +271,22 @@ def verify_input_file(data: dict, tolerances: dict | None = None) -> list[CheckR
     `data` holds ``"martingale"`` and ``"process"`` in their ``to_json``
     forms.  Malformed data, including non-finite numbers, finite ones whose
     norm bound overflows and a process and a martingale that differ in grid
-    or dimension, raises ``KeyError``, ``TypeError`` or ``ValueError``.
+    or dimension, raises ``KeyError``, ``TypeError`` or ``ValueError``.  The
+    bound's slack scales with the data: the ``bound`` tolerance times rhs,
+    plus 4 * dim * eps * (sum_k ||A_k||_F ||P_k M||)^2 of round-off.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         mart = VectorMartingale.from_json(data["martingale"])
         proc = OperatorStepProcess.from_json(data["process"])
         lhs, rhs, reports = integral_norm_bound(proc, mart)
-    if not np.isfinite([lhs, rhs]).all():
+        operands = sum(np.linalg.norm(a) * np.linalg.norm(mart.increment(k)) for k, a in enumerate(proc.operators, 1))
+        slack = _tolerances(tolerances)["bound"] * rhs + 4 * mart.dim * np.finfo(float).eps * operands**2
+    if not np.isfinite([lhs, rhs, slack]).all():
         raise ValueError(f"the norm bound overflows: lhs={lhs!r}, rhs={rhs!r}")
     failures = sum(not r.ok for r in reports)
     return [
         count_zero("file_measurability_failures", failures),
-        bound("file_isometry_bound", lhs, rhs, _tolerances(tolerances)["bound"]),
+        bound("file_isometry_bound", lhs, rhs, slack),
     ]
 
 

@@ -359,17 +359,21 @@ def batched_restricted_norms(a, mart: VectorMartingale, j: int) -> list:
     return np.linalg.svd(image * spans[:, None, :], compute_uv=False).max(axis=1).tolist() if len(spans) else []
 
 
-def commutator_deviation(a, mart: VectorMartingale, j: int) -> float:
-    """max ||A E_l g - E_l A g|| over the span at j and l = j..n-1, in a
-    loop of its own: E_l A g built down from E_n = I."""
+def boundary_loop(a, mart: VectorMartingale, j: int) -> tuple[list, float]:
+    """(restricted norms, commutator deviation) at boundary j from one loop
+    over the boundaries l = n-1..j: the norm at l is the largest singular
+    value of the columns of its own span, a suffix of the image of the span
+    at j, and max ||A E_l g - E_l A g|| over that span takes the same pass,
+    E_l A g built down from E_n = I."""
     image, cells = _span_image(a, mart, j)
-    comm_dev = 0.0
-    if len(cells):
-        below = image.copy()
-        for l in range(mart.grid.n - 1, j - 1, -1):
-            below -= mart.measure.project(l + 1, image)
-            comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max()))
-    return comm_dev
+    norms, comm_dev, below = [], 0.0, image.copy()
+    for l in range(mart.grid.n - 1, j - 1, -1):
+        first = np.searchsorted(cells, l, side="right")
+        if first < len(cells):
+            norms.insert(0, float(np.linalg.svd(image[:, first:], compute_uv=False)[0]))
+        below -= mart.measure.project(l + 1, image)
+        comm_dev = max(comm_dev, float(np.linalg.norm(image * (cells <= l) - below, axis=0).max(initial=0.0)))
+    return norms, comm_dev
 
 
 def bernoulli_increment(space: BernoulliSpace, k: int) -> RandomVariable:

@@ -13,7 +13,8 @@ from children import assert_no_child_left
 from stochint import bernoulli, montecarlo, suites, symtensor
 from stochint.cli import main
 from stochint.grid import uniform_grid
-from stochint.randomgen import generator, random_grid, random_martingale, random_measurable_process
+from stochint.operator_integral import OperatorStepProcess
+from stochint.randomgen import generator, random_complex, random_grid, random_martingale, random_measurable_process
 
 
 def run(argv):
@@ -502,6 +503,36 @@ def test_verify_all_appends_input_checks_like_hstoch(tmp_path):
     assert [c["name"] for c in file_checks] == ["file_measurability_failures", "file_isometry_bound"]
     assert reports["all"][-2:] == file_checks
     assert not any(c["name"].startswith("file_") for c in reports["all"][:-2])
+
+
+def _scaled_payload(seed: int, scale: float, dense: bool = False) -> dict:
+    """CI's --input recipe on generator(seed) with every operator times
+    `scale`; with `dense`, a random dense process in place of a measurable one."""
+    rng = generator(seed)
+    mart = random_martingale(rng, random_grid(rng, 3), 4)
+    if dense:
+        operators = tuple(random_complex(rng, 4, 4) for _ in range(3))
+    else:
+        operators = random_measurable_process(rng, mart).operators
+    proc = OperatorStepProcess(mart.grid, tuple(scale * a for a in operators))
+    return {"martingale": mart.to_json(), "process": proc.to_json()}
+
+
+def test_file_norm_bound_slack_scales_with_the_data(tmp_path):
+    # measurable files whose bound held to 3e-16 relative, and failed the
+    # absolute slack 1e-10 once scaled up
+    for seed, scale in [(11, 1e3), (11, 1e6), (11, 1e8), (11, 1e10), (16, 1e6), (16, 1e8), (16, 1e10), (17, 1e10)]:
+        measurable, bound_check = suites.verify_input_file(_scaled_payload(seed, scale))
+        assert measurable.passed and bound_check.passed, (seed, scale)
+        assert bound_check.tolerance > 1e-10 * bound_check.rhs
+    # a dense process that breaks the bound by 16% still fails scaled down,
+    # where lhs - rhs = 7.6e-13 passed the absolute slack
+    for scale in (1.0, 1e-6):
+        bound_check = suites.verify_input_file(_scaled_payload(1, scale, dense=True))[1]
+        assert not bound_check.passed and bound_check.lhs > 1.1 * bound_check.rhs
+    in_path = tmp_path / "data.json"
+    in_path.write_text(json.dumps(_scaled_payload(1, 1e-6, dense=True)))
+    assert run(["verify", "hstoch", "--trials", "2", "--seed", "1", "--input", str(in_path)]) == 1
 
 
 def _break_payload(payload: dict, case: str):

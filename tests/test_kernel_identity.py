@@ -1,4 +1,4 @@
-"""The in-place Wick merge, the per-boundary measurability check, the
+"""The in-place Wick merge, the closed-form measurability check, the
 cached Bernoulli increments, the step measures' projections, the
 labels-only form of the Fock realization's measure and the triplet form of
 its Wick operators against the plain kernels in tests/oracle.py.
@@ -11,9 +11,9 @@ zeros, so the labels-only form is compared with == and array_equal instead.
 A projection through a frame is compared with its frame multiplied out
 within the round-off 4 * dim * eps * ||X||.  A SparseOperator is read as a
 matrix through its product with the identity.  The measurability check's
-restricted norms after the first come from an SVD of their own span's
-columns, not of the frozen masked batch, so they are compared within
-4 * dim * eps of the largest.
+last restricted norm and its deviations come from other sums than the
+frozen masked batch's and loop's, so they are compared within 4 * dim * eps
+of the largest norm.
 """
 
 import copy
@@ -36,6 +36,7 @@ from stochint.fock import FockVector
 from stochint.fock_ito import FockStepProcess, check_adapted, wick_operator_process
 from stochint.operator_integral import (
     COMMUTE_TOL,
+    DEGENERATE_TOL,
     NORM_RTOL,
     OperatorStepProcess,
     ProjectorMeasure,
@@ -153,39 +154,47 @@ def test_measurability_verdicts_match_per_column_check():
     assert {ref for _, ref in verdicts} == {True, False}
 
 
-def _batched_report(a, mart, j) -> tuple:
-    """(ok, commutator deviation, restricted norms) of the frozen two-pass
-    check: the masked batch of norms, then the commutator loop."""
-    norms = oracle.batched_restricted_norms(a, mart, j)
-    comm_dev = oracle.commutator_deviation(a, mart, j)
-    ref = max(norms, default=0.0)
+def _frozen_report(a, mart, j) -> tuple:
+    """(ok, commutator deviation, batched norms, loop norms) of the frozen
+    checks: the masked batch of norms, and the loop over the boundaries,
+    which takes each norm from its own span's columns and the commutator
+    deviation in the same pass."""
+    batch = oracle.batched_restricted_norms(a, mart, j)
+    norms, comm_dev = oracle.boundary_loop(a, mart, j)
+    ref = max(batch, default=0.0)
     frobenius = np.linalg.norm(a.values if isinstance(a, SparseOperator) else a)
     roundoff = float(4 * mart.dim * np.finfo(float).eps * frobenius)
-    ok = j == mart.grid.n or (ref - min(norms, default=0.0) <= NORM_RTOL * ref + roundoff and comm_dev <= COMMUTE_TOL * ref + roundoff)
-    return ok, comm_dev, norms
+    ok = j == mart.grid.n or (ref - min(batch, default=0.0) <= NORM_RTOL * ref + roundoff and comm_dev <= COMMUTE_TOL * ref + roundoff)
+    return ok, comm_dev, batch, norms
 
 
 def _matches_the_batch(a, mart, j) -> tuple[bool, int, int]:
-    """Assert that check_measurable agrees with the frozen batch: verdict,
-    commutator deviation and first norm bit for bit, every later norm within
-    4 * dim * eps of the largest.  Returns (verdict, later norms, moved ones)."""
+    """Assert that check_measurable agrees with the frozen checks: the
+    verdict exactly, the first restricted norm bit for bit with both, the
+    last bit for bit with the loop's; the last norm, the norm deviation and
+    the commutator deviation within 4 * dim * eps of the largest batched
+    norm.  Returns (verdict, checks with a span, moved commutator ones)."""
     report = check_measurable(a, mart, j)
-    ok, comm_dev, norms = _batched_report(a, mart, j)
+    ok, comm_dev, batch, norms = _frozen_report(a, mart, j)
     assert report.ok == ok
-    assert report.commutator_deviation.hex() == comm_dev.hex()
-    assert len(report.restricted_norms) == len(norms)
-    if not norms:
+    assert len(batch) == len(norms)
+    if not batch:
+        assert (report.norm_deviation, report.commutator_deviation, report.restricted_norms) == (0.0, 0.0, ())
         return ok, 0, 0
-    assert report.restricted_norms[0].hex() == norms[0].hex()
-    later = np.abs(np.subtract(report.restricted_norms[1:], norms[1:]))
-    assert np.all(later <= 4 * mart.dim * np.finfo(float).eps * max(norms))
-    return ok, len(later), int(np.count_nonzero(later))
+    first, last = report.restricted_norms[0], report.restricted_norms[-1]
+    assert first.hex() == batch[0].hex() == norms[0].hex()
+    assert last.hex() == norms[-1].hex()
+    allowance = 4 * mart.dim * np.finfo(float).eps * max(batch)
+    assert abs(last - batch[-1]) <= allowance
+    assert abs(report.norm_deviation - (max(batch) - min(batch))) <= allowance
+    assert abs(report.commutator_deviation - comm_dev) <= allowance
+    return ok, 1, int(report.commutator_deviation != comm_dev)
 
 
-def test_measurability_matches_the_frozen_batched_norms():
-    # the hstoch trial stream of `verify all --trials 600 --seed 42` (suite
-    # id 0) at every boundary, Wick bridges adapted and not, sign spaces
-    seen = []
+def _measurability_cases():
+    """(operator, martingale) pairs: the hstoch trial stream of `verify all
+    --trials 600 --seed 42` (suite id 0), Wick bridges adapted and not, and
+    multiplication operators on sign spaces of 1-5 cells."""
     for t in range(600):
         rng = generator(42, 0, t)
         n = int(rng.integers(1, 5))
@@ -195,7 +204,7 @@ def test_measurability_matches_the_frozen_batched_norms():
         span = future_increment_span(mart, 0)
         if span.shape[1] >= 2:
             ops.append(np.outer(span[:, 0], span[:, -1].conj()))
-        seen += [_matches_the_batch(a, mart, j) for a in ops for j in range(n + 1)]
+        yield from ((a, mart) for a in ops)
     for trial in range(40):
         rng = generator(5500, trial)
         grid = random_grid(rng, int(rng.integers(1, 5)))
@@ -205,17 +214,48 @@ def test_measurability_matches_the_frozen_batched_norms():
         else:
             proc = FockStepProcess(grid, tuple(random_fock_vector(rng, grid, max_deg).pad(max_deg + 1) for _ in range(grid.n)))
         real = wick_operator_process(proc)
-        seen += [_matches_the_batch(a, real.martingale, j) for a in real.process.operators for j in range(grid.n + 1)]
+        yield from ((a, real.martingale) for a in real.process.operators)
     for n in range(1, 6):
         space = BernoulliSpace(random_grid(generator(5600, n), n))
         real = classical_realization(space)
         rng = generator(5700, n)
         for k in range(n + 1):
-            a = multiplication_operator(cond_expect(RandomVariable(space, random_complex(rng, space.size)), k))
-            seen += [_matches_the_batch(a, real, j) for j in range(n + 1)]
-    passed, later, moved = np.sum(seen, axis=0)
+            yield multiplication_operator(cond_expect(RandomVariable(space, random_complex(rng, space.size)), k)), real
+
+
+def test_measurability_matches_the_frozen_batched_norms():
+    seen = [_matches_the_batch(a, mart, j) for a, mart in _measurability_cases() for j in range(mart.grid.n + 1)]
+    passed, spanned, moved = np.sum(seen, axis=0)
     assert 0 < passed < len(seen)
-    assert later > 5000 and moved < later
+    assert spanned > 5000 and moved < spanned
+
+
+def _per_column_deviation(a, mart, j) -> float:
+    """max over the span columns g at j, g of cell c, of ||E_{c-1} A g|| and
+    ||(I - E_c) A g||, with E_{c-1} and I - E_c summed from the measure's
+    dense parts."""
+    parts, dense, worst = oracle.dense_parts(mart.measure), a @ np.eye(mart.dim), 0.0
+    for c in range(j + 1, mart.grid.n + 1):
+        inc = mart.increment(c)
+        if np.linalg.norm(inc) >= DEGENERATE_TOL:
+            ag = dense @ (inc / np.linalg.norm(inc))
+            worst = max(worst, np.linalg.norm(parts[:c].sum(axis=0) @ ag), np.linalg.norm(parts[c + 1 :].sum(axis=0) @ ag))
+    return float(worst)
+
+
+def test_measurability_closed_form_matches_its_dense_statement():
+    # the commutator deviation in its per-column form, and the first and
+    # last restricted norms bounding every frozen per-boundary one
+    # within the check's round-off allowance 4 * dim * eps * ||A||_F
+    for a, mart in _measurability_cases():
+        roundoff = 4 * mart.dim * np.finfo(float).eps * np.linalg.norm(a @ np.eye(mart.dim))
+        for j in range(mart.grid.n + 1):
+            report = check_measurable(a, mart, j)
+            assert abs(report.commutator_deviation - _per_column_deviation(a, mart, j)) <= roundoff
+            norms = oracle.boundary_loop(a, mart, j)[0]
+            if norms:
+                first, last = report.restricted_norms[0], report.restricted_norms[-1]
+                assert last - roundoff <= min(norms) and max(norms) <= first + roundoff
 
 
 def _bits(x: np.ndarray) -> np.ndarray:
