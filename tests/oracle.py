@@ -376,6 +376,24 @@ def boundary_loop(a, mart: VectorMartingale, j: int) -> tuple[list, float]:
     return norms, comm_dev
 
 
+def conditional_average(values: np.ndarray, n: int, k: int) -> np.ndarray:
+    """bernoulli._average as it was before its 2-d form: coordinate i on
+    axis n-i of a (2,)*n reshape, the axes of coordinates k+1..n averaged
+    out in one mean and broadcast back."""
+    if k == n:
+        return values.copy()
+    tensor = values.reshape((2,) * n + values.shape[1:])
+    avg = tensor.mean(axis=tuple(range(n - k)), keepdims=True)
+    return np.broadcast_to(avg, tensor.shape).reshape(values.shape).copy()
+
+
+def multiplication_matrix(f: RandomVariable) -> np.ndarray:
+    """Pointwise multiplication by f as the dense 2^n x 2^n diagonal matrix
+    on the sample basis, the form of bernoulli.multiplication_operator
+    before it kept the diagonal alone."""
+    return np.diag(f.values)
+
+
 def bernoulli_increment(space: BernoulliSpace, k: int) -> RandomVariable:
     return np.sqrt(space.grid.length(k)) * space.xi(k)
 

@@ -1,7 +1,8 @@
 """The in-place Wick merge, the closed-form measurability check, the
-cached Bernoulli increments, the step measures' projections, the
-labels-only form of the Fock realization's measure and the triplet form of
-its Wick operators against the plain kernels in tests/oracle.py.
+cached Bernoulli increments, the sign space's conditional averages and
+multiplication operators, the step measures' projections, the labels-only
+form of the Fock realization's measure and the triplet form of its Wick
+operators against the plain kernels in tests/oracle.py.
 
 Values must agree bit for bit (compared through float.hex, or through the
 bits of whole arrays, so the sign of a zero counts, and in dict order),
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 import oracle
-from stochint import fock, fock_ito
+from stochint import bernoulli, fock, fock_ito
 from stochint.bernoulli import (
     BernoulliSpace,
     RandomVariable,
@@ -413,3 +414,39 @@ def test_bernoulli_increments_and_chaos_map_match_rebuilt_ones():
         for trial in range(40):
             f = random_fock_vector(rng, space.grid, int(rng.integers(0, n + 1)), strict=True)
             assert np.array_equal(chaos_map(f, space).values, oracle.chaos_map(f, space).values)
+
+
+def test_conditional_average_matches_the_frozen_reshape_mean():
+    # a vector and a block on sign spaces of 1-7 cells, at every boundary
+    for n in range(1, 8):
+        rng = generator(5800, n)
+        block = random_complex(rng, 1 << n, 3)
+        for x in (block[:, 0].copy(), block):
+            for k in range(n + 1):
+                assert np.array_equal(_bits(bernoulli._average(x, n, k)), _bits(oracle.conditional_average(x, n, k))), (n, k)
+
+
+def test_multiplication_operator_matches_the_frozen_dense_diagonal():
+    # on sign spaces of 1-7 cells: Walsh products, whose values are +-1, and
+    # random functions of the first k coordinates at every k, so that both
+    # verdicts occur; the product with a vector and with a block bit for bit,
+    # and every field of the measurability report
+    products, verdicts = 0, set()
+    for n in range(1, 8):
+        rng = generator(5900, n)
+        space = BernoulliSpace(random_grid(rng, n))
+        real = classical_realization(space)
+        walsh = [space.walsh(range(1, c + 1)) for c in range(n + 1)]
+        adapted = [cond_expect(RandomVariable(space, random_complex(rng, space.size)), k) for k in range(n + 1)]
+        block = random_complex(rng, space.size, 3)
+        for f in walsh + adapted:
+            a, dense = multiplication_operator(f), oracle.multiplication_matrix(f)
+            for x in (block[:, 0].copy(), block):
+                assert np.array_equal(_bits(a @ x), _bits(dense @ x)), n
+                products += 1
+            for j in range(n + 1):
+                new, ref = check_measurable(a, real, j), check_measurable(dense, real, j)
+                assert (new.ok, new.boundary, *_report_hex(new)) == (ref.ok, ref.boundary, *_report_hex(ref)), (n, j)
+                verdicts.add(new.ok)
+    assert products == 2 * sum(2 * (n + 1) for n in range(1, 8))
+    assert verdicts == {True, False}
