@@ -22,24 +22,33 @@ from typing import Sequence
 import numpy as np
 
 from . import symtensor
-from .errors import NotAdaptedError, NotRepresentableError, ShapeMismatchError
+from .errors import NotAdaptedError, NotRepresentableError, RefusalError, ShapeMismatchError
 from .grid import TimeGrid
 from .fock import FockVector
 from .fock_ito import FockStepProcess, ito_wick
-from .operator_integral import OperatorStepProcess, VectorMartingale, check_measurable, stochastic_integral
+from .operator_integral import OperatorStepProcess, SparseOperator, VectorMartingale, check_measurable, stochastic_integral
 
+#: pointwise tolerance of is_measurable_at, on top of the round-off
+#: allowance of the conditional average it compares with
 PREDICTABILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class BernoulliSpace:
-    """Uniform sign space {-1,+1}^n attached to a grid (one coordinate per cell)."""
+    """Uniform sign space {-1,+1}^n attached to a grid (one coordinate per
+    cell).  A space whose n x 2^n increment table would hold more than
+    symtensor.MAX_ENTRIES entries raises RefusalError before any array is
+    built."""
 
     grid: TimeGrid
 
     def __post_init__(self):
         n = self.grid.n
         size = 1 << n
+        if n * size > symtensor.MAX_ENTRIES:
+            raise RefusalError(
+                f"a sign space on {n} cells has {n * size} increment entries, over the limit {symtensor.MAX_ENTRIES}"
+            )
         # coordinate i <-> bit i-1 of the sample-point index; +1 for bit 0
         points = np.arange(size)
         signs = np.empty((n, size))
@@ -150,10 +159,12 @@ def _average(values: np.ndarray, n: int, k: int) -> np.ndarray:
     axis) with coordinates k+1..n averaged out."""
     if k == n:
         return values.copy()
-    # C-order reshape puts coordinate i on axis n-i, so coords k+1..n are axes 0..n-k-1
-    tensor = values.reshape((2,) * n + values.shape[1:])
-    avg = tensor.mean(axis=tuple(range(n - k)), keepdims=True)
-    return np.broadcast_to(avg, tensor.shape).reshape(values.shape).copy()
+    # coordinates k+1..n are the high bits of the point index, the rows of
+    # a C-order (2^(n-k), -1) view: their sum over m, the arithmetic of
+    # mean, repeated back
+    m = 1 << (n - k)
+    rows = values.reshape(m, -1)
+    return np.repeat(np.add.reduce(rows, axis=0, keepdims=True) / m, m, axis=0).reshape(values.shape)
 
 
 def cond_expect(x: RandomVariable, k: int) -> RandomVariable:
@@ -169,8 +180,13 @@ def max_abs(x: RandomVariable) -> float:
 
 def is_measurable_at(x: RandomVariable, k: int) -> bool:
     """True when x is a function of the first k coordinates, up to
-    PREDICTABILITY_TOL pointwise."""
-    return max_abs(x - cond_expect(x, k)) <= PREDICTABILITY_TOL
+    PREDICTABILITY_TOL pointwise plus 2^(n-k) * eps * max|x|, the round-off
+    of the average over 2^(n-k) points that cond_expect takes, so that the
+    verdict does not change when x is scaled or the space grows."""
+    deviation = max_abs(x - cond_expect(x, k))  # cond_expect checks k
+    if deviation <= PREDICTABILITY_TOL:  # within the tolerance alone; skip reading max|x|
+        return True
+    return deviation <= PREDICTABILITY_TOL + (1 << (x.space.n - k)) * np.finfo(float).eps * max_abs(x)
 
 
 def discrete_ito(space: BernoulliSpace, integrands: Sequence[RandomVariable]) -> RandomVariable:
@@ -187,9 +203,12 @@ def discrete_ito(space: BernoulliSpace, integrands: Sequence[RandomVariable]) ->
     return out
 
 
-def multiplication_operator(f: RandomVariable) -> np.ndarray:
-    """Pointwise multiplication by f as a diagonal matrix on the sample basis."""
-    return np.diag(f.values)
+def multiplication_operator(f: RandomVariable) -> SparseOperator:
+    """Pointwise multiplication by f on the sample basis, as the diagonal
+    SparseOperator that keeps f's values alone: A @ X = f[:, None] * X and
+    ||A||_F = ||f||."""
+    diagonal = np.arange(f.space.size)
+    return SparseOperator(f.space.size, diagonal, diagonal, f.values)
 
 
 def _scale(space: BernoulliSpace) -> float:

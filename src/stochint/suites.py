@@ -441,10 +441,9 @@ def verify_fock_ito_suite(
 
 def verify_bernoulli_suite(cells: int, trials: int, seed: int, tolerances: dict | None = None) -> SuiteReport:
     """Exact identities on the sign space: martingale structure, the
-    measurability equivalence, both integral transports, and the chaos map.
-    Sign spaces have at most 5 cells: the multiplication operators are
-    dense, 2^n x 2^n."""
-    cells = min(cells, 5)
+    measurability equivalence, both integral transports, and the chaos map,
+    on sign spaces of up to `cells` cells; past the sign space's size limit
+    BernoulliSpace raises RefusalError before anything is built."""
     report = SuiteReport("bernoulli", seed, f"sign spaces, cells<={cells}, trials={trials}")
     tracker = Tracker(_tolerances(tolerances))
     mart_mean = tracker.eq("martingale_mean_max", "martingale_exact")

@@ -3,8 +3,9 @@ import pytest
 
 import oracle
 
-from stochint import fock, symtensor
+from stochint import fock, suites, symtensor
 from stochint.bernoulli import (
+    PREDICTABILITY_TOL,
     BernoulliSpace,
     RandomVariable,
     chaos_integral_pair,
@@ -99,6 +100,23 @@ def test_discrete_ito_rejects_unpredictable():
     assert err.value.cell == 1
 
 
+def test_predictability_allows_the_round_off_of_the_average():
+    # the transported integrand of cell 2 in the bernoulli suite's trial 3000
+    # of seed 1, on 17 cells: a function of the first coordinate whose
+    # average over the 2^16 points of each half lands 1.55e-12 from it
+    rng = generator(1, suites._BERNOULLI, 3000)
+    n = int(rng.integers(2, 18))
+    assert n == 17
+    space = BernoulliSpace(uniform_grid(1.0, n))
+    proc = random_adapted_process(rng, space.grid, 3, 2, off_diagonal=True)
+    f = chaos_map(proc.value(2), space)
+    assert max_abs(f - cond_expect(f, 1)) > PREDICTABILITY_TOL
+    assert is_measurable_at(f, 1) and is_measurable_at(1e6 * f, 1)
+    moved = f.values.copy()
+    moved[0] += 1e-9 * max_abs(f)
+    assert not is_measurable_at(RandomVariable(space, moved), 1)
+
+
 def test_discrete_ito_isometry():
     for seed in range(40):
         rng = generator(1700 + seed)
@@ -110,14 +128,14 @@ def test_discrete_ito_isometry():
 
 
 def test_multiplication_operator_diagonal_adjoint():
+    def matrix(f):
+        return multiplication_operator(f) @ np.eye(SP2.dim)
+
     xi1 = SP2.xi(1)
-    op = multiplication_operator(xi1)
-    np.testing.assert_allclose(op, np.diag(xi1.values), atol=0)
+    np.testing.assert_allclose(matrix(xi1), np.diag(xi1.values), atol=0)
     f = RandomVariable(SP2, np.array([1j, 2.0, -1.0, 0.5j]))
-    np.testing.assert_allclose(
-        multiplication_operator(f).conj().T, multiplication_operator(RandomVariable(SP2, f.values.conj())), atol=0
-    )
-    np.testing.assert_allclose(multiplication_operator(SP2.constant(1.0)), np.eye(4), atol=0)
+    np.testing.assert_allclose(matrix(f).conj().T, matrix(RandomVariable(SP2, f.values.conj())), atol=0)
+    np.testing.assert_allclose(matrix(SP2.constant(1.0)), np.eye(4), atol=0)
 
 
 def test_classical_realization_measures_cell_lengths():

@@ -48,6 +48,34 @@ def test_verify_stdout_when_no_out(capsys):
     assert "measurability_equivalence_violations" in names  # exhaustive small-n block
 
 
+def test_verify_bernoulli_runs_the_cells_asked_for(capsys):
+    assert run(["verify", "bernoulli", "--cells", "7", "--trials", "5", "--seed", "1"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["grid"] == "sign spaces, cells<=7, trials=5"
+    assert all(c["pass"] for c in obj["checks"])
+
+
+def test_verify_bernoulli_past_the_sign_space_limit_is_usage_error(capsys):
+    # refused before the 18-cell increment table (75 MB) is built
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            run(["verify", "bernoulli", "--cells", "18", "--trials", "1", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.code == 2
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if line.startswith("stochint: error:")] == [
+        "stochint: error: a sign space on 18 cells has 4718592 increment entries, over the limit 4194304"
+    ]
+
+
 def test_verify_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         run(["verify", "hstoch", "--cells", "0"])

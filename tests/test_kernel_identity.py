@@ -149,8 +149,9 @@ def test_measurability_verdicts_match_per_column_check():
         real = classical_realization(space)
         rng = generator(4600, n)
         for k in range(n + 1):
-            f = cond_expect(RandomVariable(space, random_complex(rng, space.size)), k)
-            verdicts += _verdicts(multiplication_operator(f), real, range(n + 1))
+            a = multiplication_operator(cond_expect(RandomVariable(space, random_complex(rng, space.size)), k))
+            dense = a @ np.eye(space.dim)
+            verdicts += [(check_measurable(a, real, j).ok, oracle.is_measurable(dense, real, j)) for j in range(n + 1)]
     assert all(new == ref for new, ref in verdicts)
     assert {ref for _, ref in verdicts} == {True, False}
 
@@ -429,9 +430,12 @@ def test_conditional_average_matches_the_frozen_reshape_mean():
 def test_multiplication_operator_matches_the_frozen_dense_diagonal():
     # on sign spaces of 1-7 cells: Walsh products, whose values are +-1, and
     # random functions of the first k coordinates at every k, so that both
-    # verdicts occur; the product with a vector and with a block bit for bit,
-    # and every field of the measurability report
-    products, verdicts = 0, set()
+    # verdicts occur; the product with a block bit for bit, and every field
+    # of the measurability report.  BLAS forms a dense matrix-vector
+    # product's complex entries with a fused multiply-add, so a vector is
+    # compared bit for bit with numpy's f * x and within eps * |f| * |x| per
+    # part of the dense product
+    eps, products, verdicts = np.finfo(float).eps, 0, set()
     for n in range(1, 8):
         rng = generator(5900, n)
         space = BernoulliSpace(random_grid(rng, n))
@@ -441,9 +445,13 @@ def test_multiplication_operator_matches_the_frozen_dense_diagonal():
         block = random_complex(rng, space.size, 3)
         for f in walsh + adapted:
             a, dense = multiplication_operator(f), oracle.multiplication_matrix(f)
-            for x in (block[:, 0].copy(), block):
-                assert np.array_equal(_bits(a @ x), _bits(dense @ x)), n
-                products += 1
+            x = block[:, 0].copy()
+            got, ref = a @ x, dense @ x
+            assert np.array_equal(_bits(got), _bits(f.values * x)), n
+            allowance = eps * np.abs(f.values) * np.abs(x)
+            assert np.all(np.abs(got.real - ref.real) <= allowance) and np.all(np.abs(got.imag - ref.imag) <= allowance), n
+            assert np.array_equal(_bits(a @ block), _bits(dense @ block)), n
+            products += 2
             for j in range(n + 1):
                 new, ref = check_measurable(a, real, j), check_measurable(dense, real, j)
                 assert (new.ok, new.boundary, *_report_hex(new)) == (ref.ok, ref.boundary, *_report_hex(ref)), (n, j)
