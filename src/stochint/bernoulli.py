@@ -49,17 +49,11 @@ class BernoulliSpace:
             raise RefusalError(
                 f"a sign space on {n} cells has {n * size} increment entries, over the limit {symtensor.MAX_ENTRIES}"
             )
-        # coordinate i <-> bit i-1 of the sample-point index; +1 for bit 0
+        # row k-1: the increment xi_k * sqrt(len_k), xi_k = +1 where bit k-1 of the point index is 0
         points = np.arange(size)
-        signs = np.empty((n, size))
-        for i in range(n):
-            signs[i] = 1.0 - 2.0 * ((points >> i) & 1)
-        signs.setflags(write=False)
-        object.__setattr__(self, "_signs", signs)
-        # row k-1: the increment xi_k * sqrt(len_k) of cell k
-        incs = np.array(
-            [complex(np.sqrt(self.grid.length(k))) * signs[k - 1].astype(complex) for k in range(1, n + 1)]
-        )
+        incs = np.empty((n, size), dtype=complex)
+        for k in range(1, n + 1):
+            incs[k - 1] = complex(np.sqrt(self.grid.length(k))) * (1.0 - 2.0 * ((points >> (k - 1)) & 1))
         incs.setflags(write=False)
         object.__setattr__(self, "_increments", incs)
 
@@ -71,9 +65,7 @@ class BernoulliSpace:
     def size(self) -> int:
         return 1 << self.n
 
-    @property
-    def dim(self) -> int:
-        return self.size
+    dim = size  # the step-measure name of the point count
 
     def project(self, k: int, x: np.ndarray) -> np.ndarray:
         """P_k x = E_k x - E_{k-1} x for a vector or a block of columns of
@@ -84,14 +76,13 @@ class BernoulliSpace:
 
     def xi(self, i: int) -> "RandomVariable":
         """The i-th sign coordinate, i = 1..n."""
-        return RandomVariable(self, self._signs[self.grid.check_cell(i) - 1].astype(complex))
+        return RandomVariable(self, np.sign(self._increments[self.grid.check_cell(i) - 1].real))
 
     def walsh(self, cells: Sequence[int]) -> "RandomVariable":
         """Product of the listed distinct sign coordinates (empty = constant 1)."""
-        vals = np.ones(self.size, dtype=complex)
-        for i in cells:
-            vals = vals * self.xi(i).values
-        return RandomVariable(self, vals)
+        # multiplied as complex numbers, so that even the zero imaginary parts carry their signs
+        signs = np.sign(self._increments[[self.grid.check_cell(i) - 1 for i in cells]].real).astype(complex)
+        return RandomVariable(self, np.multiply.reduce(signs, axis=0))
 
     def increment(self, k: int) -> "RandomVariable":
         """Martingale increment over cell k: xi_k * sqrt(len_k) (read-only values)."""
@@ -99,10 +90,7 @@ class BernoulliSpace:
 
     def walk_at(self, j: int) -> "RandomVariable":
         """The martingale at boundary j: sum of the first j increments."""
-        vals = np.zeros(self.size, dtype=complex)
-        for k in range(1, self.grid.check_boundary(j) + 1):
-            vals = vals + self.increment(k).values
-        return RandomVariable(self, vals)
+        return RandomVariable(self, np.add.reduce(self._increments[: self.grid.check_boundary(j)], axis=0))
 
     def constant(self, c: complex) -> "RandomVariable":
         return RandomVariable(self, np.full(self.size, complex(c)))
@@ -182,11 +170,15 @@ def is_measurable_at(x: RandomVariable, k: int) -> bool:
     """True when x is a function of the first k coordinates, up to
     PREDICTABILITY_TOL pointwise plus 2^(n-k) * eps * max|x|, the round-off
     of the average over 2^(n-k) points that cond_expect takes, so that the
-    verdict does not change when x is scaled or the space grows."""
+    verdict does not change when x is scaled or the space grows.  A NaN or
+    inf in x raises ValueError: no comparison with it decides anything."""
     deviation = max_abs(x - cond_expect(x, k))  # cond_expect checks k
     if deviation <= PREDICTABILITY_TOL:  # within the tolerance alone; skip reading max|x|
         return True
-    return deviation <= PREDICTABILITY_TOL + (1 << (x.space.n - k)) * np.finfo(float).eps * max_abs(x)
+    scale = max_abs(x)
+    if not (np.isfinite(deviation) and np.isfinite(scale)):
+        raise ValueError("the random variable holds a non-finite number")
+    return deviation <= PREDICTABILITY_TOL + (1 << (x.space.n - k)) * np.finfo(float).eps * scale
 
 
 def discrete_ito(space: BernoulliSpace, integrands: Sequence[RandomVariable]) -> RandomVariable:
@@ -275,10 +267,10 @@ def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
     is then an exact isometry onto L^2 for degrees <= n.
     """
     space.grid.check_same(f.grid)
-    # one row per stored multiset, in degree then rank order, each the
-    # running product d! * v * inc_{c_1} * inc_{c_2} ...; the sum down the
-    # rows adds them one by one onto the degree-0 value
-    rows = [np.full((1, space.size), complex(f.components[0].vector[0]))]
+    # row 0 the running sum, below it one row per stored multiset of the next degree: the sum
+    # down the rows adds them one by one, in degree then rank order, one degree at a time
+    total = np.full(space.size, complex(f.components[0].vector[0]))
+    step = max(1, (1 << 16) // space.size)  # rows whose increments are gathered at once
     for d, comp in enumerate(f.components[1:], start=1):
         if comp.is_zero():
             continue
@@ -287,11 +279,16 @@ def chaos_map(f: FockVector, space: BernoulliSpace) -> RandomVariable:
         repeated = np.flatnonzero(~symtensor.strict(space.n, d)[ranks])
         if len(repeated):
             raise NotRepresentableError(tuple(cells[repeated[0]].tolist()))
-        w = (factorial(d) * comp.vector[ranks])[:, None]
-        for c in cells.T - 1:
-            w = w * space._increments[c]
-        rows.append(w)
-    return RandomVariable(space, np.add.reduce(np.concatenate(rows), axis=0))
+        rows = np.empty((len(ranks) + 1, space.size), dtype=complex)
+        rows[0] = total
+        rows[1:] = (factorial(d) * comp.vector[ranks])[:, None]
+        for s in range(0, len(ranks), step):  # d! * v * inc_{c_1} * inc_{c_2} ..., in place
+            block = rows[1 + s : 1 + s + step]
+            for c in cells[s : s + step].T - 1:
+                block *= space._increments[c]
+        total = np.add.reduce(rows, axis=0)
+        del rows, block  # freed before the next degree's rows are made
+    return RandomVariable(space, total)
 
 
 def chaos_integral_pair(

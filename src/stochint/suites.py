@@ -40,6 +40,7 @@ from .operator_integral import (
 from .randomgen import (
     generator,
     random_adapted_process,
+    random_complex,
     random_fock_vector,
     random_grid,
     random_martingale,
@@ -469,8 +470,8 @@ def verify_bernoulli_suite(cells: int, trials: int, seed: int, tolerances: dict 
 
     for t in range(20):
         rng = generator(seed, _BERNOULLI, 100 + t)
-        x = brn.RandomVariable(space, rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size))
-        y = brn.RandomVariable(space, rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size))
+        x = brn.RandomVariable(space, random_complex(rng, space.size))
+        y = brn.RandomVariable(space, random_complex(rng, space.size))
         for k in range(space.n + 1):
             ck = brn.cond_expect(x, k)
             cond_dev.observe(brn.max_abs(brn.cond_expect(ck, k) - ck))

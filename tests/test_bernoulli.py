@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from stochint.randomgen import (
     random_fock_vector,
     random_grid,
     random_predictable,
+    random_sym_coeffs,
 )
 
 G2 = uniform_grid(1.0, 2)
@@ -98,6 +101,16 @@ def test_discrete_ito_rejects_unpredictable():
     with pytest.raises(NotAdaptedError) as err:
         discrete_ito(SP2, [SP2.xi(1), SP2.constant(0.0)])
     assert err.value.cell == 1
+
+
+def test_discrete_ito_refuses_a_non_finite_integrand():
+    # NaN compares false with every bound, and inf - inf is NaN: neither
+    # may read as an integrand that is not adapted
+    for bad in (np.nan, np.inf):
+        f = RandomVariable(SP2, np.array([1.0, 2.0, bad, 1.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite") as err:
+            discrete_ito(SP2, [SP2.constant(0.0), f])
+        assert not isinstance(err.value, NotAdaptedError)
 
 
 def test_predictability_allows_the_round_off_of_the_average():
@@ -251,6 +264,26 @@ def test_chaos_isometry_random_pairs():
         lhs = chaos_map(f, sp).inner(chaos_map(g, sp))
         rhs = fock.fock_inner(f, g)
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_chaos_map_holds_one_degree_at_a_time():
+    # every strict multiset of degrees 1-3 on 12 cells: 12, 66 and 220 rows
+    # of 2^12 points; the call may hold the largest degree's rows and a few
+    # more, not all of them nor a gathered copy of them
+    rng = generator(4900)
+    space = BernoulliSpace(random_grid(rng, 12))
+    comps = [random_sym_coeffs(rng, space.grid, d, strict=True, entries=symtensor.size(12, d)) for d in range(4)]
+    f = FockVector(space.grid, tuple(comps))
+    rows = [comp.stored().size for comp in comps[1:]]
+    assert rows == [12, 66, 220]
+    tracemalloc.start()
+    try:
+        image = chaos_map(f, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(image.values, oracle.chaos_map(f, space).values)
+    assert peak < 1.25 * max(rows) * space.size * 16
 
 
 def test_chaos_map_is_onto_small_space():

@@ -116,10 +116,10 @@ def test_measure_stores_each_projection_once():
     # with no frame, one part index per coordinate and nothing else
     assert isinstance(labels, ProjectorMeasure) and labels.frame is None
     assert [a.size for a in _stored_arrays(labels)] == [labels.dim]
-    # the sign space stores its signs and increments, one row per cell, and
+    # the sign space stores its increment table alone, one row per cell, and
     # no dim x dim array
     assert isinstance(bernoulli, BernoulliSpace)
-    assert [a.shape for a in _stored_arrays(bernoulli)] == [(bernoulli.grid.n, bernoulli.dim)] * 2
+    assert [a.shape for a in _stored_arrays(bernoulli)] == [(bernoulli.grid.n, bernoulli.dim)]
 
 
 def test_martingale_mass_splits():
