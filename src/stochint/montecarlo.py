@@ -332,9 +332,11 @@ def hermite_reference(g: SymCoeffs, order: int, linear: np.ndarray) -> np.ndarra
         raise ValueError("reference needs a degree-1 integrand")
     if np.any(g.vector.imag != 0):
         raise ValueError("reference needs a real-valued integrand")
+    if order < 0:
+        raise ValueError("order must be non-negative")
     gnorm = float(np.sqrt(sym_norm2(g)))
-    if gnorm == 0.0:
-        return np.zeros_like(linear)
+    if gnorm == 0.0:  # W(0) = 0: ||g||^0 He_0 = 1, and ||g||^d He_d(W(g)/||g||) -> 0 for d > 0
+        return np.ones_like(linear) if order == 0 else np.zeros_like(linear)
     return gnorm ** order * hermite_polynomial(order, linear / gnorm)
 
 

@@ -262,20 +262,11 @@ class VectorMartingale:
             raise ValueError("the martingale vector must be nonzero")
         object.__setattr__(self, "vector", v)
         incs = tuple(self.measure.project(k, v) for k in range(1, self.grid.n + 1))
+        norms = tuple(np.linalg.norm(inc) for inc in incs)
+        cells = np.array([k for k, nv in enumerate(norms, start=1) if nv >= DEGENERATE_TOL], dtype=int)
+        cells.setflags(write=False)
         object.__setattr__(self, "_increments", incs)
-        # the normalized non-degenerate increments as columns, and their
-        # cells; future_increment_span hands out read-only column suffixes
-        cols, cells = [], []
-        for k, inc in enumerate(incs, start=1):
-            nv = np.linalg.norm(inc)
-            if nv >= DEGENERATE_TOL:
-                cols.append(inc / nv)
-                cells.append(k)
-        span = np.column_stack(cols) if cols else np.zeros((len(v), 0), dtype=complex)
-        cells = np.array(cells, dtype=int)
-        for arr in (span, cells):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_span", span)
+        object.__setattr__(self, "_norms", norms)
         object.__setattr__(self, "span_cells", cells)
 
     @property
@@ -292,7 +283,7 @@ class VectorMartingale:
 
     def mu(self, k: int) -> float:
         """Scalar measure of cell k: squared norm of the increment."""
-        return float(np.linalg.norm(self.increment(k)) ** 2)
+        return float(self._norms[self.grid.check_cell(k) - 1] ** 2)
 
     def to_json(self) -> dict:
         return {
@@ -350,11 +341,15 @@ def future_increment_span(mart: VectorMartingale, j: int) -> np.ndarray:
 
     The increments are mutually orthogonal already, so normalization
     suffices; increments with norm below DEGENERATE_TOL are dropped.  May be
-    empty (dim x 0).  The result is a read-only view of the martingale's
-    cached basis.
+    empty (dim x 0).  Built on each call from the stored increments and
+    their norms, and returned read-only.
     """
-    mart.grid.check_boundary(j)
-    return mart._span[:, np.searchsorted(mart.span_cells, j, side="right") :]
+    cells = mart.span_cells[np.searchsorted(mart.span_cells, mart.grid.check_boundary(j), side="right") :]
+    span = np.empty((mart.dim, len(cells)), dtype=complex)
+    for col, k in zip(span.T, cells):
+        np.divide(mart._increments[k - 1], mart._norms[k - 1], out=col)
+    span.setflags(write=False)
+    return span
 
 
 @dataclass(frozen=True)
@@ -403,8 +398,8 @@ def check_measurable(a: np.ndarray | SparseOperator, mart: VectorMartingale, j: 
     later increment exposes its norm jump.
     """
     a = _as_operator(a, mart.dim)
-    start = np.searchsorted(mart.span_cells, mart.grid.check_boundary(j), side="right")
-    image, cells = a @ mart._span[:, start:], mart.span_cells[start:]
+    span = future_increment_span(mart, j)
+    image, cells = a @ span, mart.span_cells[len(mart.span_cells) - span.shape[1] :]
     firsts = sorted({0, int(np.searchsorted(cells, cells[-1]))}) if len(cells) else []
     norms = tuple(float(np.linalg.svd(image[:, f:], compute_uv=False)[0]) for f in firsts)
     ref, norm_dev = (norms[0], norms[0] - norms[-1]) if norms else (0.0, 0.0)

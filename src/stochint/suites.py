@@ -638,11 +638,12 @@ def mc_suite(
     and compared, and its samples give one :class:`montecarlo.Moments` per
     check, so memory does not grow with `paths`.  The blocks are split into
     contiguous ranges, one forked worker process per available CPU and at
-    most one per block (:func:`_in_workers`; one range runs in this process,
-    and the peak resident memory of the run is that of its largest process).
-    The per-block Moments are merged here in block order, the serial
-    sequence of updates, so the report does not depend on the number of
-    workers.  With `csv`, all blocks run as one range in this process and
+    most one per block (:func:`_in_workers`).  One range, or any run off
+    Linux, stays in this process; two or more all run in workers while this
+    process waits, and the run's peak resident memory is its largest
+    process's.  The per-block Moments are merged here in block order, the
+    serial sequence of updates, so the report does not depend on the number
+    of workers.  With `csv`, all blocks run as one range in this process and
     are also written there: the file holds the ensemble the checks ran on."""
     grid = uniform_grid(1.0, cells)
     report = SuiteReport(f"mc-{model}", seed, f"uniform grid, cells={cells}, paths={paths}")

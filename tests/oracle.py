@@ -345,8 +345,8 @@ def is_measurable(a: np.ndarray, mart: VectorMartingale, j: int) -> bool:
 
 
 def _span_image(a, mart: VectorMartingale, j: int) -> tuple[np.ndarray, np.ndarray]:
-    start = np.searchsorted(mart.span_cells, j, side="right")
-    return a @ mart._span[:, start:], mart.span_cells[start:]
+    basis = future_increment_span(mart, j)
+    return a @ basis, mart.span_cells[len(mart.span_cells) - basis.shape[1] :]
 
 
 def batched_restricted_norms(a, mart: VectorMartingale, j: int) -> list:

@@ -25,6 +25,7 @@ from stochint.errors import NotAdaptedError, NotRepresentableError
 from stochint.fock import FockVector, cell_increment, resolution_project, vacuum, zero_vector
 from stochint.fock_ito import FockStepProcess
 from stochint.grid import uniform_grid
+from stochint.operator_integral import future_increment_span
 from stochint.randomgen import (
     generator,
     random_adapted_process,
@@ -128,6 +129,22 @@ def test_predictability_allows_the_round_off_of_the_average():
     moved = f.values.copy()
     moved[0] += 1e-9 * max_abs(f)
     assert not is_measurable_at(RandomVariable(space, moved), 1)
+
+
+def test_classical_realization_holds_one_increment_table():
+    # the martingale of a 12-cell sign space stores its n increments of
+    # 2^n entries each, about one n x 2^n complex array, and no normalized
+    # copy of them
+    space = BernoulliSpace(uniform_grid(1.0, 12))
+    table_bytes = space.n * space.size * 16
+    tracemalloc.start()
+    try:
+        real = classical_realization(space)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert future_increment_span(real, 0).shape == (space.size, space.n)
+    assert held < 1.25 * table_bytes
 
 
 def test_discrete_ito_isometry():

@@ -325,7 +325,7 @@ def test_norm_bound_rhs_matches_a_per_cell_svd():
     assert pairs == 1491
 
 
-def test_future_increment_span_is_a_read_only_cache():
+def test_future_increment_span_matches_the_oracle_and_is_read_only():
     rng = generator(4700)
     for n in range(1, 6):
         mart = random_martingale(rng, random_grid(rng, n), 6)

@@ -156,6 +156,17 @@ def test_hermite_values():
     np.testing.assert_allclose(hermite_polynomial(3, x), x**3 - 3 * x)
 
 
+def test_hermite_reference_of_a_zero_integrand():
+    # ||g||^0 He_0 = 1 whatever g is, and a negative order is refused for a
+    # zero g as for a nonzero one
+    zero, linear = symtensor.zero(G8, 1), np.zeros(5)
+    assert np.array_equal(hermite_reference(zero, 0, linear), np.ones(5))
+    assert np.array_equal(hermite_reference(zero, 2, linear), np.zeros(5))
+    for g in (zero, symtensor.ones(G8, 1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            hermite_reference(g, -1, linear)
+
+
 def test_first_order_reference_is_exact():
     ens = brownian_ensemble(G8, 2000, 5)
     g = symtensor.ones(G8, 1)

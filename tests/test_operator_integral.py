@@ -177,6 +177,16 @@ def test_boundary_n_is_vacuous():
     assert check_measurable(anything, mart, 2).ok
 
 
+def test_martingale_stores_no_span_array():
+    # its vector, increments, their norms and the span cells, and no
+    # dim x span copy of the normalized increments
+    rng = generator(3300)
+    mart = random_martingale(rng, random_grid(rng, 5), 6)
+    assert future_increment_span(mart, 0).shape[1] > 1
+    assert set(vars(mart)) == {"measure", "vector", "_increments", "_norms", "span_cells"}
+    assert all(np.ndim(x) <= 1 for x in (mart.vector, mart.span_cells, *mart._increments, *mart._norms))
+
+
 def test_measurability_check_holds_a_few_images_not_one_per_boundary():
     # 4000 coordinates over 40 cells, labels only, and a diagonal operator:
     # the image of the span at 0 is dim x 40, and one check may hold a few
