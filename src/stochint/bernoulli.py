@@ -33,22 +33,24 @@ from .operator_integral import OperatorStepProcess, SparseOperator, VectorMartin
 PREDICTABILITY_TOL = 1e-12
 
 
+def check_size(n: int) -> None:
+    """Raise RefusalError if the n x 2^n increment table of n cells would exceed symtensor.MAX_ENTRIES."""
+    if n << n > symtensor.MAX_ENTRIES:
+        raise RefusalError(f"a sign space on {n} cells has {n << n} increment entries, over the limit {symtensor.MAX_ENTRIES}")
+
+
 @dataclass(frozen=True, eq=False)
 class BernoulliSpace:
     """Uniform sign space {-1,+1}^n attached to a grid (one coordinate per
-    cell).  A space whose n x 2^n increment table would hold more than
-    symtensor.MAX_ENTRIES entries raises RefusalError before any array is
-    built."""
+    cell).  A space that check_size refuses raises RefusalError before any
+    array is built."""
 
     grid: TimeGrid
 
     def __post_init__(self):
         n = self.grid.n
         size = 1 << n
-        if n * size > symtensor.MAX_ENTRIES:
-            raise RefusalError(
-                f"a sign space on {n} cells has {n * size} increment entries, over the limit {symtensor.MAX_ENTRIES}"
-            )
+        check_size(n)
         # row k-1: the increment xi_k * sqrt(len_k), xi_k = +1 where bit k-1 of the point index is 0
         points = np.arange(size)
         incs = np.empty((n, size), dtype=complex)

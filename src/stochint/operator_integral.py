@@ -357,7 +357,7 @@ class MeasurabilityReport:
     """Verdict plus the worst violation of each condition.
 
     ``restricted_norms`` holds the largest and the smallest per-boundary
-    norm, over the span at j and over its last cell's columns: one norm when
+    norm, over the span at j and over its last column: one norm when
     the span holds one cell, none when it is empty.
     """
 
@@ -400,7 +400,7 @@ def check_measurable(a: np.ndarray | SparseOperator, mart: VectorMartingale, j: 
     a = _as_operator(a, mart.dim)
     span = future_increment_span(mart, j)
     image, cells = a @ span, mart.span_cells[len(mart.span_cells) - span.shape[1] :]
-    firsts = sorted({0, int(np.searchsorted(cells, cells[-1]))}) if len(cells) else []
+    firsts = sorted({0, len(cells) - 1}) if len(cells) else []
     norms = tuple(float(np.linalg.svd(image[:, f:], compute_uv=False)[0]) for f in firsts)
     ref, norm_dev = (norms[0], norms[0] - norms[-1]) if norms else (0.0, 0.0)
     # ||P_k A g||^2 summed over k < c and k > c directly; ||A g||^2 less a sum would cancel

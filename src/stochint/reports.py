@@ -153,14 +153,12 @@ class SuiteReport:
 
 
 def merge_reports(suite: str, seed: int, grid: str, reports) -> SuiteReport:
-    """Flatten several reports into one, prefixing check names with the suite."""
+    """Flatten the checks and notes of several reports into one, each prefixed with its suite."""
     merged = SuiteReport(suite, seed, grid)
     for rep in reports:
         for c in rep.checks:
             merged.add(CheckResult(f"{rep.suite}/{c.name}", c.kind, c.lhs, c.rhs, c.tolerance))
         merged.notes.extend(f"{rep.suite}: {note}" for note in rep.notes)
-        if rep.table is not None:
-            merged.table = (merged.table or []) + rep.table
     return merged
 
 

@@ -326,7 +326,7 @@ def verify_fock_ito_suite(
         grid = random_grid(rng, n)
         max_deg = int(rng.integers(0, degree + 1))
         off_diag = bool(rng.integers(0, 2))
-        proc = random_adapted_process(rng, grid, degree + 1, max_deg, off_diagonal=off_diag)
+        proc = random_adapted_process(rng, grid, max_deg + 1, max_deg, off_diagonal=off_diag)
 
         # each library integral against the definition, sum_k value_k (Wick)
         # increment_k through the general Wick product
@@ -353,9 +353,9 @@ def verify_fock_ito_suite(
         rng = generator(seed, _WICK, t)
         n = int(rng.integers(1, cells + 1))
         grid = random_grid(rng, n)
-        f = random_fock_vector(rng, grid, 1).pad(6)
-        g = random_fock_vector(rng, grid, 1).pad(6)
-        h = random_fock_vector(rng, grid, 1).pad(6)
+        f = random_fock_vector(rng, grid, 1).pad(3)
+        g = random_fock_vector(rng, grid, 1).pad(3)
+        h = random_fock_vector(rng, grid, 1).pad(3)
         fg = fock.wick(f, g)
         wick_dev.observe(fock.entrywise_distance(fg, fock.wick(g, f)))
         wick_dev.observe(fock.entrywise_distance(fock.wick(fg, h), fock.wick(f, fock.wick(g, h))))
@@ -363,10 +363,10 @@ def verify_fock_ito_suite(
         lin = fock.wick(a * f + b * g, h)
         split = a * fock.wick(f, h) + b * fock.wick(g, h)
         wick_dev.observe(fock.entrywise_distance(lin, split))
-        wick_dev.observe(fock.entrywise_distance(fock.wick(fock.vacuum(grid, 6), f), f))
+        wick_dev.observe(fock.entrywise_distance(fock.wick(fock.vacuum(grid, 3), f), f))
         # the product must refuse to drop a nonzero top component
         top = symtensor.cell_indicator(grid, 1)
-        full = FockVector(grid, tuple(symtensor.zero(grid, d) for d in range(6)) + (symtensor.ones(grid, 6),))
+        full = FockVector(grid, tuple(symtensor.zero(grid, d) for d in range(3)) + (symtensor.ones(grid, 3),))
         try:
             fock.wick(full, FockVector(grid, (symtensor.zero(grid, 0), top)))
             overflow_misses.count(True)
@@ -383,15 +383,14 @@ def verify_fock_ito_suite(
         f = random_fock_vector(rng, grid, 2)
         g = random_fock_vector(rng, grid, 2)
         z = fock.indicator_vector(grid)
-        for j in range(n + 1):
-            pf = fock.resolution_project(f, j)
+        projected = [fock.resolution_project(f, j) for j in range(n + 1)]
+        for j, pf in enumerate(projected):
             proj_dev.observe(fock.entrywise_distance(fock.resolution_project(pf, j), pf))
             proj_dev.observe(
                 abs(fock.fock_inner(pf, g) - fock.fock_inner(f, fock.resolution_project(g, j)))
             )
-            for j2 in range(j, n + 1):
-                both = fock.resolution_project(fock.resolution_project(f, j2), j)
-                proj_dev.observe(fock.entrywise_distance(both, pf))
+            for later in projected[j:]:
+                proj_dev.observe(fock.entrywise_distance(fock.resolution_project(later, j), pf))
             lebesgue_dev.observe(abs(fock.norm2(fock.resolution_project(z, j)) - grid.boundaries[j]))
 
     # operator realization of Wick multiplication
@@ -475,7 +474,7 @@ def verify_bernoulli_suite(cells: int, trials: int, seed: int, tolerances: dict 
         for k in range(space.n + 1):
             ck = brn.cond_expect(x, k)
             cond_dev.observe(brn.max_abs(brn.cond_expect(ck, k) - ck))
-            cond_dev.observe(abs(brn.cond_expect(x, k).inner(y) - x.inner(brn.cond_expect(y, k))))
+            cond_dev.observe(abs(ck.inner(y) - x.inner(brn.cond_expect(y, k))))
             contraction_violations.count(ck.norm2() > x.norm2() + 1e-12)
             for j in range(k + 1):
                 nested = brn.cond_expect(ck, j)
@@ -785,6 +784,7 @@ def verify_all(cells: int, degree: int, trials: int, seed: int, tolerances: dict
     traceback as its __cause__.  The peak resident memory of the run is that
     of its largest process (see :func:`_in_workers`).
     """
+    brn.check_size(max(cells, 3))  # the bernoulli suite's largest sign space, refused before any fork
     run = partial(verify, cells=cells, degree=degree, trials=trials, seed=seed, tolerances=tolerances)
     parts = _in_workers(run, VERIFY_SUITES[:-1])
     return merge_reports("all", seed, f"cells<={cells}, degree<={degree}, trials={trials}", parts)

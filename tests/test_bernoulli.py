@@ -12,6 +12,7 @@ from stochint.bernoulli import (
     RandomVariable,
     chaos_integral_pair,
     chaos_map,
+    check_size,
     classical_realization,
     cond_expect,
     discrete_ito,
@@ -21,7 +22,7 @@ from stochint.bernoulli import (
     multiplication_integral_pair,
     multiplication_operator,
 )
-from stochint.errors import NotAdaptedError, NotRepresentableError
+from stochint.errors import NotAdaptedError, NotRepresentableError, RefusalError
 from stochint.fock import FockVector, cell_increment, resolution_project, vacuum, zero_vector
 from stochint.fock_ito import FockStepProcess
 from stochint.grid import uniform_grid
@@ -358,3 +359,18 @@ def test_chaos_integral_pair_random():
         assert max_abs(left - right) < 1e-12
         for k, f_k in enumerate(transported, start=1):
             assert is_measurable_at(f_k, k - 1)
+
+
+def test_check_size_is_the_rule_the_constructor_refuses_by(monkeypatch):
+    check_size(17)
+    message = "a sign space on 18 cells has 4718592 increment entries, over the limit 4194304"
+    for refused in (lambda: check_size(18), lambda: BernoulliSpace(uniform_grid(1.0, 18))):
+        with pytest.raises(RefusalError, match=f"^{message}$"):
+            refused()
+    # both read the limit at call time: 4 cells hold 64 entries, 5 cells 160
+    monkeypatch.setattr(symtensor, "MAX_ENTRIES", 64)
+    check_size(4)
+    assert BernoulliSpace(uniform_grid(1.0, 4)).size == 16
+    for refused in (lambda: check_size(5), lambda: BernoulliSpace(uniform_grid(1.0, 5))):
+        with pytest.raises(RefusalError, match="^a sign space on 5 cells has 160 increment entries, over the limit 64$"):
+            refused()

@@ -205,16 +205,19 @@ def test_nan_coefficient_reaches_the_check_that_reads_it(monkeypatch):
         run(["verify", "fock-ito", "--trials", "2", "--seed", "1"])
 
 
-def test_verify_all_refusal_in_a_worker_is_usage_error(capsys):
-    # the fock-ito worker refuses a 36-cell bridge trial; a worker still running is killed
+def test_verify_all_refusal_in_a_worker_is_usage_error(capsys, monkeypatch):
+    # a limit that admits the 4-cell sign space (64 entries) but not the first
+    # bridge trial, so only the forked fock-ito worker refuses; a worker still
+    # running is killed
+    monkeypatch.setattr(symtensor, "MAX_ENTRIES", 64)
     with pytest.raises(SystemExit) as err:
-        run(["verify", "all", "--cells", "40", "--trials", "1", "--seed", "205"])
+        run(["verify", "all", "--cells", "4", "--trials", "1", "--seed", "0"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" not in captured.err
     assert captured.err.strip().splitlines()[-1] == (
-        "stochint: error: the Wick operators on 36 cells at truncation 4 store 4298438 entries, over the limit 4194304"
+        "stochint: error: the Wick operators on 3 cells at truncation 4 store 221 entries, over the limit 64"
     )
     assert_no_child_left()
 

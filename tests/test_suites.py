@@ -10,7 +10,7 @@ import pytest
 
 import oracle
 from children import assert_no_child_left
-from stochint import bernoulli, fock_ito, montecarlo, suites
+from stochint import bernoulli, fock, fock_ito, montecarlo, suites
 from stochint.grid import uniform_grid
 from stochint.errors import (
     NotAdaptedError,
@@ -189,6 +189,16 @@ def test_verify_all_raises_a_worker_error_with_its_fields(monkeypatch):
     assert_no_child_left()
 
 
+def test_verify_all_refuses_an_oversized_sign_space_before_it_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    message = "a sign space on 30 cells has 32212254720 increment entries, over the limit 4194304"
+    with pytest.raises(RefusalError, match=f"^{message}$"):
+        suites.verify_all(30, 3, 5, 1)
+
+
 forked = pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
 
 
@@ -347,3 +357,19 @@ def test_bernoulli_suite_builds_one_realization_per_size(monkeypatch):
     rep = suites.verify_bernoulli_suite(cells=4, trials=10, seed=5)
     assert rep.passed, [c.name for c in rep.failures()]
     assert sizes == [1, 2, 3, 4]
+
+
+def test_fock_ito_suite_pads_wick_operands_to_their_products_degree(monkeypatch):
+    # operands of degree <= 1 need truncation 3 for a triple product, and the
+    # overflow probe's degree-3 top overflows at degree 4
+    original = fock.wick
+    truncations = []
+
+    def recorded(f, g):
+        truncations.extend((f.truncation, g.truncation))
+        return original(f, g)
+
+    monkeypatch.setattr(fock, "wick", recorded)
+    rep = suites.verify_fock_ito_suite(cells=4, degree=1, trials=5, seed=0)
+    assert rep.passed, [c.name for c in rep.failures()]
+    assert max(truncations) == 3
