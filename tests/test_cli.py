@@ -287,22 +287,22 @@ def test_refused_mc_csv_leaves_no_file(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-def _fail_on_third_draw(monkeypatch):
-    """Make the third Brownian block draw raise, after one block is exported."""
-    draws, draw = [], montecarlo.brownian_ensemble
+def _fail_on_second_block(monkeypatch):
+    """Make the full draw of the second Brownian block (paths 40..79 of
+    240-double blocks at 6 cells) raise, after one block is exported."""
+    draw = montecarlo.brownian_ensemble
 
-    def failing(*args, **kwargs):
-        draws.append(None)
-        if len(draws) == 3:
+    def failing(grid, paths, seed, start=0):
+        if start == 40 and paths > 1:
             raise RuntimeError("fault in the middle of the export")
-        return draw(*args, **kwargs)
+        return draw(grid, paths, seed, start=start)
 
     monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 240)
     monkeypatch.setattr(montecarlo, "brownian_ensemble", failing)
 
 
 def test_fault_in_the_middle_of_an_mc_csv_export_removes_the_file(tmp_path, monkeypatch):
-    _fail_on_third_draw(monkeypatch)
+    _fail_on_second_block(monkeypatch)
     target = tmp_path / "paths.csv"
     with pytest.raises(RuntimeError, match="middle of the export"):
         run(["mc", "--cells", "6", "--paths", "401", "--seed", "3", "--csv", str(target)])
@@ -311,7 +311,7 @@ def test_fault_in_the_middle_of_an_mc_csv_export_removes_the_file(tmp_path, monk
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_fault_in_an_mc_csv_export_leaves_a_dev_fd_target_alone(tmp_path, monkeypatch):
-    _fail_on_third_draw(monkeypatch)
+    _fail_on_second_block(monkeypatch)
     target = tmp_path / "paths.csv"
     with open(target, "w") as handle:
         with pytest.raises(RuntimeError, match="middle of the export"):
@@ -445,15 +445,16 @@ def test_mc_csv_export(tmp_path):
 
 @pytest.mark.parametrize("model", ["brownian", "poisson"])
 def test_mc_csv_exports_the_ensemble_the_report_used(tmp_path, monkeypatch, model):
-    # two generator calls per run: the ensemble and its determinism check
-    calls = {"brownian": 0, "poisson": 0}
+    # each path is drawn in full once; the determinism check draws the
+    # first and the last path of each block again, one path per call
+    calls = {"brownian": [], "poisson": []}
 
     def counted(name):
         original = getattr(montecarlo, f"{name}_ensemble")
 
-        def generate(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
+        def generate(grid, paths, seed, start=0, **kwargs):
+            calls[name].append((paths, start))
+            return original(grid, paths, seed, start=start, **kwargs)
 
         return generate
 
@@ -462,7 +463,12 @@ def test_mc_csv_exports_the_ensemble_the_report_used(tmp_path, monkeypatch, mode
     csv_path, fresh = tmp_path / "paths.csv", tmp_path / "fresh.csv"
     args = ["mc", "--model", model, "--cells", "5", "--paths", "300", "--seed", "9"]
     assert run(args + ["--csv", str(csv_path), "--out", str(tmp_path / "r.json")]) == 0
-    assert calls == {"brownian": 0, "poisson": 0, model: 2}
+    other = "poisson" if model == "brownian" else "brownian"
+    assert calls[other] == []
+    full = [(paths, start) for paths, start in calls[model] if paths > 1]
+    assert sum(paths for paths, _ in full) == 300
+    redraws = [start for paths, start in calls[model] if paths == 1]
+    assert sorted(redraws) == sorted(p for paths, start in full for p in (start, start + paths - 1))
     oracle.export_csv(getattr(montecarlo, f"{model}_ensemble")(uniform_grid(1.0, 5), 300, 9).increments, fresh)
     assert csv_path.read_bytes() == fresh.read_bytes()
 

@@ -126,6 +126,60 @@ def test_mc_suite_streams_blocks(model, tmp_path, monkeypatch):
         assert a.tolerance == pytest.approx(b.tolerance, rel=1e-12)
 
 
+def _deterministic(rep) -> float:
+    return next(c.lhs for c in rep.checks if c.name == "ensemble_deterministic")
+
+
+def _wrap_generator(monkeypatch, model, change, cpus):
+    """Run mc_suite on 40-path blocks (240 doubles at 6 cells) with the
+    model's generator passed through `change(ensemble, call)`, call counting
+    this process's draws from 1."""
+    name = f"{model}_ensemble"
+    draw, calls = getattr(montecarlo, name), []
+
+    def changed(*args, **kwargs):
+        calls.append(None)
+        return change(draw(*args, **kwargs), len(calls))
+
+    monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 240)
+    monkeypatch.setattr(montecarlo, name, changed)
+    monkeypatch.setattr(suites, "_cpus", lambda: cpus)
+
+
+def _last_row_moved(ensemble, call):
+    if ensemble.paths > 1:
+        ensemble.increments[-1] += 1.0
+    return ensemble
+
+
+def _call_added(ensemble, call):
+    ensemble.increments[:] += call
+    return ensemble
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("model", ["brownian", "poisson"])
+@pytest.mark.parametrize("change", [_last_row_moved, _call_added])
+def test_ensemble_deterministic_sees_a_path_that_depends_on_its_block(monkeypatch, model, change, cpus):
+    # a block's last path drawn alone differs from its row in the block, or
+    # every draw differs from every other: each of the 10 blocks counts
+    _wrap_generator(monkeypatch, model, change, cpus)
+    rep = suites.mc_suite(model=model, cells=6, paths=400, seed=3)
+    assert _deterministic(rep) == 10
+    assert not rep.passed
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("model", ["brownian", "poisson"])
+def test_ensemble_deterministic_passes_a_last_block_of_one_path(monkeypatch, model, cpus):
+    # 401 paths: ten 40-path blocks and one of path 400 alone
+    _wrap_generator(monkeypatch, model, lambda ensemble, call: ensemble, cpus)
+    rep = suites.mc_suite(model=model, cells=6, paths=401, seed=3)
+    assert _deterministic(rep) == 0
+    assert rep.passed, [c.name for c in rep.failures()]
+
+
 def test_mc_suite_unknown_model():
     with pytest.raises(ValueError):
         suites.mc_suite(model="levy", cells=4, paths=10, seed=1)
