@@ -115,7 +115,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.input) as handle:
                     input_checks = suites.verify_input_file(json.load(handle), tolerances)
-            except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+            except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                 parser.error(f"--input {args.input}: {type(exc).__name__}: {exc}")
         run = partial(suites.verify, args.suite, args.cells, args.degree, args.trials, args.seed, tolerances)
     elif args.command == "mc":

@@ -157,30 +157,36 @@ class FockOperatorRealization:
         return FockVector(self.grid, tuple(SymCoeffs(self.grid, d, v) for d, v in enumerate(parts)))
 
 
+def check_size(proc: FockStepProcess) -> None:
+    """Raise unless :func:`wick_operator_process` can realize the process:
+    TruncationOverflowError unless its max nonzero degree plus one fits
+    inside its truncation, RefusalError past symtensor.MAX_ENTRIES stored
+    entries over all cells.  Each stored entry of value_k[m] stores one
+    entry per coordinate of degree <= truncation - m."""
+    if proc.max_degree() + 1 > proc.truncation:
+        raise TruncationOverflowError(proc.max_degree() + 1)
+    # coordinates of degree <= truncation - m, for each m
+    below = np.cumsum([symtensor.size(proc.grid.n, d) for d in range(proc.truncation + 1)])[::-1]
+    stored = sum(len(comp.stored()) * int(below[m]) for v in proc.values for m, comp in enumerate(v.components))
+    if stored > symtensor.MAX_ENTRIES:
+        message = f"the Wick operators on {proc.grid.n} cells at truncation {proc.truncation} store {stored} entries"
+        raise RefusalError(f"{message}, over the limit {symtensor.MAX_ENTRIES}")
+
+
 def wick_operator_process(proc: FockStepProcess) -> FockOperatorRealization:
     """Realize g -> value_k (Wick) g as one SparseOperator per cell, plus the martingale.
 
     The realization truncation is the process's own, proc.truncation, and
-    the coordinates run by degree, then by rank within a degree.  Requires
-    one degree of headroom: max nonzero degree of the process plus one must
-    fit inside the truncation.  Wick products above the truncation are
-    dropped (the operators act on the truncated space).  Each stored entry
-    of value_k[m] stores one entry per coordinate of degree <= truncation - m;
-    past symtensor.MAX_ENTRIES stored entries over all cells, RefusalError is
-    raised before anything is built.  The process need not be adapted: the
+    the coordinates run by degree, then by rank within a degree.  Wick
+    products above the truncation are dropped (the operators act on the
+    truncated space).  A process that :func:`check_size` refuses raises
+    before anything is built.  The process need not be adapted: the
     integral of the realization is then the Skorohod integral.
     """
+    check_size(proc)
     grid = proc.grid
     n_trunc = proc.truncation
-    if proc.max_degree() + 1 > n_trunc:
-        raise TruncationOverflowError(proc.max_degree() + 1)
     sizes = [symtensor.size(grid.n, d) for d in range(n_trunc + 1)]
-    # coordinates of degree <= n_trunc - m, for each m
-    below = np.cumsum(sizes)[::-1]
-    stored = sum(len(comp.stored()) * int(below[m]) for v in proc.values for m, comp in enumerate(v.components))
-    if stored > symtensor.MAX_ENTRIES:
-        message = f"the Wick operators on {grid.n} cells at truncation {n_trunc} store {stored} entries"
-        raise RefusalError(f"{message}, over the limit {symtensor.MAX_ENTRIES}")
     dim = sum(sizes)
 
     # coordinates: the degrees one after another, each in rank order

@@ -71,9 +71,6 @@ class TimeGrid:
         """Length of cell k, 1-based."""
         return self.boundaries[self.check_cell(k)] - self.boundaries[k - 1]
 
-    def to_json(self) -> list[float]:
-        return list(self.boundaries)
-
     @classmethod
     def from_json(cls, obj) -> "TimeGrid":
         return cls(tuple(json_number(t) for t in obj))

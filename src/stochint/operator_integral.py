@@ -82,24 +82,6 @@ def _is_unitary(m: np.ndarray) -> bool:
     return bool(np.linalg.norm(m.conj().T @ m - np.eye(len(m))) <= COMMUTE_TOL)
 
 
-def _projector_measure(mart: "VectorMartingale", operation: str) -> "ProjectorMeasure":
-    """The martingale's measure, refused unless it is a ProjectorMeasure."""
-    if not isinstance(mart.measure, ProjectorMeasure):
-        raise TypeError(f"{operation} needs a ProjectorMeasure, not a {type(mart.measure).__name__}")
-    return mart.measure
-
-
-def _matrices(proc: "OperatorStepProcess", operation: str) -> tuple[np.ndarray, ...]:
-    """The process's operators, refused unless every one is a dense matrix."""
-    if any(isinstance(a, SparseOperator) for a in proc.operators):
-        raise TypeError(f"{operation} needs dense operator matrices, not a SparseOperator")
-    return proc.operators
-
-
-def _matrix_json(m: np.ndarray) -> list:
-    return [[[v.real, v.imag] for v in row] for row in m]
-
-
 def _matrix_from_json(obj) -> np.ndarray:
     return np.array([[complex(json_number(re), json_number(im)) for re, im in row] for row in obj], dtype=complex)
 
@@ -174,7 +156,6 @@ class ProjectorMeasure:
             raise ValueError(f"labels must be a 1-d integer array, got {labels.dtype} of shape {labels.shape}")
         if not 0 <= labels.min() <= labels.max() <= self.grid.n:
             raise ValueError(f"labels must lie in 0..{self.grid.n}, got {labels.min()}..{labels.max()}")
-        object.__setattr__(self, "_parts", None)
         if self.frame is not None:
             frame = _as_matrix(self.frame, len(labels))
             _check_finite("the frame", (frame,))
@@ -189,8 +170,7 @@ class ProjectorMeasure:
     def from_projections(cls, grid: TimeGrid, atom, cells) -> "ProjectorMeasure":
         """The measure with atom P_0 and cell projections P_1..P_n: Hermitian,
         idempotent, mutually orthogonal and summing to the identity, each within
-        COMMUTE_TOL.  Labels and frame are one eigh of sum_k k P_k; the
-        matrices are kept only for :meth:`to_json`."""
+        COMMUTE_TOL.  Labels and frame are one eigh of sum_k k P_k."""
         atom = _as_matrix(atom)
         parts = (atom, *(_as_matrix(c, len(atom)) for c in cells))
         if len(parts) != grid.n + 1:
@@ -208,9 +188,7 @@ class ProjectorMeasure:
         if np.linalg.norm(sum(parts[1:], atom) - np.eye(len(atom))) > COMMUTE_TOL:
             raise ValueError("projections do not sum to the identity")
         values, frame = np.linalg.eigh(sum(k * p for k, p in enumerate(parts)))
-        measure = cls(grid, np.rint(values).astype(int), frame)
-        object.__setattr__(measure, "_parts", parts)
-        return measure
+        return cls(grid, np.rint(values).astype(int), frame)
 
     @property
     def dim(self) -> int:
@@ -223,15 +201,6 @@ class ProjectorMeasure:
             return np.where((self.labels == k).reshape((-1,) + (1,) * (np.ndim(x) - 1)), x, 0)
         part = self.frame[:, slice(*np.searchsorted(self.labels, (k, k + 1)))]
         return part @ (part.conj().T @ x)
-
-    def to_json(self) -> dict:
-        parts = self._parts or [self.project(k, np.eye(self.dim, dtype=complex)) for k in range(self.grid.n + 1)]
-        return {
-            "boundaries": self.grid.to_json(),
-            "dim": self.dim,
-            "atom": _matrix_json(parts[0]),
-            "cells": [_matrix_json(c) for c in parts[1:]],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProjectorMeasure":
@@ -285,12 +254,6 @@ class VectorMartingale:
         """Scalar measure of cell k: squared norm of the increment."""
         return float(self._norms[self.grid.check_cell(k) - 1] ** 2)
 
-    def to_json(self) -> dict:
-        return {
-            "measure": _projector_measure(self, "to_json").to_json(),
-            "vector": [[v.real, v.imag] for v in self.vector],
-        }
-
     @classmethod
     def from_json(cls, obj: dict) -> "VectorMartingale":
         measure = ProjectorMeasure.from_json(obj["measure"])
@@ -322,12 +285,6 @@ class OperatorStepProcess:
 
     def operator(self, k: int) -> np.ndarray | SparseOperator:
         return self.operators[self.grid.check_cell(k) - 1]
-
-    def to_json(self) -> dict:
-        return {
-            "boundaries": self.grid.to_json(),
-            "operators": [_matrix_json(a) for a in _matrices(self, "to_json")],
-        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "OperatorStepProcess":
@@ -456,14 +413,17 @@ def unitary_transport(
     u: np.ndarray, proc: OperatorStepProcess, mart: VectorMartingale
 ) -> tuple[np.ndarray, np.ndarray]:
     """Compare U(integral) with the integral of {U A_k U^-1} against (UEU^-1, UM)."""
-    measure = _projector_measure(mart, "unitary_transport")
-    operators = _matrices(proc, "unitary_transport")
+    measure = mart.measure
+    if not isinstance(measure, ProjectorMeasure):
+        raise TypeError(f"unitary_transport needs a ProjectorMeasure, not a {type(measure).__name__}")
+    if any(isinstance(a, SparseOperator) for a in proc.operators):
+        raise TypeError("unitary_transport needs dense operator matrices, not a SparseOperator")
     u = _as_matrix(u, mart.dim)
     if not _is_unitary(u):
         raise ValueError("matrix is not unitary")
     left = u @ stochastic_integral(proc, mart)
     frame = u if measure.frame is None else u @ measure.frame
     transported = VectorMartingale(ProjectorMeasure(mart.grid, measure.labels, frame), u @ mart.vector)
-    conj_proc = OperatorStepProcess(proc.grid, tuple(u @ a @ u.conj().T for a in operators))
+    conj_proc = OperatorStepProcess(proc.grid, tuple(u @ a @ u.conj().T for a in proc.operators))
     right = stochastic_integral(conj_proc, transported)
     return left, right

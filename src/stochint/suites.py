@@ -269,12 +269,15 @@ def verify_operator_suite(cells: int, trials: int, seed: int, tolerances: dict |
 def verify_input_file(data: dict, tolerances: dict | None = None) -> list[CheckResult]:
     """Measurability and the norm bound for a serialized martingale and process.
 
-    `data` holds ``"martingale"`` and ``"process"`` in their ``to_json``
-    forms.  Malformed data, including non-finite numbers, finite ones whose
-    norm bound overflows and a process and a martingale that differ in grid
-    or dimension, raises ``KeyError``, ``TypeError`` or ``ValueError``.  The
-    bound's slack scales with the data: the ``bound`` tolerance times rhs,
-    plus 4 * dim * eps * (sum_k ||A_k||_F ||P_k M||)^2 of round-off.
+    `data` is the ``--input`` layout of the README's "Wire formats":
+    ``"martingale"`` holds ``"measure"`` (``"boundaries"``, ``"dim"``,
+    ``"atom"``, ``"cells"``) and ``"vector"``, ``"process"`` holds
+    ``"boundaries"`` and ``"operators"``.  Malformed data, including
+    non-finite numbers, finite ones whose norm bound overflows and a process
+    and a martingale that differ in grid or dimension, raises ``KeyError``,
+    ``TypeError`` or ``ValueError``.  The bound's slack scales with the
+    data: the ``bound`` tolerance times rhs, plus
+    4 * dim * eps * (sum_k ||A_k||_F ||P_k M||)^2 of round-off.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         mart = VectorMartingale.from_json(data["martingale"])
@@ -319,6 +322,16 @@ def verify_fock_ito_suite(
     bridge_dev = tracker.eq("wick_operator_bridge_max_dev", "bridge")
     bridge_failures = tracker.count("wick_operator_measurability_failures")
     nonadapted_misses = tracker.count("wick_nonadapted_detected_misses")
+
+    # the bridge trials are drawn and sized first, so that one too large is
+    # refused before any section runs
+    bridge_trials = []
+    for t in range(min(100, trials)):
+        rng = generator(seed, _BRIDGE, t)
+        grid = random_grid(rng, int(rng.integers(2, max(2, cells) + 1)))
+        max_deg = int(rng.integers(0, min(3, degree) + 1))
+        bridge_trials.append(random_adapted_process(rng, grid, max_deg + 1, max_deg, off_diagonal=False))
+        fock_ito.check_size(bridge_trials[-1])
 
     for t in range(trials):
         rng = generator(seed, _FOCK_ITO, t)
@@ -394,12 +407,8 @@ def verify_fock_ito_suite(
             lebesgue_dev.observe(abs(fock.norm2(fock.resolution_project(z, j)) - grid.boundaries[j]))
 
     # operator realization of Wick multiplication
-    for t in range(min(100, trials)):
-        rng = generator(seed, _BRIDGE, t)
-        n = int(rng.integers(2, max(2, cells) + 1))
-        grid = random_grid(rng, n)
-        max_deg = int(rng.integers(0, min(3, degree) + 1))
-        proc = random_adapted_process(rng, grid, max_deg + 1, max_deg, off_diagonal=False)
+    for t, proc in enumerate(bridge_trials):
+        grid, n = proc.grid, proc.grid.n
         realization = fock_ito.wick_operator_process(proc)
         for k in range(1, n + 1):
             bridge_failures.count(

@@ -36,6 +36,9 @@ from .grid import TimeGrid, refine
 
 #: most entries, C(n+d-1, d), that one coefficient vector may have (64 MiB)
 MAX_ENTRIES = 1 << 22
+#: highest degree whose multiset table is built: 21! overflows the int64
+#: factorials of the block weights
+MAX_DEGREE = 20
 
 Multiset = tuple[int, ...]
 
@@ -54,7 +57,10 @@ def _table(n: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     """(cells, factorials), read-only: row r of cells is the multiset of rank
     r in ascending order, and factorials[r] the product of its multiplicities'
     factorials.  The rows that start with cell c continue with the last
-    C(n-c+d-1, d-1) rows of degree d-1, those with no cell below c."""
+    C(n-c+d-1, d-1) rows of degree d-1, those with no cell below c.  Raises
+    RefusalError past MAX_DEGREE, before any factorial is formed."""
+    if degree > MAX_DEGREE:
+        raise RefusalError(f"degree {degree} is over the limit {MAX_DEGREE}: its factorials overflow 64-bit integers")
     cells, fact = np.zeros((1, 0), dtype=np.intp), np.ones(1, dtype=np.intp)
     if degree:
         tail, tail_fact = _table(n, degree - 1)

@@ -315,6 +315,19 @@ def dense_parts(measure) -> np.ndarray:
     return frame_parts(frame, measure.labels, measure.grid.n)
 
 
+def input_file(mart: VectorMartingale, proc) -> dict:
+    """The ``--input`` layout of the README's "Wire formats" for a martingale
+    and a process of dense matrices, the projections written as the
+    :func:`dense_parts` of the measure: the library has no writer."""
+    pairs = lambda a: np.stack([a.real, a.imag], axis=-1).tolist()
+    atom, *cells = map(pairs, dense_parts(mart.measure))
+    measure = {"boundaries": list(mart.grid.boundaries), "dim": mart.dim, "atom": atom, "cells": cells}
+    return {
+        "martingale": {"measure": measure, "vector": pairs(mart.vector)},
+        "process": {"boundaries": list(proc.grid.boundaries), "operators": [pairs(a) for a in proc.operators]},
+    }
+
+
 def measurability_deviations(a: np.ndarray, mart: VectorMartingale, j: int) -> tuple[list, float, float]:
     """(restricted norms, norm deviation, commutator deviation) at boundary j < n."""
     n = mart.grid.n

@@ -10,7 +10,7 @@ import pytest
 
 import oracle
 from children import assert_no_child_left
-from stochint import bernoulli, montecarlo, suites, symtensor
+from stochint import bernoulli, fock_ito, montecarlo, suites, symtensor
 from stochint.cli import main
 from stochint.grid import uniform_grid
 from stochint.operator_integral import OperatorStepProcess
@@ -171,6 +171,38 @@ def test_wick_bridge_past_the_size_limit_is_usage_error(capsys):
     assert usage.startswith("usage: stochint")
     assert message == [
         "stochint: error: the Wick operators on 36 cells at truncation 4 store 4298438 entries, over the limit 4194304"
+    ]
+
+
+def test_wick_bridge_refusal_comes_before_every_other_section(capsys, monkeypatch):
+    # the bridge trials are drawn and sized first: the refused 36-cell run
+    # never reaches the Ito section, which took 30 s before it
+    calls = []
+    ito_wick = fock_ito.ito_wick
+    monkeypatch.setattr(fock_ito, "ito_wick", lambda proc: calls.append(proc) or ito_wick(proc))
+    with pytest.raises(SystemExit) as err:
+        run(["verify", "fock-ito", "--cells", "36", "--trials", "200", "--seed", "1"])
+    assert err.value.code == 2
+    assert calls == []
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "stochint: error: the Wick operators on 36 cells at truncation 4 store 4298438 entries, over the limit 4194304"
+    )
+
+
+def test_degree_past_the_limit_is_usage_error(capsys):
+    # degree 20 integrates to degree 21, whose factorials overflow 64-bit
+    # integers: exit 2 with one line, not an OverflowError traceback (exit 1);
+    # degree 19, whose Skorohod output has an all-zero degree-21 component, passes
+    argv = ["verify", "fock-ito", "--cells", "2", "--trials", "100", "--seed", "0", "--degree"]
+    assert run(argv + ["19"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["20"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[1:] == [
+        "stochint: error: degree 21 is over the limit 20: its factorials overflow 64-bit integers"
     ]
 
 
@@ -495,8 +527,7 @@ def test_refine_report_table(tmp_path):
 def input_payload() -> dict:
     rng = generator(123)
     mart = random_martingale(rng, random_grid(rng, 3), 5)
-    proc = random_measurable_process(rng, mart)
-    return {"martingale": mart.to_json(), "process": proc.to_json()}
+    return oracle.input_file(mart, random_measurable_process(rng, mart))
 
 
 def test_verify_hstoch_consumes_input_file(tmp_path):
@@ -551,8 +582,7 @@ def _scaled_payload(seed: int, scale: float, dense: bool = False) -> dict:
         operators = tuple(random_complex(rng, 4, 4) for _ in range(3))
     else:
         operators = random_measurable_process(rng, mart).operators
-    proc = OperatorStepProcess(mart.grid, tuple(scale * a for a in operators))
-    return {"martingale": mart.to_json(), "process": proc.to_json()}
+    return oracle.input_file(mart, OperatorStepProcess(mart.grid, tuple(scale * a for a in operators)))
 
 
 def test_file_norm_bound_slack_scales_with_the_data(tmp_path):
@@ -579,6 +609,8 @@ def _break_payload(payload: dict, case: str):
         return None
     if case == "malformed_json":
         return json.dumps(payload)[:-7]
+    if case == "deeply_nested":
+        return "[" * 100000 + "]" * 100000
     if case == "missing_key":
         del payload["martingale"]
     elif case == "not_an_object":
@@ -621,6 +653,7 @@ def _break_payload(payload: dict, case: str):
     [
         "missing_file",
         "malformed_json",
+        "deeply_nested",
         "missing_key",
         "not_an_object",
         "bad_shape",

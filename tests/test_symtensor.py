@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from stochint.errors import ShapeMismatchError
+from stochint.errors import RefusalError, ShapeMismatchError
 from stochint.grid import uniform_grid
 from stochint.randomgen import generator, random_grid, random_sym_coeffs
 from stochint import fock, symtensor
@@ -298,6 +298,21 @@ def test_size_guard_raises_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert symtensor.size(n - 1, 2) <= symtensor.MAX_ENTRIES
+
+
+def test_degrees_past_the_limit_are_refused_not_wrapped():
+    # 21! does not fit the int64 factorials of the multiset table: degree 21
+    # on two cells wrapped to -4249290049419214848, and the square of the
+    # degree-11 indicator of (1,)*11 read -0.00111 at (1,)*22, not 1
+    from math import factorial
+
+    assert symtensor.MAX_DEGREE == 20
+    assert symtensor._table(2, 20)[1][0] == factorial(20)
+    with pytest.raises(RefusalError, match="^degree 21 is over the limit 20"):
+        symtensor._table(2, 21)
+    f = sym_coeffs(uniform_grid(1.0, 2), 11, {(1,) * 11: 1.0})
+    with pytest.raises(RefusalError, match=r"^degree \d+ is over the limit 20: "):
+        sym_tensor(f, f)
 
 
 def _first_cells_over_limit(degree: int) -> int:
